@@ -59,10 +59,8 @@ class ExperimentConfig:
     alpha: float = 0.5
     delta: float = 0.0
     deltas: tuple[float, ...] = (0.0, 1.0)
-    beta: float = 0.0
     betas: tuple[float, ...] = (0.0, 1.0)
     gamma: float = 1.0
-    kappa: float = 1.0
     radius: float = 1.0
     offsets: tuple[float, ...] = ()
     r_values: tuple[float, ...] = ()

@@ -17,7 +17,7 @@ from scipy.optimize import brentq
 from .catalog import MonotoneBranch, Piece, TestFunction
 from .errors import DivergenceError, DomainError, ToleranceError
 from .quadrature import QuadratureSpec, integrate_decaying, integrate_panel, logsumexp_pair
-from .special import upper_gamma
+from .special import log_upper_gamma
 
 
 class NormResult(NamedTuple):
@@ -163,23 +163,23 @@ def lp_norm_closed_form(f: TestFunction, p: float) -> float:
     tail family:   |f|_p^p = (p-1)^(-dp-1)  Gamma_up(dp+1, p-1),   p > 1
     origin family: |f|_p^p = (1-ap)^(-dp-1) Gamma_up(dp+1, 1-ap),  p < 1/a
     (d = log order, a = power order; the even origin family carries factor 2).
+    |f|_p^p is formed in log space and divided by p before exponentiating, so
+    large p neither overflows Gamma_up nor underflows its tail.
     """
     if p < 1.0:
         raise DomainError(f"p must be >= 1, got {p}")
     check_lp_convergence(f, p)
     d = f.delta
     if f.kind == "g_delta":
-        c = p - 1.0
-        power = (f.coefficient**p) * c ** (-d * p - 1.0) * upper_gamma(d * p + 1.0, c)
+        c, log_mult = p - 1.0, 0.0
     elif f.kind == "f_delta":
-        c = 1.0 - f.alpha * p
-        power = (f.coefficient**p) * c ** (-d * p - 1.0) * upper_gamma(d * p + 1.0, c)
+        c, log_mult = 1.0 - f.alpha * p, 0.0
     elif f.kind == "big_r" and (f.slow is None or f.slow.is_constant):
-        c = 1.0 - f.alpha * p
-        power = 2.0 * (f.coefficient**p) * c ** (-d * p - 1.0) * upper_gamma(d * p + 1.0, c)
+        c, log_mult = 1.0 - f.alpha * p, math.log(2.0)
     else:
         raise DomainError(f"no closed-form norm for {f.label}")
-    return power ** (1.0 / p)
+    log_power = log_mult + (-d * p - 1.0) * math.log(c) + log_upper_gamma(d * p + 1.0, c)
+    return f.coefficient * math.exp(log_power / p)
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy.special import kve
 
 from .catalog import INV_E, TestFunction
 from .errors import DivergenceError, DomainError, ToleranceError
@@ -38,6 +39,8 @@ from .special import upper_gamma
 
 #: beyond this separation the exponentially decaying kernel underflows
 BESSEL_REACH = 700.0
+#: bound on the relative error of :func:`macdonald_K` on (0, BESSEL_REACH], nu in [0, 5]
+MACDONALD_REL_ERR = 5e-13
 
 
 # ---------------------------------------------------------------------------
@@ -104,6 +107,11 @@ class KernelSpec:
         return math.inf
 
     @property
+    def rel_err(self) -> float:
+        """Relative error of one kernel value beyond rounding (QUADPACK does not see it)."""
+        return MACDONALD_REL_ERR if self.variant == "bessel" else 0.0
+
+    @property
     def has_log_factor(self) -> bool:
         return self.variant in ("log_riesz", "truncated") and (
             self.beta > 0.0 or (self.slow is not None and not self.slow.is_constant)
@@ -167,30 +175,17 @@ def parse_kernel_spec(text: str) -> KernelSpec:
 # Macdonald function
 # ---------------------------------------------------------------------------
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
-
-
-def _macdonald_cutoff(nu: float, x: float) -> float:
-    """T with x cosh(T) - nu T large enough that the discarded tail is negligible."""
-    target = 46.0 + max(0.0, -math.log(x))  # ~20 decades below the integrand scale
-    t = 1.0
-    for _ in range(200):
-        t_new = math.acosh(max((target + nu * t) / x, 1.0 + 1e-12))
-        if abs(t_new - t) < 1e-9 * max(t, 1.0):
-            t = t_new
-            break
-        t = t_new
-    return max(t, 1.0)
-
 
 def macdonald_K(nu: float, x: float) -> float:
-    """Modified Bessel function of the third kind, by its cosh integral form.
+    """Modified Bessel function of the third kind K_nu(x), x > 0, nu >= 0.
 
-    K_nu(x) = int_0^inf exp(-x cosh t) cosh(nu t) dt, evaluated with composite
-    Gauss-Legendre panels doubled until the value settles; the tail is cut
-    where the integrand has fallen ~20 decades below its peak.  Relative
-    accuracy is ~1e-10 for x in [1e-2, 50], nu in [0, 5]; for x > 700 the
-    result underflows and is reported as 0.0 with a warning.
+    Evaluated as kve(nu, x) e^(-x) with scipy's exponentially scaled AMOS
+    routine (Amos 1986, ACM TOMS 644).  The relative error stays below
+    MACDONALD_REL_ERR for x in [1e-12, 700], nu in [0, 5]; the worst seen
+    against mpmath is 1.7e-13, just below x = 2 where AMOS leaves its series.
+    Scaling keeps the value normal up to x = 700, whereas the unscaled kv
+    underflows to 0.0 from x ~ 697.5.  For x > 700 the result underflows
+    and is reported as 0.0 with a warning.
     """
     if x <= 0.0:
         raise DomainError(f"argument must be positive, got {x}")
@@ -199,24 +194,7 @@ def macdonald_K(nu: float, x: float) -> float:
     if x > BESSEL_REACH:
         warnings.warn(f"K_{nu:g}({x:g}) underflows; reporting 0.0", RuntimeWarning, stacklevel=2)
         return 0.0
-    T = _macdonald_cutoff(nu, x)
-
-    def panel_sum(n_panels: int) -> float:
-        edges = np.linspace(0.0, T, n_panels + 1)
-        mids = 0.5 * (edges[:-1] + edges[1:])
-        half = 0.5 * (edges[1:] - edges[:-1])
-        t = mids[:, None] + half[:, None] * _GL_NODES[None, :]
-        ln_cosh = nu * t + np.log1p(np.exp(-2.0 * nu * t)) - math.log(2.0)
-        vals = np.exp(-x * np.cosh(t) + ln_cosh)
-        return float(np.sum(vals * _GL_WEIGHTS[None, :] * half[:, None]))
-
-    prev = panel_sum(4)
-    for n in (8, 16, 32, 64, 128):
-        cur = panel_sum(n)
-        if abs(cur - prev) <= 1e-11 * abs(cur):
-            return cur
-        prev = cur
-    return prev
+    return float(kve(nu, x)) * math.exp(-x)
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +337,7 @@ def apply_kernel_report(
         for p_lo, p_hi in pieces:
             v, e = _integrate_subpiece(f, x, kernel, p_lo, p_hi, spec)
             total += v
-            err += e
+            err += e + kernel.rel_err * abs(v)
     if total != 0.0 and err / abs(total) > spec.rel_tol:
         raise ToleranceError(f"potential at x={x:g} too inaccurate", achieved=err / abs(total))
     return IntegralResult(total, err)

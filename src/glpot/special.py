@@ -29,8 +29,8 @@ def _lower_regularized_series(s: float, x: float) -> float:
     return total * math.exp(-x + s * math.log(x) - math.lgamma(s))
 
 
-def _upper_regularized_cf(s: float, x: float) -> float:
-    """Q(s,x) by a modified Lentz continued fraction, for x >= s + 1."""
+def _upper_cf(s: float, x: float) -> float:
+    """h in Q(s,x) = h x^s e^(-x) / Gamma(s), by a modified Lentz continued fraction, for x >= s + 1."""
     tiny = 1e-300
     b = x + 1.0 - s
     c = 1.0 / tiny
@@ -50,7 +50,7 @@ def _upper_regularized_cf(s: float, x: float) -> float:
         h *= delta
         if abs(delta - 1.0) < _EPS:
             break
-    return h * math.exp(-x + s * math.log(x) - math.lgamma(s))
+    return h
 
 
 def upper_gamma(s: float, x: float) -> float:
@@ -67,7 +67,7 @@ def upper_gamma(s: float, x: float) -> float:
         return math.gamma(s)
     if x < s + 1.0:
         return (1.0 - _lower_regularized_series(s, x)) * math.gamma(s)
-    return _upper_regularized_cf(s, x) * math.gamma(s)
+    return _upper_cf(s, x) * math.exp(-x + s * math.log(x) - math.lgamma(s)) * math.gamma(s)
 
 
 def log_upper_gamma(s: float, x: float) -> float:
@@ -80,4 +80,5 @@ def log_upper_gamma(s: float, x: float) -> float:
         return math.lgamma(s)
     if x < s + 1.0:
         return math.log1p(-_lower_regularized_series(s, x)) + math.lgamma(s)
-    return math.log(_upper_regularized_cf(s, x)) + math.lgamma(s)
+    # ln h - x + s ln x: no exp, so nothing underflows for large x
+    return math.log(_upper_cf(s, x)) - x + s * math.log(x)

@@ -152,6 +152,18 @@ class TestLpNormOracles:
             3.5 * lp_norm_closed_form(f, 1.5), rel=1e-12
         )
 
+    @pytest.mark.parametrize("delta,p", [(1.0, 256.0), (0.0, 1024.0), (2.0, 300.0)])
+    def test_closed_form_large_p_against_mpmath(self, delta, p):
+        # Gamma(delta p + 1, p - 1) leaves the double range here; the norm does not
+        import mpmath as mp
+
+        with mp.workdps(30):
+            c = mp.mpf(p) - 1
+            log_power = mp.log(mp.gammainc(delta * p + 1, c)) - (delta * p + 1) * mp.log(c)
+            want = float(mp.exp(log_power / p))
+        got = lp_norm_closed_form(TestFunction.g_delta(delta), p)
+        assert got == pytest.approx(want, rel=1e-13)
+
     def test_disjoint_additivity(self):
         p = 1.4
         h = TestFunction.h_delta(0.5, 1.0)

@@ -40,3 +40,13 @@ def test_domain_errors():
         upper_gamma(0.0, 1.0)
     with pytest.raises(DomainError):
         upper_gamma(1.0, -1.0)
+
+
+def test_log_variant_far_tail_against_mpmath():
+    # past x ~ 745 the regularised Q(s, x) underflows, but its log does not
+    import mpmath as mp
+
+    with mp.workdps(30):
+        for s, x in ((1.0, 1023.0), (257.0, 255.0), (257.0, 800.0), (3.5, 5000.0)):
+            want = float(mp.log(mp.gammainc(s, x)))
+            assert log_upper_gamma(s, x) == pytest.approx(want, rel=1e-13)
