@@ -4,14 +4,19 @@ Every function here is non-negative, supported on explicit intervals, and
 annotated with the local power/log exponents its quadrature and convergence
 analysis need.  The log-blowup families come in two flavours: tail-supported
 (x^-1 log-power on (e, inf)) and origin-supported (x^-alpha log-power on
-(0, 1/e)); the remaining forms are built from these plus indicators.
+(0, 1/e)); the remaining forms are built from these plus indicators.  Each
+form is described once, by its ``Piece`` tuple with the coefficient and the
+slow factor; evaluation, norms, masses and the scaled potentials all read
+that description.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
+
+from scipy.optimize import brentq
 
 from .errors import DomainError
 from .psi import SlowlyVarying
@@ -32,12 +37,15 @@ class Singularity:
 
 @dataclass(frozen=True)
 class Piece:
-    """One integration piece of |f| in x.
+    """One support segment of |f| in x.
 
-    role 'origin': singular end at x_sing (|x| decreasing side, use y = -ln|x-x_sing|);
-    role 'tail': unbounded end (use y = ln|x|); role 'plain': bounded and finite.
+    role 'origin': singular end at x = 0 (use y = -ln|x|); role 'tail':
+    unbounded end (use y = ln|x|); role 'plain': bounded and finite.
     ``power``/``log_power`` describe |f| ~ |x|^-power |ln|x||^log_power at the
-    critical end (singularity or infinity).
+    critical end (singularity or infinity).  For the catalog forms the pieces,
+    the coefficient and the slow factor are the whole description: a plain
+    piece is the constant coefficient on [lo, hi], a singular piece is
+    coefficient * |x|^-power |ln|x||^log_power S(|ln|x||) on (lo, hi).
     """
 
     role: str  # 'plain' | 'origin' | 'tail'
@@ -45,6 +53,17 @@ class Piece:
     hi: float
     power: float = 0.0
     log_power: float = 0.0
+
+    @property
+    def y0(self) -> float:
+        """|ln|x|| at the finite end of a singular piece (outer bound at the origin, inner bound at infinity)."""
+        if self.role == "origin":
+            return -math.log(max(abs(self.lo), abs(self.hi)))
+        return math.log(abs(self.lo) if self.hi == math.inf else abs(self.hi))
+
+    def rate(self, p: float) -> float:
+        """c with |x|^(-power p) dx = e^(-c y) dy in y = |ln|x|| (c > 0: |f|^p decays in y)."""
+        return 1.0 - self.power * p if self.role == "origin" else self.power * p - 1.0
 
 
 @dataclass(frozen=True)
@@ -58,7 +77,12 @@ class MonotoneBranch:
 
 @dataclass(frozen=True)
 class TestFunction:
-    """A closed-form 1-D function plus the annotations quadrature relies on."""
+    """A closed-form 1-D function plus the annotations quadrature relies on.
+
+    ``kind``, ``alpha``, ``delta`` and ``interval`` record how a catalog form
+    was built; evaluation reads only ``pieces``, ``coefficient`` and ``slow``
+    (or ``evaluator`` for a user density).
+    """
 
     __test__ = False  # not a pytest collection target
 
@@ -139,7 +163,7 @@ class TestFunction:
         if delta < 0.0:
             raise DomainError(f"f_zero needs gamma >= alpha, got gamma={gamma}, alpha={alpha}")
         fn = TestFunction.f_delta(alpha, delta)
-        return _replace_label(fn, f"f_zero({alpha:g},{gamma:g})")
+        return replace(fn, label=f"f_zero({alpha:g},{gamma:g})")
 
     @staticmethod
     def big_r(alpha: float, delta: float, slow: Optional[SlowlyVarying] = None) -> "TestFunction":
@@ -224,36 +248,21 @@ class TestFunction:
     # -- evaluation --------------------------------------------------------
 
     def __call__(self, x: float) -> float:
-        c = self.coefficient
-        if self.kind == "g_delta":
-            return c * _g_val(x, self.delta)
-        if self.kind == "f_delta":
-            return c * _f_val(x, self.alpha, self.delta)
-        if self.kind == "h_delta":
-            return c * (_f_val(x, self.alpha, self.delta) + _g_val(x, self.delta))
-        if self.kind == "big_r":
-            ax = abs(x)
-            if not 0.0 < ax < INV_E:
-                return 0.0
-            y = -math.log(ax)
-            s = self.slow(y) if self.slow is not None else 1.0
-            return c * ax**-self.alpha * y**self.delta * s
-        if self.kind == "example3":
-            ax = abs(x)
-            if ax <= 1.0:
-                return 0.0
-            return c * ax**-self.alpha * math.log(ax) ** self.delta
-        if self.kind == "indicator":
-            lo, hi = self.interval
-            return c if lo <= x <= hi else 0.0
-        if self.kind == "user":
-            return c * self.evaluator(x)
-        raise DomainError(f"unknown catalog kind {self.kind!r}")
+        if self.evaluator is not None:
+            return self.coefficient * self.evaluator(x)
+        for piece in self.pieces:
+            if piece.role == "plain":
+                if piece.lo <= x <= piece.hi:
+                    return self.coefficient
+            elif piece.lo < x < piece.hi:
+                ax = abs(x)
+                y = abs(math.log(ax))
+                s = self.slow(y) if self.slow is not None else 1.0
+                return self.coefficient * ax**-piece.power * y**piece.log_power * s
+        return 0.0
 
     def scaled(self, factor: float) -> "TestFunction":
         """Same function multiplied by a scalar."""
-        from dataclasses import replace
-
         return replace(self, coefficient=self.coefficient * abs(factor), label=f"{abs(factor):g}*{self.label}")
 
     # -- geometry ----------------------------------------------------------
@@ -264,36 +273,12 @@ class TestFunction:
         vals = [abs(v) for seg in self.support for v in seg if math.isfinite(v)]
         return max(vals) if vals else 1.0
 
-    def supported_near_origin(self) -> bool:
-        return any(p.role == "origin" for p in self.pieces)
-
-    def supported_at_infinity(self) -> bool:
-        return any(p.role == "tail" for p in self.pieces)
-
-
-def _replace_label(fn: TestFunction, label: str) -> TestFunction:
-    from dataclasses import replace
-
-    return replace(fn, label=label)
-
 
 def _check_alpha_delta(alpha: float, delta: float) -> None:
     if not (0.0 < alpha < 1.0):
         raise DomainError(f"alpha must be in (0,1) for d=1 forms, got {alpha}")
     if delta < 0.0:
         raise DomainError(f"delta must be >= 0, got {delta}")
-
-
-def _g_val(x: float, delta: float) -> float:
-    if x <= E:
-        return 0.0
-    return math.log(x) ** delta / x
-
-
-def _f_val(x: float, alpha: float, delta: float) -> float:
-    if not 0.0 < x < INV_E:
-        return 0.0
-    return x**-alpha * (-math.log(x)) ** delta
 
 
 def _big_r_branches(alpha: float, delta: float, slow: Optional[SlowlyVarying]) -> tuple[MonotoneBranch, ...]:
@@ -305,8 +290,6 @@ def _big_r_branches(alpha: float, delta: float, slow: Optional[SlowlyVarying]) -
             MonotoneBranch(-INV_E, 0.0, increasing=True),
             MonotoneBranch(0.0, INV_E, increasing=False),
         )
-    from scipy.optimize import brentq
-
     kappa = slow.kappa
 
     def dlog(y: float) -> float:

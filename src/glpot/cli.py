@@ -14,7 +14,7 @@ from pathlib import Path
 from .catalog import TestFunction
 from .errors import DivergenceError, DomainError, FeasibilityError, NoRootError, ToleranceError
 from .exponents import MultiIndex, PotentialParams, sobolev_q
-from .experiments import EXPERIMENT_NAMES, ExperimentConfig, run_experiment
+from .experiments import EXPERIMENT_NAMES, ExperimentConfig, format_value, run_experiment
 from .grand import grand_norm, v_functional
 from .norms import lp_norm_report
 from .potentials import EvalGrid, apply_kernel_report, parse_kernel_spec
@@ -66,18 +66,6 @@ def parse_grid_spec(text: str) -> EvalGrid:
     if rule == "uniform":
         return EvalGrid.uniform(lo, hi, n)
     raise DomainError(f"unknown grid rule {rule!r}")
-
-
-def _fmt(x: float) -> str:
-    return format(x, ".17g")
-
-
-def _summary_fmt(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return format(value, ".17g")
-    return str(value)
 
 
 def _emit(lines: list[str], out: str | None) -> None:
@@ -171,7 +159,7 @@ def _cmd_transform(args) -> int:
     grid = parse_grid_spec(args.qgrid)
     lines = ["q,value"]
     for q in grid.points:
-        lines.append(f"{_fmt(q)},{_fmt(out_psi(q))}")
+        lines.append(f"{format_value(q)},{format_value(out_psi(q))}")
     _emit(lines, args.out)
     return 0
 
@@ -182,7 +170,7 @@ def _cmd_lpnorm(args) -> int:
     lines = ["form,p,value,error_estimate"]
     for p in args.p:
         res = lp_norm_report(f, p, spec)
-        lines.append(f"{f.label},{_fmt(p)},{_fmt(res.value)},{_fmt(res.rel_error)}")
+        lines.append(f"{f.label},{format_value(p)},{format_value(res.value)},{format_value(res.rel_error)}")
     _emit(lines, args.out)
     return 0
 
@@ -192,8 +180,8 @@ def _cmd_grand(args) -> int:
     psi = parse_psi_spec(args.psi)
     report = grand_norm(f, psi, _quad_from_args(args))
     lines = [
-        f"value={_fmt(report.value)}",
-        f"argmax_p={_fmt(report.argmax_p)}",
+        f"value={format_value(report.value)}",
+        f"argmax_p={format_value(report.argmax_p)}",
         f"left_unbounded_suspected={str(report.left_unbounded_suspected).lower()}",
         f"right_unbounded_suspected={str(report.right_unbounded_suspected).lower()}",
         f"divergent_points={len(report.divergent_points)}",
@@ -210,7 +198,7 @@ def _cmd_vfun(args) -> int:
     for p in args.p:
         q = sobolev_q(p, params)
         v = v_functional(f, p, args.alpha, spec)
-        lines.append(f"{f.label},{_fmt(p)},{_fmt(q)},{_fmt(v)}")
+        lines.append(f"{f.label},{format_value(p)},{format_value(q)},{format_value(v)}")
     _emit(lines, args.out)
     return 0
 
@@ -223,7 +211,7 @@ def _cmd_potential(args) -> int:
     lines = ["x,value,error_estimate"]
     for x in grid.points:
         res = apply_kernel_report(f, x, kernel, spec)
-        lines.append(f"{_fmt(x)},{_fmt(res.value)},{_fmt(res.error)}")
+        lines.append(f"{format_value(x)},{format_value(res.value)},{format_value(res.error)}")
     _emit(lines, args.out)
     return 0
 
@@ -241,7 +229,7 @@ def _cmd_verify(args) -> int:
     status = "PASS" if result.passed else "FAIL"
     sys.stdout.write(f"{result.name}: {status}\n")
     for key, value in result.summary.items():
-        sys.stdout.write(f"  {key}={_summary_fmt(value)}\n")
+        sys.stdout.write(f"  {key}={format_value(value)}\n")
     return 0
 
 

@@ -117,7 +117,8 @@ class ExperimentResult:
     plot_lines: tuple[str, ...] = ()
 
 
-def _fmt(value) -> str:
+def format_value(value) -> str:
+    """Text of one output value: floats round-trip (.17g), booleans as true/false."""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
@@ -419,10 +420,10 @@ def run_experiment(cfg: ExperimentConfig, write_files: bool = True) -> Experimen
         csv_path = out_dir / f"{cfg.name}.csv"
         lines = [",".join(result.csv_header)]
         for row in result.csv_rows:
-            lines.append(",".join(_fmt(v) for v in row))
+            lines.append(",".join(format_value(v) for v in row))
         csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         summary_path = out_dir / f"{cfg.name}.summary.txt"
-        pairs = [f"{k}={_fmt(v)}" for k, v in result.summary.items()]
+        pairs = [f"{k}={format_value(v)}" for k, v in result.summary.items()]
         summary_path.write_text("\n".join(pairs) + "\n", encoding="utf-8")
         plot_path = out_dir / f"{cfg.name}.plot"
         plot_path.write_text("\n".join(result.plot_lines) + "\n", encoding="utf-8")

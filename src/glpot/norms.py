@@ -3,8 +3,9 @@
 The quadrature route splits |f|^p at every singularity, moves log-singular
 pieces to the variable y = |ln|x|| (where they become gamma-type integrands),
 and truncates infinite ranges by the tail rule of the quadrature spec.  The
-closed-form route expresses the two log-blowup families through the upper
-incomplete gamma function and serves as an independent oracle.
+closed-form route expresses every catalog form with a constant slow factor
+through the upper incomplete gamma function and serves as an independent
+oracle.
 """
 
 from __future__ import annotations
@@ -26,13 +27,11 @@ class NormResult(NamedTuple):
 
 
 def _piece_converges(piece: Piece, p: float) -> bool:
-    """Exponent analysis of |f|^p on one piece (log powers are >= 0 here)."""
-    s, t = piece.power * p, piece.log_power * p
-    if piece.role == "origin":
-        return s < 1.0 or (s == 1.0 and t < -1.0)
-    if piece.role == "tail":
-        return s > 1.0 or (s == 1.0 and t < -1.0)
-    return True
+    """Exponent analysis of |f|^p on one piece: e^(-c y) y^(log_power p) in y."""
+    if piece.role == "plain":
+        return True
+    c = piece.rate(p)
+    return c > 0.0 or (c == 0.0 and piece.log_power * p < -1.0)
 
 
 def check_lp_convergence(f: TestFunction, p: float) -> None:
@@ -53,11 +52,11 @@ def _piece_log_abs(f: TestFunction, piece: Piece, y: float) -> float:
     their decay hint beyond.
     """
     sign_y = piece.power if piece.role == "origin" else -piece.power
-    if f.kind != "user":
+    if f.evaluator is None:
         val = math.log(f.coefficient) + sign_y * y
         if piece.log_power != 0.0:
             val += piece.log_power * math.log(max(y, 1e-300))
-        if f.kind == "big_r" and f.slow is not None:
+        if f.slow is not None:
             val += math.log(f.slow(y))
         return val
     if y <= 700.0:
@@ -75,16 +74,8 @@ def _log_piece_integral(f: TestFunction, piece: Piece, p: float, spec: Quadratur
     The transformed integrand exp(p ln|f| -+ y) is rescaled by its peak so
     arbitrarily large p cannot underflow the quadrature.
     """
-    if piece.role == "origin":
-        outer = max(abs(piece.lo), abs(piece.hi))
-        y0 = -math.log(outer)
-        orient = -1.0
-        decay = 1.0 - piece.power * p
-    else:
-        inner = abs(piece.lo) if piece.hi == math.inf else abs(piece.hi)
-        y0 = math.log(inner)
-        orient = 1.0
-        decay = piece.power * p - 1.0
+    y0, decay = piece.y0, piece.rate(p)
+    orient = -1.0 if piece.role == "origin" else 1.0
 
     def log_integrand(y: float) -> float:
         return p * _piece_log_abs(f, piece, y) + orient * y
@@ -158,27 +149,26 @@ def lp_norm(f: TestFunction, p: float, spec: QuadratureSpec | None = None) -> fl
 
 
 def lp_norm_closed_form(f: TestFunction, p: float) -> float:
-    """Exact norm of the log-blowup families via the upper incomplete gamma.
+    """Exact norm of a catalog form via the upper incomplete gamma.
 
-    tail family:   |f|_p^p = (p-1)^(-dp-1)  Gamma_up(dp+1, p-1),   p > 1
-    origin family: |f|_p^p = (1-ap)^(-dp-1) Gamma_up(dp+1, 1-ap),  p < 1/a
-    (d = log order, a = power order; the even origin family carries factor 2).
-    |f|_p^p is formed in log space and divided by p before exponentiating, so
-    large p neither overflows Gamma_up nor underflows its tail.
+    A singular piece contributes int_y0^inf e^(-c y) y^m dy = c^(-m-1) Gamma_up(m+1, c y0)
+    in y = |ln|x|| (m = log_power p, c = Piece.rate(p), y0 = Piece.y0), a plain
+    piece its length.  |f|_p^p is summed in log space and divided by p before
+    exponentiating, so large p neither overflows Gamma_up nor underflows its tail.
     """
     if p < 1.0:
         raise DomainError(f"p must be >= 1, got {p}")
     check_lp_convergence(f, p)
-    d = f.delta
-    if f.kind == "g_delta":
-        c, log_mult = p - 1.0, 0.0
-    elif f.kind == "f_delta":
-        c, log_mult = 1.0 - f.alpha * p, 0.0
-    elif f.kind == "big_r" and (f.slow is None or f.slow.is_constant):
-        c, log_mult = 1.0 - f.alpha * p, math.log(2.0)
-    else:
+    if f.evaluator is not None or not (f.slow is None or f.slow.is_constant):
         raise DomainError(f"no closed-form norm for {f.label}")
-    log_power = log_mult + (-d * p - 1.0) * math.log(c) + log_upper_gamma(d * p + 1.0, c)
+    log_power = -math.inf
+    for piece in f.pieces:
+        if piece.role == "plain":
+            lv = math.log(piece.hi - piece.lo)
+        else:
+            m, c = piece.log_power * p, piece.rate(p)
+            lv = (-m - 1.0) * math.log(c) + log_upper_gamma(m + 1.0, c * piece.y0)
+        log_power = logsumexp_pair(log_power, lv)
     return f.coefficient * math.exp(log_power / p)
 
 
@@ -271,9 +261,8 @@ def distribution_function(f: TestFunction, level: float) -> float:
     """Measure of {x : |f(x)| > level}; may be math.inf."""
     if level <= 0.0:
         raise DomainError(f"level must be positive, got {level}")
-    if f.kind == "indicator":
-        lo, hi = f.interval
-        return hi - lo if f.coefficient > level else 0.0
+    if f.evaluator is None and all(piece.role == "plain" for piece in f.pieces):
+        return sum(piece.hi - piece.lo for piece in f.pieces) if f.coefficient > level else 0.0
     if not f.branches:
         raise DomainError(f"{f.label} carries no monotone-branch annotation")
     total = 0.0

@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 from scipy.special import kve
 
-from .catalog import INV_E, TestFunction
+from .catalog import Piece, TestFunction
 from .errors import DivergenceError, DomainError, ToleranceError
 from .psi import SlowlyVarying
 from .quadrature import (
@@ -428,39 +428,39 @@ def _far_tail_family(delta: float, kernel: KernelSpec, t: float, side: float) ->
     return (alpha - 1.0) * t + math.log(v1 + v2)
 
 
-def _far_origin_family(f: TestFunction, kernel: KernelSpec, t: float, side: float) -> float:
-    """ln u(side e^t) for densities supported inside |y| <= 1/e (coefficient excluded)."""
+def _far_origin_family(f: TestFunction, pieces: list[Piece], kernel: KernelSpec, t: float, side: float) -> float:
+    """ln u(side e^t) for the origin pieces of f (coefficient excluded)."""
     alpha = kernel.alpha
     if kernel.variant == "truncated":
-        if t > 700.0 or kernel.radius < math.exp(t) - INV_E:
+        outer = max(max(abs(piece.lo), abs(piece.hi)) for piece in pieces)
+        if t > 700.0 or kernel.radius < math.exp(t) - outer:
             return -math.inf
         raise DomainError("far evaluation with a partially covering truncation window is unsupported")
 
-    base = TestFunction.f_delta(f.alpha, f.delta) if f.kind == "h_delta" else f
-
-    def one_side(y_sign: float) -> float:
-        if not any((seg[0] < 0) == (y_sign < 0) for seg in base.support):
-            return 0.0
+    def piece_integral(piece: Piece) -> float:
+        y_sign = -1.0 if piece.hi <= 0.0 else 1.0
 
         def integrand(w: float) -> float:  # y = y_sign e^-w
             y = y_sign * math.exp(-w)
             gap = 1.0 - y_sign * side * math.exp(-w - t)
-            raw = base(y) / base.coefficient
+            raw = f(y) / f.coefficient
             return raw * math.exp(-w) * gap ** (alpha - 1.0) * kernel.log_weight(t + math.log(gap))
 
-        v, _ = integrate_decaying(integrand, 1.0, _SCALED_SPEC, decay_rate=1.0 - base.alpha, poly_degree=base.delta)
+        v, _ = integrate_decaying(
+            integrand, piece.y0, _SCALED_SPEC, decay_rate=piece.rate(1.0), poly_degree=piece.log_power
+        )
         return v
 
-    total = one_side(1.0) + one_side(-1.0)
+    total = sum(piece_integral(piece) for piece in pieces)
     if total <= 0.0:
         return -math.inf
     return (alpha - 1.0) * t + math.log(total)
 
 
-def _far_indicator(f: TestFunction, kernel: KernelSpec, t: float, side: float) -> float:
-    """ln u(side e^t) for an indicator density (coefficient excluded)."""
+def _far_indicator(piece: Piece, kernel: KernelSpec, t: float, side: float) -> float:
+    """ln u(side e^t) for a plain piece (coefficient excluded)."""
     alpha = kernel.alpha
-    lo, hi = f.interval
+    lo, hi = piece.lo, piece.hi
     if kernel.variant == "truncated":
         bound = max(abs(lo), abs(hi))
         if t > 700.0 or kernel.radius < math.exp(t) - bound:
@@ -479,27 +479,44 @@ def _far_indicator(f: TestFunction, kernel: KernelSpec, t: float, side: float) -
     return (alpha - 1.0) * t + math.log(v)
 
 
+def _tail_family_side(f: TestFunction, piece: Piece, side: float) -> float:
+    """The side at which the tail family evaluates a tail piece of f.
+
+    The tail family is the density x^-1 (ln x)^delta on (e, inf); a piece on
+    (-inf, -e) is its mirror image, whose potential at x is the family's at -x.
+    """
+    if piece.power != 1.0 or piece.y0 != 1.0 or f.slow is not None:
+        raise DomainError(f"no scaled evaluation for the tail of {f.label}: only x^-1 (ln x)^delta beyond e")
+    return side if piece.lo > 0.0 else -side
+
+
+def _scaled_pieces(f: TestFunction, kernel: KernelSpec, side: float, where: str) -> list[Piece]:
+    """Validate a scaled evaluation and return the origin pieces of f."""
+    if kernel.variant == "bessel":
+        raise DomainError(f"scaled {where} evaluation is for the power-kernel family")
+    if side not in (1.0, -1.0):
+        raise DomainError(f"side must be +-1.0, got {side}")
+    if f.evaluator is not None:
+        raise DomainError(f"no scaled {where} evaluation for {f.label}")
+    return [piece for piece in f.pieces if piece.role == "origin"]
+
+
 def log_potential_far(f: TestFunction, kernel: KernelSpec, t: float, side: float) -> float:
     """ln of the potential at x = side * e^t for t >= ~1.5, stable at any t.
 
-    Supported for the power-kernel family and the catalog densities.
+    Supported for the power-kernel family and the catalog densities whose
+    tail pieces are x^-1 (ln x)^delta beyond e.
     """
-    if kernel.variant == "bessel":
-        raise DomainError("scaled far evaluation is for the power-kernel family")
-    if side not in (1.0, -1.0):
-        raise DomainError(f"side must be +-1.0, got {side}")
-    lc = math.log(f.coefficient)
-    if f.kind == "g_delta":
-        return lc + _far_tail_family(f.delta, kernel, t, side)
-    if f.kind in ("f_delta", "big_r"):
-        return lc + _far_origin_family(f, kernel, t, side)
-    if f.kind == "h_delta":
-        g_part = _far_tail_family(f.delta, kernel, t, side)
-        f_part = _far_origin_family(f, kernel, t, side)
-        return lc + logsumexp_pair(g_part, f_part)
-    if f.kind == "indicator":
-        return lc + _far_indicator(f, kernel, t, side)
-    raise DomainError(f"no scaled far evaluation for {f.label}")
+    origin = _scaled_pieces(f, kernel, side, "far")
+    total = _far_origin_family(f, origin, kernel, t, side) if origin else -math.inf
+    for piece in f.pieces:
+        if piece.role == "plain":
+            total = logsumexp_pair(total, _far_indicator(piece, kernel, t, side))
+        elif piece.role == "tail":
+            total = logsumexp_pair(
+                total, _far_tail_family(piece.log_power, kernel, t, _tail_family_side(f, piece, side))
+            )
+    return math.log(f.coefficient) + total
 
 
 def _ln_1p_exp(a: float) -> float:
@@ -509,33 +526,32 @@ def _ln_1p_exp(a: float) -> float:
     return math.log1p(math.exp(a))
 
 
-def _near_origin_family(f: TestFunction, kernel: KernelSpec, y: float, side: float) -> float:
-    """ln u(side e^-y) for origin-supported densities (coefficient excluded).
+def _near_origin_family(f: TestFunction, pieces: list[Piece], kernel: KernelSpec, y: float, side: float) -> float:
+    """ln u(side e^-y) for the origin pieces of f (coefficient excluded).
 
     Substituted z = |y'| e^y; the density side equal to the evaluation side
     puts the kernel singularity at z = 1.  All range caps are carried in ln z
     so nothing overflows at large y.
     """
     alpha = kernel.alpha
-    base = TestFunction.f_delta(f.alpha, f.delta) if f.kind == "h_delta" else f
-    a_f, delta = base.alpha, base.delta
+    a_f, delta = pieces[0].power, pieces[0].log_power
+    if any(piece.power != a_f or piece.log_power != delta for piece in pieces):
+        raise DomainError(f"near evaluation needs origin pieces of one shape, got {f.label}")
     if abs(alpha - a_f) * y > 600.0:
         raise DomainError("near evaluation with mismatched kernel/density exponents at extreme depth")
-    ln_z_sup = y - 1.0  # support cap |y'| < 1/e
     ln_rho_z = math.inf if kernel.reach == math.inf else math.log(kernel.reach) + y
 
     def slow_f(arg: float) -> float:
-        return base.slow(arg) if base.slow is not None else 1.0
+        return f.slow(arg) if f.slow is not None else 1.0
 
     def dens_rest(z: float) -> float:
         """density shape without its power part: (y - ln z)^delta S_f(y - ln z)."""
         arg = y - math.log(z)
         return arg**delta * slow_f(arg)
 
-    def one_side(rel_sign: float) -> float:
-        y_sign = side * rel_sign
-        if not any((seg[0] < 0) == (y_sign < 0) for seg in base.support):
-            return 0.0
+    def piece_integral(piece: Piece) -> float:
+        rel_sign = -side if piece.hi <= 0.0 else side
+        ln_z_sup = y - piece.y0  # support cap |y'| < e^-y0
         total = 0.0
         if rel_sign > 0:
             ln_z_hi = min(ln_z_sup, _ln_1p_exp(ln_rho_z) if ln_rho_z != math.inf else math.inf)
@@ -620,7 +636,7 @@ def _near_origin_family(f: TestFunction, kernel: KernelSpec, y: float, side: flo
                 total += v
         return total
 
-    total = one_side(1.0) + one_side(-1.0)
+    total = sum(piece_integral(piece) for piece in pieces)
     if total <= 0.0:
         return -math.inf
     return -y * (alpha - a_f) + math.log(total)
@@ -650,26 +666,25 @@ def _near_tail_family(delta: float, kernel: KernelSpec, y: float, side: float) -
     return math.log(v)
 
 
+def _near_indicator(piece: Piece, kernel: KernelSpec, y: float, side: float) -> float:
+    """ln u(side e^-y) for a plain piece (coefficient excluded)."""
+    x = side * math.exp(-min(y, 700.0))
+    val = apply_kernel(TestFunction.indicator(piece.lo, piece.hi), x, kernel, _SCALED_SPEC)
+    return math.log(val) if val > 0.0 else -math.inf
+
+
 def log_potential_near(f: TestFunction, kernel: KernelSpec, y: float, side: float) -> float:
     """ln of the potential at x = side * e^-y for y >= 1, stable at any y."""
-    if kernel.variant == "bessel":
-        raise DomainError("scaled near evaluation is for the power-kernel family")
-    if side not in (1.0, -1.0):
-        raise DomainError(f"side must be +-1.0, got {side}")
-    lc = math.log(f.coefficient)
-    if f.kind in ("f_delta", "big_r"):
-        return lc + _near_origin_family(f, kernel, y, side)
-    if f.kind == "g_delta":
-        return lc + _near_tail_family(f.delta, kernel, y, side)
-    if f.kind == "h_delta":
-        f_part = _near_origin_family(f, kernel, y, side)
-        g_part = _near_tail_family(f.delta, kernel, y, side)
-        return lc + logsumexp_pair(f_part, g_part)
-    if f.kind == "indicator":
-        x = side * math.exp(-min(y, 700.0))
-        val = apply_kernel(f, x, kernel, _SCALED_SPEC)
-        return math.log(val) if val > 0.0 else -math.inf
-    raise DomainError(f"no scaled near evaluation for {f.label}")
+    origin = _scaled_pieces(f, kernel, side, "near")
+    total = _near_origin_family(f, origin, kernel, y, side) if origin else -math.inf
+    for piece in f.pieces:
+        if piece.role == "plain":
+            total = logsumexp_pair(total, _near_indicator(piece, kernel, y, side))
+        elif piece.role == "tail":
+            total = logsumexp_pair(
+                total, _near_tail_family(piece.log_power, kernel, y, _tail_family_side(f, piece, side))
+            )
+    return math.log(f.coefficient) + total
 
 
 # ---------------------------------------------------------------------------
@@ -678,24 +693,12 @@ def log_potential_near(f: TestFunction, kernel: KernelSpec, y: float, side: floa
 
 
 def interval_mass(f: TestFunction, lo: float, hi: float, spec: QuadratureSpec | None = None) -> float:
-    """Integral of |f| over (lo, hi); analytic for the closed-form catalog kinds."""
+    """Integral of |f| over (lo, hi); analytic on the catalog pieces where it has a closed form."""
     if hi <= lo:
         return 0.0
     spec = spec or QuadratureSpec()
-    c = f.coefficient
-    if f.kind == "indicator":
-        a, b = f.interval
-        return c * max(0.0, min(hi, b) - max(lo, a))
-    if f.kind == "g_delta":
-        return c * _tail_mass(f.delta, lo, hi)
-    if f.kind == "f_delta":
-        return c * _origin_mass(f.alpha, f.delta, max(lo, 0.0), hi)
-    if f.kind == "h_delta":
-        return c * (_origin_mass(f.alpha, f.delta, max(lo, 0.0), hi) + _tail_mass(f.delta, lo, hi))
-    if f.kind == "big_r" and (f.slow is None or f.slow.is_constant):
-        right = _origin_mass(f.alpha, f.delta, max(lo, 0.0), hi)
-        left = _origin_mass(f.alpha, f.delta, max(-hi, 0.0), -lo)
-        return c * (right + left)
+    if f.evaluator is None:
+        return sum(_piece_mass(f, piece, lo, hi, spec) for piece in f.pieces)
     total = 0.0
     for seg_lo, seg_hi in f.support:
         a, b = max(seg_lo, lo), min(seg_hi, hi)
@@ -719,26 +722,32 @@ def _integrate_abs_singular(f: TestFunction, lo: float, hi: float, spec: Quadrat
     return integrate_panel(lambda x_: abs(f(x_)), lo, hi, spec)
 
 
-def _tail_mass(delta: float, lo: float, hi: float) -> float:
-    a = max(lo, math.e)
-    if hi <= a:
-        return 0.0
-    if hi == math.inf:
-        return math.inf
-    la, lb = math.log(a), math.log(hi)
-    return (lb ** (delta + 1.0) - la ** (delta + 1.0)) / (delta + 1.0)
+def _piece_mass(f: TestFunction, piece: Piece, lo: float, hi: float, spec: QuadratureSpec) -> float:
+    """Integral of |f| over (lo, hi) within one piece of a catalog form.
 
-
-def _origin_mass(alpha: float, delta: float, lo: float, hi: float) -> float:
-    b = min(hi, INV_E)
-    if b <= lo or b <= 0.0:
+    A singular piece is e^(-c y) y^d dy in y = |ln|x||: an upper-gamma
+    difference for c > 0, a polynomial for c = 0; growth (c < 0) and a
+    non-constant slow factor go to quadrature.
+    """
+    a, b = max(lo, piece.lo), min(hi, piece.hi)
+    if b <= a:
         return 0.0
-    c = 1.0 - alpha
-    t_lo = -math.log(b)
-    t_hi = -math.log(lo) if lo > 0.0 else math.inf
-    upper = upper_gamma(delta + 1.0, c * t_lo)
-    lower = upper_gamma(delta + 1.0, c * t_hi) if t_hi != math.inf else 0.0
-    return c ** (-delta - 1.0) * (upper - lower)
+    if piece.role == "plain":
+        return f.coefficient * (b - a)
+    c = piece.rate(1.0)
+    if c < 0.0 or not (f.slow is None or f.slow.is_constant):
+        return _integrate_abs_singular(f, a, b, spec).value
+    if piece.hi <= 0.0:
+        a, b = -b, -a  # mirror onto x > 0
+    if piece.role == "origin":
+        y1, y2 = -math.log(b), (-math.log(a) if a > 0.0 else math.inf)
+    else:
+        y1, y2 = math.log(a), math.log(b)
+    d1 = piece.log_power + 1.0
+    if c == 0.0:
+        return f.coefficient * (y2**d1 - y1**d1) / d1
+    lower = upper_gamma(d1, c * y2) if y2 != math.inf else 0.0
+    return f.coefficient * c**-d1 * (upper_gamma(d1, c * y1) - lower)
 
 
 def _check_locally_integrable(f: TestFunction) -> None:
