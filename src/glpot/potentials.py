@@ -386,13 +386,16 @@ def _far_tail_family(delta: float, kernel: KernelSpec, t: float, side: float) ->
         def smooth_low(w: float) -> float:  # w = ln z in (1 - t, ln 1/2); gap = 1 - z
             return (t + w) ** delta * (-math.expm1(w)) ** (alpha - 1.0) * lw(t + math.log(-math.expm1(w)))
 
+        # for t < 1 + ln 2 the support edge z = e^(1-t) lies above 1/2: this
+        # panel is empty and the near-left panel below stops at the edge
         v1, _ = integrate_panel(smooth_low, 1.0 - t, math.log(0.5), _SCALED_SPEC)
 
         def near_rest(u: float, sgn: float) -> float:  # u = |z - 1|
             z = 1.0 + sgn * u
             return (t + math.log(z)) ** delta / z * lw(t + math.log(u))
 
-        v2, _ = power_endpoint_integral(lambda u: near_rest(u, -1.0), alpha - 1.0, 0.5, _SCALED_SPEC)
+        left_w = min(0.5, -math.expm1(1.0 - t))
+        v2, _ = power_endpoint_integral(lambda u: near_rest(u, -1.0), alpha - 1.0, left_w, _SCALED_SPEC)
         v3, _ = power_endpoint_integral(lambda u: near_rest(u, 1.0), alpha - 1.0, 0.5, _SCALED_SPEC)
 
         def high(w: float) -> float:  # w = ln z >= ln 3/2; gap = z - 1

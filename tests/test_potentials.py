@@ -179,6 +179,14 @@ class TestScaledEvaluators:
                 scaled = log_potential_far(g1, RIESZ_HALF, t, side)
                 assert scaled == pytest.approx(math.log(direct), abs=1e-7)
 
+    @pytest.mark.parametrize("delta", [0.0, 1.0])
+    @pytest.mark.parametrize("t", [1.5, 1.6, 1.69])
+    def test_far_tail_family_close_to_support(self, delta, t):
+        # for t < 1 + ln 2 the support edge e lies in (e^t / 2, e^t)
+        g = TestFunction.g_delta(delta)
+        direct = apply_kernel(g, math.exp(t), RIESZ_HALF)
+        assert log_potential_far(g, RIESZ_HALF, t, 1.0) == pytest.approx(math.log(direct), abs=1e-9)
+
     def test_far_matches_direct_origin_family(self):
         fd = TestFunction.f_delta(0.5, 1.0)
         for t in (2.0, 6.0):
