@@ -738,6 +738,8 @@ def _piece_mass(f: TestFunction, piece: Piece, lo: float, hi: float, spec: Quadr
     if piece.role == "plain":
         return f.coefficient * (b - a)
     c = piece.rate(1.0)
+    if c < 0.0 and math.isinf(b - a):
+        return math.inf  # e^(-c y) y^d grows along an infinite range
     if c < 0.0 or not (f.slow is None or f.slow.is_constant):
         return _integrate_abs_singular(f, a, b, spec).value
     if piece.hi <= 0.0:

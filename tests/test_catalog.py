@@ -182,6 +182,8 @@ def test_example3_mass_by_quadrature(monkeypatch):
         a, d = mp.mpf(alpha), mp.mpf(gamma) - mp.mpf(alpha)
         want = float(sum(mp.quad(lambda x: x**-a * mp.log(x) ** d, [1, b]) for b in (3, 5)))
     assert got == pytest.approx(want, rel=1e-9)
+    assert interval_mass(TestFunction.example3(alpha, gamma), 1.0, math.inf) == math.inf
+    assert interval_mass(TestFunction.example3(alpha, gamma), -math.inf, 0.0) == math.inf
 
 
 def test_closed_form_masses_need_no_quadrature(monkeypatch):
