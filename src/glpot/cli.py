@@ -182,8 +182,8 @@ def _cmd_grand(args) -> int:
     lines = [
         f"value={format_value(report.value)}",
         f"argmax_p={format_value(report.argmax_p)}",
-        f"left_unbounded_suspected={str(report.left_unbounded_suspected).lower()}",
-        f"right_unbounded_suspected={str(report.right_unbounded_suspected).lower()}",
+        f"left_unbounded_suspected={format_value(report.left_unbounded_suspected)}",
+        f"right_unbounded_suspected={format_value(report.right_unbounded_suspected)}",
         f"divergent_points={len(report.divergent_points)}",
     ]
     _emit(lines, args.out)
