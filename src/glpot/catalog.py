@@ -257,8 +257,8 @@ class TestFunction:
             elif piece.lo < x < piece.hi:
                 ax = abs(x)
                 y = abs(math.log(ax))
-                s = self.slow(y) if self.slow is not None else 1.0
-                return self.coefficient * ax**-piece.power * y**piece.log_power * s
+                v = self.coefficient * ax**-piece.power * y**piece.log_power
+                return v if self.slow is None else v * self.slow(y)
         return 0.0
 
     def scaled(self, factor: float) -> "TestFunction":

@@ -699,9 +699,9 @@ def interval_mass(f: TestFunction, lo: float, hi: float, spec: QuadratureSpec | 
     """Integral of |f| over (lo, hi); analytic on the catalog pieces where it has a closed form."""
     if hi <= lo:
         return 0.0
-    spec = spec or QuadratureSpec()
     if f.evaluator is None:
         return sum(_piece_mass(f, piece, lo, hi, spec) for piece in f.pieces)
+    spec = spec or QuadratureSpec()
     total = 0.0
     for seg_lo, seg_hi in f.support:
         a, b = max(seg_lo, lo), min(seg_hi, hi)
@@ -725,7 +725,7 @@ def _integrate_abs_singular(f: TestFunction, lo: float, hi: float, spec: Quadrat
     return integrate_panel(lambda x_: abs(f(x_)), lo, hi, spec)
 
 
-def _piece_mass(f: TestFunction, piece: Piece, lo: float, hi: float, spec: QuadratureSpec) -> float:
+def _piece_mass(f: TestFunction, piece: Piece, lo: float, hi: float, spec: QuadratureSpec | None) -> float:
     """Integral of |f| over (lo, hi) within one piece of a catalog form.
 
     A singular piece is e^(-c y) y^d dy in y = |ln|x||: an upper-gamma
@@ -741,7 +741,7 @@ def _piece_mass(f: TestFunction, piece: Piece, lo: float, hi: float, spec: Quadr
     if c < 0.0 and math.isinf(b - a):
         return math.inf  # e^(-c y) y^d grows along an infinite range
     if c < 0.0 or not (f.slow is None or f.slow.is_constant):
-        return _integrate_abs_singular(f, a, b, spec).value
+        return _integrate_abs_singular(f, a, b, spec or QuadratureSpec()).value
     if piece.hi <= 0.0:
         a, b = -b, -a  # mirror onto x > 0
     if piece.role == "origin":
