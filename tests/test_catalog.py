@@ -204,15 +204,15 @@ def test_closed_form_masses_need_no_quadrature(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("evaluate,arg", [(log_potential_far, 3.0), (log_potential_near, 3.0)])
+@pytest.mark.parametrize("evaluate", [log_potential_far, log_potential_near])
 @pytest.mark.parametrize(
     "f",
     [TestFunction.example3(0.5, 1.25), TestFunction.user(lambda x: 1.0, ((0.0, 1.0),))],
     ids=["example3", "user"],
 )
-def test_scaled_evaluators_refuse_unsupported_densities(evaluate, arg, f):
+def test_scaled_evaluators_refuse_unsupported_densities(evaluate, f):
     with pytest.raises(DomainError):
-        evaluate(f, RIESZ, arg, 1.0)
+        evaluate(f, RIESZ, 3.0, 1.0)
 
 
 def _mirrored_g(delta: float) -> TestFunction:
