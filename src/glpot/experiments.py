@@ -295,8 +295,7 @@ def _run_e6(cfg: ExperimentConfig) -> ExperimentResult:
         (TestFunction.indicator(0.0, 1.0), _e6_grid(rng, -3.0, 4.0, n)),
         (TestFunction.f_delta(alpha, delta), _e6_grid(rng, -1.0, 1.5, n, origin_refined=True)),
     ):
-        for x in xs:
-            m = fractional_maximal(f, x, alpha)
+        for x, m in zip(xs, fractional_maximal(f, xs, alpha)):
             pot = apply_kernel(f, x, kernel, cfg.quad)
             ok = m <= pot
             passed = passed and ok

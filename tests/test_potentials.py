@@ -1,8 +1,12 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad as sp_quad
+from scipy.special import gammaincc
 
 from glpot import (
     DivergenceError,
@@ -24,8 +28,49 @@ from glpot import (
     parse_kernel_spec,
 )
 from glpot.catalog import Piece, Singularity
+from glpot.potentials import _interval_masses
+from glpot.special import upper_gamma
 
 RIESZ_HALF = KernelSpec.riesz(0.5)
+
+
+# (form, mpmath density of |f|) for the mass oracles
+MASS_FORMS = {
+    "f_delta": (TestFunction.f_delta(0.5, 1.0), lambda x: x**-0.5 * abs(mp.log(x))),
+    "g_delta": (TestFunction.g_delta(1.0), lambda x: mp.log(x) / x),
+    "h_delta": (TestFunction.h_delta(0.25, 2.0), lambda x: abs(x) ** (-1 if x > 1 else -0.25) * abs(mp.log(x)) ** 2),
+    "big_r": (TestFunction.big_r(0.5, 1.0), lambda x: abs(x) ** -0.5 * abs(mp.log(abs(x)))),
+    "indicator": (TestFunction.indicator(-0.5, 2.0), lambda x: mp.mpf(1)),
+    "example3": (TestFunction.example3(0.5, 1.25), lambda x: abs(x) ** -0.5 * abs(mp.log(abs(x))) ** 0.75),
+}
+#: bounds (lo, hi) of the mass oracles, empty and reversed intervals and
+#: intervals outside every support among them
+MASS_BOUNDS = [
+    (-1.0, 1.0),
+    (0.0, 0.1),
+    (-0.2, -0.01),
+    (0.05, 0.3),
+    (-0.3, 0.2),
+    (0.4, 2.5),
+    (3.0, 10.0),
+    (-1.0, 10.0),
+    (-40.0, -2.0),
+    (2.0, 50.0),
+    (0.2, 0.2),
+    (1.0, 0.5),
+    (-0.9, -0.6),
+]
+
+
+def _mp_mass(f, density, lo, hi):
+    """Integral of the density over (lo, hi) within the support of f, at 30 digits."""
+    total = mp.mpf(0)
+    with mp.workdps(30):
+        for seg_lo, seg_hi in f.support:
+            a, b = max(seg_lo, lo), min(seg_hi, hi)
+            if b > a:
+                total += mp.quad(density, [a, b])
+    return float(total)
 
 
 class TestKernelSpec:
@@ -345,6 +390,62 @@ class TestIntervalMass:
         want_l, _ = sp_quad(lambda x: x**-0.5 * S(-math.log(x)), 0.0, 0.1, limit=200)
         assert got == pytest.approx(want_r + want_l, rel=1e-7)
 
+    def test_gammaincc_against_upper_gamma(self):
+        # the closed-form masses use scipy's Q(s, x); upper_gamma is the
+        # independent series / continued-fraction reference for Gamma(s) Q(s, x)
+        for s in (1.0, 1.5, 2.0, 3.25):
+            for x in (0.0, 0.3, 1.0, 2.5, 4.0, 17.0, 90.0, 300.0):
+                want = upper_gamma(s, x)
+                assert math.gamma(s) * gammaincc(s, x) == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("name", sorted(MASS_FORMS))
+    def test_array_masses_against_scalar_and_mpmath(self, name):
+        f, density = MASS_FORMS[name]
+        lo, hi = np.array([b[0] for b in MASS_BOUNDS]), np.array([b[1] for b in MASS_BOUNDS])
+        got = _interval_masses(f, lo, hi)
+        assert got.shape == lo.shape
+        # quadrature (example3's growing tails) is held to its own tolerance
+        rel = 1e-9 if name == "example3" else 1e-12
+        for (a, b), m in zip(MASS_BOUNDS, got):
+            assert m == pytest.approx(interval_mass(f, a, b), rel=1e-14, abs=0.0)
+            want = _mp_mass(f, density, a, b)
+            if want == 0.0:
+                assert m == 0.0
+            else:
+                assert m == pytest.approx(want, rel=rel)
+
+    def test_array_masses_over_infinite_ranges(self):
+        lo, hi = np.array([1.0, -math.inf, 3.0, 0.5]), np.array([math.inf, -2.0, math.inf, 0.75])
+        ex3 = TestFunction.example3(0.5, 1.25)
+        got = _interval_masses(ex3, lo, hi)
+        assert got[:3].tolist() == [math.inf, math.inf, math.inf]
+        assert got[3] == 0.0
+        # a x^-1 tail with a log power grows like (ln x)^(delta+1)
+        assert _interval_masses(TestFunction.g_delta(1.0), lo, hi)[[0, 2]].tolist() == [math.inf, math.inf]
+
+    def test_user_density_through_quadrature(self):
+        # |x|^(-1/2) on (-1, 1): the mass over (a, b) is 2 (sqrt|b| -+ sqrt|a|)
+        f = TestFunction.user(
+            evaluator=lambda x: abs(x) ** -0.5,
+            support=((-1.0, 0.0), (0.0, 1.0)),
+            singularities=(Singularity(0.0, 0.5),),
+            pieces=(Piece("origin", -1.0, 0.0, power=0.5), Piece("origin", 0.0, 1.0, power=0.5)),
+        )
+
+        def exact(a, b):
+            a, b = max(a, -1.0), min(b, 1.0)
+            if b <= a:
+                return 0.0
+            prim = lambda x: math.copysign(2.0 * math.sqrt(abs(x)), x)  # noqa: E731
+            return prim(b) - prim(a)
+
+        bounds = [(-0.5, 0.25), (0.0, 1.0), (0.1, 0.2), (-2.0, -0.3), (0.3, 0.3), (2.0, 3.0), (0.5, -0.5)]
+        lo, hi = np.array([b[0] for b in bounds]), np.array([b[1] for b in bounds])
+        got = _interval_masses(f, lo, hi)
+        for (a, b), m in zip(bounds, got):
+            assert m == interval_mass(f, a, b)
+            assert m == pytest.approx(exact(a, b), rel=1e-9, abs=1e-300)
+
 
 class TestMaximalOperators:
     def test_plain_indicator_oracle(self):
@@ -393,6 +494,27 @@ class TestMaximalOperators:
         )
         with pytest.raises(DivergenceError):
             hl_maximal(bad, 0.5)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        name=st.sampled_from(["indicator", "f_delta", "h_delta", "big_r"]),
+        xs=st.lists(st.floats(-4.0, 6.0, allow_nan=False), min_size=1, max_size=6),
+        alpha=st.floats(0.05, 0.95),
+    )
+    def test_array_points_match_single_points(self, name, xs, alpha):
+        f = MASS_FORMS[name][0]
+        got = fractional_maximal(f, np.array(xs), alpha)
+        assert isinstance(got, np.ndarray) and got.shape == (len(xs),)
+        for x, m in zip(xs, got):
+            single = fractional_maximal(f, x, alpha)
+            assert isinstance(single, float)
+            assert m == pytest.approx(single, rel=1e-13)
+
+    @settings(max_examples=25, deadline=None)
+    @given(x=st.floats(1e-6, 3.0))
+    def test_even_density_has_even_maximal(self, x):
+        left, right = hl_maximal(TestFunction.big_r(0.5, 1.0), np.array([-x, x]))
+        assert left == pytest.approx(right, rel=1e-14)
 
     def test_grid_fold(self):
         ind = TestFunction.indicator(0.0, 1.0)
