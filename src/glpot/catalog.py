@@ -30,7 +30,6 @@ class Singularity:
     """Annotation of a non-smooth point: |f| ~ |x-location|^(-power) |ln|x-location||^(log_power)."""
 
     location: float
-    kind: str  # 'power' | 'log-power' | 'power-log-power'
     power: float = 0.0
     log_power: float = 0.0
 
@@ -119,7 +118,7 @@ class TestFunction:
             label=f"g_delta({delta:g})",
             support=((E, math.inf),),
             pieces=(Piece("tail", E, math.inf, power=1.0, log_power=delta),),
-            singularities=(Singularity(math.inf, "power-log-power", 1.0, delta),),
+            singularities=(Singularity(math.inf, 1.0, delta),),
             delta=delta,
             branches=branches,
         )
@@ -133,7 +132,7 @@ class TestFunction:
             label=f"f_delta({alpha:g},{delta:g})",
             support=((0.0, INV_E),),
             pieces=(Piece("origin", 0.0, INV_E, power=alpha, log_power=delta),),
-            singularities=(Singularity(0.0, "power-log-power", alpha, delta),),
+            singularities=(Singularity(0.0, alpha, delta),),
             alpha=alpha,
             delta=delta,
             branches=(MonotoneBranch(0.0, INV_E, increasing=False),),
@@ -177,7 +176,7 @@ class TestFunction:
                 Piece("origin", -INV_E, 0.0, power=alpha, log_power=delta),
                 Piece("origin", 0.0, INV_E, power=alpha, log_power=delta),
             ),
-            singularities=(Singularity(0.0, "power-log-power", alpha, delta),),
+            singularities=(Singularity(0.0, alpha, delta),),
             alpha=alpha,
             delta=delta,
             slow=slow,
@@ -201,8 +200,8 @@ class TestFunction:
                 Piece("tail", 1.0, math.inf, power=alpha, log_power=delta),
             ),
             singularities=(
-                Singularity(-math.inf, "power-log-power", alpha, delta),
-                Singularity(math.inf, "power-log-power", alpha, delta),
+                Singularity(-math.inf, alpha, delta),
+                Singularity(math.inf, alpha, delta),
             ),
             alpha=alpha,
             delta=delta,

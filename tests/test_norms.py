@@ -29,7 +29,7 @@ def _phi_user():
     return TestFunction.user(
         evaluator=lambda x: abs(x) ** -0.5,
         support=((-math.inf, 0.0), (0.0, math.inf)),
-        singularities=(Singularity(0.0, "power", 0.5),),
+        singularities=(Singularity(0.0, 0.5),),
         pieces=(
             Piece("origin", -1.0, 0.0, power=0.5),
             Piece("origin", 0.0, 1.0, power=0.5),

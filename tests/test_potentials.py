@@ -489,7 +489,7 @@ class TestMaximalOperators:
         bad = TestFunction.user(
             evaluator=lambda x: abs(x) ** -1.5,
             support=((0.0, 1.0),),
-            singularities=(Singularity(0.0, "power", 1.5),),
+            singularities=(Singularity(0.0, 1.5),),
             pieces=(Piece("origin", 0.0, 1.0, power=1.5),),
         )
         with pytest.raises(DivergenceError):
