@@ -119,7 +119,7 @@ class ExperimentResult:
 
 def format_value(value) -> str:
     """Text of one output value: floats round-trip (.17g), booleans as true/false."""
-    if isinstance(value, bool):
+    if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, float):
         return format(value, ".17g")

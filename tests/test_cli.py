@@ -170,3 +170,12 @@ class TestExperimentConfig:
         with pytest.raises(Exception):
             run_experiment(cfg)
         assert (tmp_path / "E4_truncated_thm6.partial").exists()
+
+    def test_e6_writes_lowercase_booleans(self, tmp_path):
+        # E6's domination flags come out of numpy comparisons (numpy.bool_)
+        cfg = ExperimentConfig(name="E6_maximal_domination", grid_points=8, output_dir=str(tmp_path))
+        run_experiment(cfg)
+        summary = (tmp_path / "E6_maximal_domination.summary.txt").read_text().splitlines()
+        assert summary[0] == "PASS=true"
+        rows = (tmp_path / "E6_maximal_domination.csv").read_text().splitlines()[1:]
+        assert rows and {row.rsplit(",", 1)[1] for row in rows} == {"true"}
