@@ -185,6 +185,7 @@ def _cmd_grand(args) -> int:
         f"left_unbounded_suspected={format_value(report.left_unbounded_suspected)}",
         f"right_unbounded_suspected={format_value(report.right_unbounded_suspected)}",
         f"divergent_points={len(report.divergent_points)}",
+        f"inaccurate_points={len(report.inaccurate_points)}",
     ]
     _emit(lines, args.out)
     return 0

@@ -15,10 +15,12 @@ the norm moves by less than 0.5%.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy.integrate import IntegrationWarning
 
 from .catalog import TestFunction
 from .errors import DivergenceError, DomainError, ToleranceError
@@ -70,6 +72,7 @@ class GrandNormReport:
     left_unbounded_suspected: bool
     right_unbounded_suspected: bool
     divergent_points: tuple[float, ...]
+    inaccurate_points: tuple[float, ...]
 
 
 def _grand_grid(a: float, b: float, base: int = 64, depth: int = 30) -> tuple[list[float], list[float], list[float]]:
@@ -89,13 +92,17 @@ def _grand_grid(a: float, b: float, base: int = 64, depth: int = 30) -> tuple[li
 def grand_norm(f: TestFunction, psi: PsiFunction, spec: QuadratureSpec | None = None) -> GrandNormReport:
     """sup over a refined p-grid of |f|_p / psi(p).
 
-    Divergent grid points are excluded and recorded; an endpoint flag is set
-    when the ratio still climbs by more than 1% between the last two
-    refinement levels (the sup is then suspected infinite at that endpoint).
+    Divergent grid points, and points whose norm misses the quadrature
+    tolerance, are excluded and recorded.  QUADPACK's warnings are silenced:
+    the norm's own error check decides which points are too inaccurate.  An
+    endpoint flag is set when the ratio still climbs by more than 1% between
+    the last two refinement levels, or the last one is unreachable (the sup
+    is then suspected infinite at that endpoint).
     """
     spec = spec or QuadratureSpec()
     interior, left, right = _grand_grid(psi.a, psi.b)
     divergent: list[float] = []
+    inaccurate: list[float] = []
     evaluated: dict[float, float] = {}
 
     def ratio(p: float) -> Optional[float]:
@@ -103,12 +110,15 @@ def grand_norm(f: TestFunction, psi: PsiFunction, spec: QuadratureSpec | None = 
             return evaluated[p]
         if not psi.contains(p) or p < 1.0:
             return None
+        val = None
         try:
-            val = lp_norm(f, p, spec) / psi(p)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", IntegrationWarning)
+                val = lp_norm(f, p, spec) / psi(p)
         except DivergenceError:
             divergent.append(p)
-            evaluated[p] = None
-            return None
+        except ToleranceError:
+            inaccurate.append(p)
         evaluated[p] = val
         return val
 
@@ -137,6 +147,7 @@ def grand_norm(f: TestFunction, psi: PsiFunction, spec: QuadratureSpec | None = 
         left_unbounded_suspected=climbing(left),
         right_unbounded_suspected=climbing(right),
         divergent_points=tuple(divergent),
+        inaccurate_points=tuple(inaccurate),
     )
 
 

@@ -140,7 +140,7 @@ def lp_norm_report(f: TestFunction, p: float, spec: QuadratureSpec | None = None
     rel = sum(r * math.exp(lv - log_total) for lv, r in zip(logs, rels) if lv > -math.inf)
     rel /= p  # relative error of the norm, not of its p-th power
     if rel > spec.rel_tol:
-        raise ToleranceError(f"|{f.label}|_{p:g} quadrature too inaccurate", achieved=rel)
+        raise ToleranceError(f"|{f.label}|_{p:.17g} quadrature too inaccurate", achieved=rel)
     return NormResult(math.exp(log_total / p), rel)
 
 

@@ -101,6 +101,13 @@ class TestCliCommands:
         assert code == 0
         assert "value=" in capsys.readouterr().out
 
+    def test_grand_report_survives_inaccurate_points(self, capsys):
+        code = main(["grand", "--form", "g_delta:1", "--psi", "power:a=1,b=2,beta=1,gamma=1"])
+        out, err = capsys.readouterr()
+        assert code == 0
+        assert "inaccurate_points=" in out and "inaccurate_points=0" not in out
+        assert err == ""
+
     def test_vfun(self, capsys):
         code = main(["vfun", "--form", "g_delta:0", "--alpha", "0.5", "--p", "1.4"])
         assert code == 0

@@ -1,7 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy.integrate import IntegrationWarning
 from scipy.integrate import quad as sp_quad
 
 from glpot import (
@@ -15,6 +17,7 @@ from glpot import (
     fit_growth_exponent,
     grand_norm,
     lp_norm,
+    parse_psi_spec,
     v_functional,
 )
 
@@ -106,6 +109,25 @@ class TestGrandNorm:
         assert all(p >= 2.0 for p in report.divergent_points)
         assert report.right_unbounded_suspected
         assert math.isfinite(report.value)
+
+    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")  # the reference lp_norm below
+    def test_inaccurate_points_excluded_and_listed(self):
+        # within ~2e-9 of p = 1, |g_1|_p misses the quadrature tolerance; those
+        # points are listed and skipped instead of aborting the whole report
+        g1 = TestFunction.g_delta(1.0)
+        psi = parse_psi_spec("power:a=1,b=2,beta=1,gamma=1")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            report = grand_norm(g1, psi)
+        assert not [w for w in caught if issubclass(w.category, IntegrationWarning)]
+        assert report.inaccurate_points
+        assert all(0.0 < p - 1.0 < 1e-8 for p in report.inaccurate_points)
+        assert not set(report.inaccurate_points) & set(report.divergent_points)
+        assert report.argmax_p not in report.inaccurate_points
+        assert math.isfinite(report.value)
+        assert report.value == pytest.approx(lp_norm(g1, report.argmax_p) / psi(report.argmax_p), rel=1e-12)
+        # the deepest left point is unreachable, so the left end stays suspect
+        assert report.left_unbounded_suspected
 
 
 class TestPotentialNormEvaluator:

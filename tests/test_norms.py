@@ -192,6 +192,12 @@ class TestLpNormOracles:
             lp_norm(TestFunction.g_delta(1.0), 1.5, strict)
         assert err.value.achieved > 0.0
 
+    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+    def test_tolerance_error_names_the_exact_exponent(self):
+        p = 1.0 + 2.0**-29
+        with pytest.raises(ToleranceError, match=r"\|_1\.0000000018626451 quadrature"):
+            lp_norm(TestFunction.g_delta(1.0), p)
+
 
 class TestNormAsymptotics:
     def test_tail_family_slopes_match_exact_form(self):
