@@ -722,9 +722,10 @@ def _interval_masses(f: TestFunction, lo: np.ndarray, hi: np.ndarray, spec: Quad
             continue
         c = piece.rate(1.0)
         if c < 0.0 or not (f.slow is None or f.slow.is_constant):
-            mass = np.full(a.shape, math.inf)  # e^(-c y) y^d grows along an infinite range
-            finite = (c >= 0.0) | np.isfinite(b - a)
-            mass[finite] = _quadrature_masses(f, a[finite], b[finite], spec)
+            # quadrature, except where e^(-c y) y^d grows along an infinite range
+            grows = (c < 0.0) & np.isinf(b - a)
+            mass = np.full(a.shape, math.inf)
+            mass[~grows] = _quadrature_masses(f, a[~grows], b[~grows], spec)
             total[inside] += mass
             continue
         if piece.hi <= 0.0:

@@ -73,6 +73,32 @@ def _mp_mass(f, density, lo, hi):
     return float(total)
 
 
+def _scalar_maximal_sup(f, x, weight_exp, n_grid):
+    """Reference for the lockstep search: one point, one scalar mass per radius."""
+    scale = max(1.0, f.support_bound, abs(x))
+    radii = np.geomspace(1e-6 * scale, 1e6 * scale, n_grid)
+
+    def objective(r):
+        return r**weight_exp * interval_mass(f, x - r, x + r)
+
+    vals = [objective(r) for r in radii]
+    i = int(np.argmax(vals))
+    a, b = radii[max(i - 1, 0)], radii[min(i + 1, n_grid - 1)]
+    golden = (math.sqrt(5.0) - 1.0) / 2.0
+    c, d = b - golden * (b - a), a + golden * (b - a)
+    fc, fd = objective(c), objective(d)
+    for _ in range(60):
+        if fc > fd:
+            b, d, fd = d, c, fc
+            c = b - golden * (b - a)
+            fc = objective(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + golden * (b - a)
+            fd = objective(d)
+    return max(vals[i], fc, fd)
+
+
 class TestKernelSpec:
     def test_values(self):
         k = KernelSpec.riesz(0.5)
@@ -422,6 +448,14 @@ class TestIntervalMass:
         assert got[3] == 0.0
         # a x^-1 tail with a log power grows like (ln x)^(delta+1)
         assert _interval_masses(TestFunction.g_delta(1.0), lo, hi)[[0, 2]].tolist() == [math.inf, math.inf]
+        # a decaying tail with a varying slow factor goes to quadrature, also over (3, inf)
+        S = SlowlyVarying.log_power(1.0)
+        piece = Piece("tail", math.e, math.inf, power=2.0)
+        tail = TestFunction("custom", "x^-2 S(ln x)", ((math.e, math.inf),), (piece,), slow=S)
+        got = _interval_masses(tail, np.array([3.0, 0.0]), np.array([math.inf, 10.0]))
+        with mp.workdps(30):
+            want = [mp.quad(lambda x: (1 + mp.log(1 + mp.log(x))) / x**2, [a, b]) for a, b in ((3, mp.inf), (mp.e, 10))]
+        assert got == pytest.approx([float(w) for w in want], rel=1e-9)
 
     def test_user_density_through_quadrature(self):
         # |x|^(-1/2) on (-1, 1): the mass over (a, b) is 2 (sqrt|b| -+ sqrt|a|)
@@ -494,6 +528,14 @@ class TestMaximalOperators:
         )
         with pytest.raises(DivergenceError):
             hl_maximal(bad, 0.5)
+
+    @pytest.mark.parametrize("name", ["indicator", "f_delta", "h_delta", "big_r", "example3"])
+    def test_lockstep_search_matches_scalar_loop(self, name):
+        f = MASS_FORMS[name][0]
+        xs = np.array([-3.5, -1e-3, 0.2, 1.7, 9.0])
+        got = fractional_maximal(f, xs, 0.4, n_grid=60)
+        want = [_scalar_maximal_sup(f, float(x), 0.4 - 1.0, 60) for x in xs]
+        assert got == pytest.approx(want, rel=1e-12)
 
     @settings(max_examples=25, deadline=None)
     @given(
