@@ -1,8 +1,10 @@
 """Special functions implemented to double precision.
 
-Only what the norm oracles need lives here: the upper incomplete gamma
-function, computed by the classical series / continued-fraction pair so
-that it stays an independent check against the quadrature route.
+The upper incomplete gamma function, computed by the classical series /
+continued-fraction pair, and its logarithm.  ``log_upper_gamma`` serves the
+closed-form norms; ``upper_gamma`` has no caller in the package (the
+interval masses use scipy's ``gammaincc`` on arrays) and stays as the
+independent reference the tests check ``gammaincc`` against.
 """
 
 from __future__ import annotations
