@@ -714,8 +714,6 @@ def _interval_masses(f: TestFunction, lo: np.ndarray, hi: np.ndarray, spec: Quad
     for piece in f.pieces:
         a, b = np.maximum(lo, piece.lo), np.minimum(hi, piece.hi)
         inside = b > a
-        if not inside.any():
-            continue
         a, b = a[inside], b[inside]
         if piece.role == "plain":
             total[inside] += f.coefficient * (b - a)
@@ -794,7 +792,7 @@ def _maximal_sup(f: TestFunction, xs, weight_exp: float, n_grid: int):
     radii = np.geomspace(1e-6 * scale, 1e6 * scale, n_grid, axis=1)
 
     def objective(r: np.ndarray) -> np.ndarray:
-        centre = pts.reshape(pts.shape + (1,) * (r.ndim - 1))
+        centre = pts if r.ndim == 1 else pts[:, None]
         return r**weight_exp * _interval_masses(f, centre - r, centre + r)
 
     vals = objective(radii)
