@@ -1,9 +1,12 @@
 """Pointwise potentials against independent high-precision mpmath quadrature."""
 
+import math
+
 import mpmath as mp
 import pytest
 
-from glpot import TestFunction, apply_kernel_report, parse_kernel_spec
+from glpot import TestFunction, apply_kernel_report, log_potential_far, log_potential_near, parse_kernel_spec
+from glpot.cli import parse_form_spec
 
 
 def _bessel_potential_of_indicator(nu: float, x: float, lo: float, hi: float) -> float:
@@ -29,3 +32,162 @@ def test_bessel_potential_of_indicator(x):
     actual = abs(got.value - want)
     assert actual <= 1e-8 * abs(want)
     assert actual <= got.error
+
+
+# ---------------------------------------------------------------------------
+# scaled evaluators: ln u(side e^L) in the log variable w = ln|y'| - L
+# ---------------------------------------------------------------------------
+#
+# mpmath numbers have an unbounded exponent, so the reference integrates
+# f(y') K(x - y') |y'| over w = ln(|y'|/|x|) directly, at 30 digits, with
+# tanh-sinh on ranges split at every feature (support ends, w = 0, where the
+# kernel is singular or |1 + z| turns, the kinks |x - y'| = 1 of a log kernel, the truncation
+# window) and then geometrically from each feature, so that no panel is long
+# against its feature; each segment is integrated at O(1) scale.
+
+
+def _segments(form: str):
+    """(sign of y', range of v = ln|y'|, ln|f|(e^v)) of each support segment, from the textbook formulas."""
+    name, _, args = form.partition(":")
+    p = [mp.mpf(v) for v in args.split(",")]
+    if name == "g_delta":
+        return [(1, 1, mp.inf, lambda v: -v + p[0] * mp.log(v))]
+    if name == "f_delta":
+        return [(1, -mp.inf, -1, lambda v: -p[0] * v + p[1] * mp.log(-v))]
+    if name == "h_delta":
+        return _segments(f"f_delta:{args}") + _segments(f"g_delta:{args.split(',')[1]}")
+    if name == "big_r":  # |x|^-a |ln|x||^delta (1 + ln(1 + |ln|x||))^kappa
+        ln_f = lambda v: -p[0] * v + p[1] * mp.log(-v) + p[2] * mp.log(1 + mp.log1p(-v))
+        return [(1, -mp.inf, -1, ln_f), (-1, -mp.inf, -1, ln_f)]
+    if name == "example3":
+        ln_f = lambda v: -p[0] * v + (p[1] - p[0]) * mp.log(v)
+        return [(1, 0, mp.inf, ln_f), (-1, 0, mp.inf, ln_f)]
+    if name == "indicator":  # lo < 0 < hi
+        return [(1, -mp.inf, mp.log(p[1]), lambda v: 0), (-1, -mp.inf, mp.log(-p[0]), lambda v: 0)]
+    raise ValueError(form)
+
+
+def _geometric(a, b):
+    """a, b and points 2^j in from each end, j = -1, 0, 1, ... up to half the range.
+
+    An infinite end is moved 2^10 past the finite one: every integrand here
+    decays there at least as fast as e^(-0.2 |w|).
+    """
+    a, b = (b - 2**10 if mp.isinf(a) else a), (a + 2**10 if mp.isinf(b) else b)
+    pts = {a, b}
+    for end, step in ((a, 1), (b, -1)):
+        d = mp.mpf(0.5)
+        while d <= (b - a) / 2:
+            pts.add(end + step * d)
+            d *= 2
+    return sorted(pts)
+
+
+def _mp_log_potential(form: str, kernel, ln_x: float, side: float) -> float:
+    """ln of int f(y') K(x - y') dy' at x = side e^ln_x, 30 digits."""
+    with mp.workdps(30):
+        L, alpha, beta = mp.mpf(ln_x), mp.mpf(kernel.alpha), mp.mpf(kernel.beta)
+        kappa = kernel.slow.kappa if kernel.slow is not None else 0
+        ln_rho = mp.log(kernel.radius) if kernel.radius is not None else mp.inf
+        total = mp.mpf(0)
+        for sign, v_lo, v_hi, ln_f in _segments(form):
+            same = sign == side
+
+            def integrand(w):
+                g = L + (mp.log(abs(mp.expm1(w))) if same else mp.log1p(mp.exp(w)))  # ln|x - y'|
+                if g >= ln_rho:
+                    return mp.mpf(0)
+                val = mp.exp(ln_f(L + w) + L + w + (alpha - 1) * g)
+                if beta or kappa:
+                    val *= abs(g) ** beta * (1 + mp.log1p(abs(g))) ** kappa
+                return val
+
+            feats = {mp.mpf(0)}  # z = 1: the kernel singularity, or where |1 + z| turns
+            for c in (1, kernel.radius):  # |x - y'| = c, so |1 -+ z| = c e^-L
+                if c is None:
+                    continue
+                for s in (-1, 1) if same else (1,):
+                    arg = s * c * mp.exp(-L) if same else c * mp.exp(-L) - 2  # |1 -+ z| - 1
+                    if arg > -1:
+                        feats.add(mp.log1p(arg))
+            w_lo, w_hi = v_lo - L, v_hi - L
+            cuts = sorted({w_lo, w_hi} | {w for w in feats if w_lo < w < w_hi})
+            pts = sorted({p for a, b in zip(cuts[:-1], cuts[1:]) for p in _geometric(a, b)})
+            # tanh-sinh stops on an absolute error: integrate at O(1) scale, each panel mapped onto (0, 1)
+            scale = max(integrand((p + q) / 2) for p, q in zip(pts[:-1], pts[1:]))
+            for p, q in zip(pts[:-1], pts[1:]) if scale > 0 else ():
+                if same and 0 in (p, q):  # |w|^(alpha-1) at w = 0: w = end v^(1/alpha)
+                    end = p + q
+                    panel = lambda v: integrand(end * v ** (1 / alpha)) * v ** (1 / alpha - 1) / alpha
+                else:
+                    panel = lambda v: integrand(p + (q - p) * v)
+                total += scale * abs(q - p) * mp.quad(lambda v: panel(v) / scale, [0, 1])
+        return float(mp.log(total))
+
+
+def _scaled(form: str, kernel_text: str, region: str, side: float, depth: float) -> tuple[float, float]:
+    """(glpot's ln u, mpmath's ln u) at x = side e^depth (far) or side e^-depth (near)."""
+    f, kernel = parse_form_spec(form), parse_kernel_spec(kernel_text)
+    evaluate = log_potential_far if region == "far" else log_potential_near
+    ln_x = depth if region == "far" else -depth
+    return evaluate(f, kernel, depth, side), _mp_log_potential(form, kernel, ln_x, side)
+
+
+def _assert_close_in_u(got: float, want: float) -> None:
+    # 1e-12 relative in u is 1e-12 in ln u; past |ln u| ~ 4500 the spacing of
+    # doubles near ln u is itself above 1e-12, so a few of those are allowed too
+    assert math.isfinite(want) and abs(got - want) <= 1e-12 + 4.0 * math.ulp(want), (got, want)
+
+
+@pytest.mark.parametrize(
+    "form, region, depth, delta",
+    [
+        ("g_delta:{}", "far", 12500.0, 0.0),
+        ("g_delta:{}", "far", 6950.0, 1.0),
+        ("f_delta:0.5,{}", "near", 12500.0, 0.0),
+        ("f_delta:0.5,{}", "near", 12500.0, 1.0),
+    ],
+)
+def test_scaled_long_panels(form, region, depth, delta):
+    """One QUADPACK pass over a panel thousands of units long missed the feature at its end."""
+    got, want = _scaled(form.format(delta), "riesz:0.5", region, 1.0, depth)
+    _assert_close_in_u(got, want)
+
+
+RIESZ, LOG_RIESZ, TRUNCATED = "riesz:0.5", "log_riesz:0.5,1,1", "truncated:0.5,0,4.8"
+
+
+@pytest.mark.parametrize(
+    "form, kernel, region, side, depth",
+    [
+        ("g_delta:1", RIESZ, "far", 1.0, 1.6),
+        ("g_delta:1", RIESZ, "far", -1.0, 5e4),
+        ("g_delta:1", RIESZ, "near", 1.0, 5e4),
+        ("g_delta:1", LOG_RIESZ, "far", 1.0, 5e4),
+        ("g_delta:1", TRUNCATED, "far", 1.0, 5e4),
+        ("g_delta:1", TRUNCATED, "near", 1.0, 1.6),
+        ("f_delta:0.5,1", RIESZ, "far", 1.0, 5e4),
+        ("f_delta:0.5,1", RIESZ, "near", -1.0, 5e4),
+        ("f_delta:0.5,1", LOG_RIESZ, "near", 1.0, 5e4),
+        ("f_delta:0.5,1", LOG_RIESZ, "far", -1.0, 6.0),
+        ("f_delta:0.5,1", TRUNCATED, "far", 1.0, 1.6),
+        ("f_delta:0.5,1", TRUNCATED, "near", -1.0, 3.0),
+        ("h_delta:0.5,0.5", LOG_RIESZ, "near", 1.0, 3.0),
+        ("h_delta:0.5,0.5", RIESZ, "far", -1.0, 40.0),
+        ("big_r:0.3,0.5,1", RIESZ, "near", 1.0, 5e4),
+        ("big_r:0.3,0.5,1", LOG_RIESZ, "near", -1.0, 1.6),
+        ("big_r:0.3,0.5,1", TRUNCATED, "near", 1.0, 6.0),
+        ("example3:0.7,1", RIESZ, "far", 1.0, 5e4),
+        ("example3:0.7,1", RIESZ, "near", -1.0, 5e4),
+        ("example3:0.7,1", LOG_RIESZ, "near", 1.0, 3.0),
+        ("example3:0.7,1", TRUNCATED, "far", -1.0, 1.6),
+        ("example3:0.7,0.7", "riesz:0.3", "far", -1.0, 6.0),
+        ("indicator:-0.5,2", RIESZ, "near", -1.0, 1.6),
+        ("indicator:-0.5,2", RIESZ, "far", 1.0, 5e4),
+        ("indicator:-0.5,2", LOG_RIESZ, "near", 1.0, 5e4),
+        ("indicator:-0.5,2", TRUNCATED, "far", -1.0, 1.6),
+    ],
+)
+def test_scaled_evaluators_against_mpmath(form, kernel, region, side, depth):
+    got, want = _scaled(form, kernel, region, side, depth)
+    _assert_close_in_u(got, want)
