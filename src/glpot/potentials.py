@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -354,171 +355,30 @@ def bessel_potential(f: TestFunction, x: float, alpha: float, spec: QuadratureSp
 # ---------------------------------------------------------------------------
 # scaled (log-space) evaluation at extreme arguments
 # ---------------------------------------------------------------------------
+#
+# With x = side e^L and y' = sign(piece) |x| z, a singular piece contributes
+# c |x|^(alpha - power) times
+#
+#     int z^-power D(|L + ln z|) |1 - sigma z|^(alpha-1) W(L + ln|1 - sigma z|) dz,
+#
+# sigma = +1 when the piece lies on x's side.  D is the density's log factor
+# |ln|y'||^delta S(|ln|y'||) (1 for a plain piece, whose power is 0) and W
+# the kernel's, clipped to the truncation window.  One region table serves
+# every piece: the density end z -> 0 and the kernel end z -> 1 (sigma = +1)
+# by power substitution, the rest in w = ln z on panels of width 1, 8, 64,
+# ... from the end next to z = 1, or by the decaying-tail rule where w is
+# unbounded.  Each region returns the log of its share of u.  Its scale
+# (|x|^(alpha - power), the substituted panel's width to its exponent, and
+# e^(k w) at the end where it peaks, k w from z^(1-power) below z = 1 and
+# z^(alpha-power) above it) is summed in logs through ln|y'| at that end, so
+# nothing under- or overflows and no two large logs cancel at any L.
 
 _SCALED_SPEC = QuadratureSpec(rel_tol=1e-9, abs_tol=1e-280, max_depth=60)
+_LN_HALF, _LN_3_2 = math.log(0.5), math.log(1.5)
 
 
-def _far_tail_family(delta: float, kernel: KernelSpec, t: float, side: float) -> float:
-    """ln u(side e^t) for the density y^-1 (ln y)^delta on (e, inf); t >= 1.5."""
-    alpha = kernel.alpha
-    if kernel.variant == "truncated":
-        if side < 0:
-            return -math.inf  # window around -e^t misses the support
-        rho = kernel.radius
-        if t <= 700.0 and math.exp(t) - rho <= math.e:
-            raise DomainError("far evaluation needs the truncation window inside the support")
-
-        def window_rest(u: float, sgn: float) -> float:
-            rel = sgn * u * math.exp(-t)  # (y - x)/x, |rel| << 1
-            dens = (t + math.log1p(rel)) ** delta / (1.0 + rel)
-            return dens * kernel.log_weight(math.log(u))
-
-        v1, _ = power_endpoint_integral(lambda u: window_rest(u, 1.0), alpha - 1.0, rho, _SCALED_SPEC)
-        v2, _ = power_endpoint_integral(lambda u: window_rest(u, -1.0), alpha - 1.0, rho, _SCALED_SPEC)
-        return -t + math.log(v1 + v2)
-
-    def lw(ln_gap: float) -> float:
-        return kernel.log_weight(ln_gap)
-
-    if side > 0:
-
-        def smooth_low(w: float) -> float:  # w = ln z in (1 - t, ln 1/2); gap = 1 - z
-            return (t + w) ** delta * (-math.expm1(w)) ** (alpha - 1.0) * lw(t + math.log(-math.expm1(w)))
-
-        # for t < 1 + ln 2 the support edge z = e^(1-t) lies above 1/2: this
-        # panel is empty and the near-left panel below stops at the edge
-        v1, _ = integrate_panel(smooth_low, 1.0 - t, math.log(0.5), _SCALED_SPEC)
-
-        def near_rest(u: float, sgn: float) -> float:  # u = |z - 1|
-            z = 1.0 + sgn * u
-            return (t + math.log(z)) ** delta / z * lw(t + math.log(u))
-
-        left_w = min(0.5, -math.expm1(1.0 - t))
-        v2, _ = power_endpoint_integral(lambda u: near_rest(u, -1.0), alpha - 1.0, left_w, _SCALED_SPEC)
-        v3, _ = power_endpoint_integral(lambda u: near_rest(u, 1.0), alpha - 1.0, 0.5, _SCALED_SPEC)
-
-        def high(w: float) -> float:  # w = ln z >= ln 3/2; gap = z - 1
-            return (
-                math.exp((alpha - 1.0) * w)
-                * (-math.expm1(-w)) ** (alpha - 1.0)
-                * (t + w) ** delta
-                * lw(t + w + math.log(-math.expm1(-w)))
-            )
-
-        v4, _ = integrate_decaying(
-            high, math.log(1.5), _SCALED_SPEC, decay_rate=1.0 - alpha, poly_degree=delta + kernel.beta
-        )
-        return (alpha - 1.0) * t + math.log(v1 + v2 + v3 + v4)
-
-    def low_neg(w: float) -> float:  # gap = 1 + z
-        z = math.exp(w)
-        return (t + w) ** delta * (1.0 + z) ** (alpha - 1.0) * lw(t + math.log1p(z))
-
-    v1, _ = integrate_panel(low_neg, 1.0 - t, math.log(1.5), _SCALED_SPEC)
-
-    def high_neg(w: float) -> float:
-        return (
-            math.exp((alpha - 1.0) * w)
-            * (1.0 + math.exp(-w)) ** (alpha - 1.0)
-            * (t + w) ** delta
-            * lw(t + w + math.log1p(math.exp(-w)))
-        )
-
-    v2, _ = integrate_decaying(
-        high_neg, math.log(1.5), _SCALED_SPEC, decay_rate=1.0 - alpha, poly_degree=delta + kernel.beta
-    )
-    return (alpha - 1.0) * t + math.log(v1 + v2)
-
-
-def _far_origin_family(f: TestFunction, pieces: list[Piece], kernel: KernelSpec, t: float, side: float) -> float:
-    """ln u(side e^t) for the origin pieces of f (coefficient excluded)."""
-    alpha = kernel.alpha
-    if kernel.variant == "truncated":
-        outer = max(max(abs(piece.lo), abs(piece.hi)) for piece in pieces)
-        if t > 700.0 or kernel.radius < math.exp(t) - outer:
-            return -math.inf
-        raise DomainError("far evaluation with a partially covering truncation window is unsupported")
-
-    def piece_integral(piece: Piece) -> float:
-        y_sign = -1.0 if piece.hi <= 0.0 else 1.0
-
-        def integrand(w: float) -> float:  # y = y_sign e^-w
-            y = y_sign * math.exp(-w)
-            gap = 1.0 - y_sign * side * math.exp(-w - t)
-            raw = f(y) / f.coefficient
-            return raw * math.exp(-w) * gap ** (alpha - 1.0) * kernel.log_weight(t + math.log(gap))
-
-        v, _ = integrate_decaying(
-            integrand, piece.y0, _SCALED_SPEC, decay_rate=piece.rate(1.0), poly_degree=piece.log_power
-        )
-        return v
-
-    total = sum(piece_integral(piece) for piece in pieces)
-    if total <= 0.0:
-        return -math.inf
-    return (alpha - 1.0) * t + math.log(total)
-
-
-def _far_indicator(piece: Piece, kernel: KernelSpec, t: float, side: float) -> float:
-    """ln u(side e^t) for a plain piece (coefficient excluded)."""
-    alpha = kernel.alpha
-    lo, hi = piece.lo, piece.hi
-    if kernel.variant == "truncated":
-        bound = max(abs(lo), abs(hi))
-        if t > 700.0 or kernel.radius < math.exp(t) - bound:
-            return -math.inf
-        raise DomainError("far evaluation with a partially covering truncation window is unsupported")
-
-    def integrand(y: float) -> float:
-        gap = 1.0 - side * y * math.exp(-t)
-        if gap <= 0.0:
-            return 0.0
-        return gap ** (alpha - 1.0) * kernel.log_weight(t + math.log(gap))
-
-    v, _ = integrate_panel(integrand, lo, hi, _SCALED_SPEC)
-    if v <= 0.0:
-        return -math.inf
-    return (alpha - 1.0) * t + math.log(v)
-
-
-def _tail_family_side(f: TestFunction, piece: Piece, side: float) -> float:
-    """The side at which the tail family evaluates a tail piece of f.
-
-    The tail family is the density x^-1 (ln x)^delta on (e, inf); a piece on
-    (-inf, -e) is its mirror image, whose potential at x is the family's at -x.
-    """
-    if piece.power != 1.0 or piece.y0 != 1.0 or f.slow is not None:
-        raise DomainError(f"no scaled evaluation for the tail of {f.label}: only x^-1 (ln x)^delta beyond e")
-    return side if piece.lo > 0.0 else -side
-
-
-def _scaled_pieces(f: TestFunction, kernel: KernelSpec, side: float, where: str) -> list[Piece]:
-    """Validate a scaled evaluation and return the origin pieces of f."""
-    if kernel.variant == "bessel":
-        raise DomainError(f"scaled {where} evaluation is for the power-kernel family")
-    if side not in (1.0, -1.0):
-        raise DomainError(f"side must be +-1.0, got {side}")
-    if f.evaluator is not None:
-        raise DomainError(f"no scaled {where} evaluation for {f.label}")
-    return [piece for piece in f.pieces if piece.role == "origin"]
-
-
-def log_potential_far(f: TestFunction, kernel: KernelSpec, t: float, side: float) -> float:
-    """ln of the potential at x = side * e^t for t >= ~1.5, stable at any t.
-
-    Supported for the power-kernel family and the catalog densities whose
-    tail pieces are x^-1 (ln x)^delta beyond e.
-    """
-    origin = _scaled_pieces(f, kernel, side, "far")
-    total = _far_origin_family(f, origin, kernel, t, side) if origin else -math.inf
-    for piece in f.pieces:
-        if piece.role == "plain":
-            total = logsumexp_pair(total, _far_indicator(piece, kernel, t, side))
-        elif piece.role == "tail":
-            total = logsumexp_pair(
-                total, _far_tail_family(piece.log_power, kernel, t, _tail_family_side(f, piece, side))
-            )
-    return math.log(f.coefficient) + total
+def _log(v: float) -> float:
+    return math.log(v) if v > 0.0 else -math.inf
 
 
 def _ln_1p_exp(a: float) -> float:
@@ -528,165 +388,157 @@ def _ln_1p_exp(a: float) -> float:
     return math.log1p(math.exp(a))
 
 
-def _near_origin_family(f: TestFunction, pieces: list[Piece], kernel: KernelSpec, y: float, side: float) -> float:
-    """ln u(side e^-y) for the origin pieces of f (coefficient excluded).
+def _log_power_panel(rest, exponent: float, scale: float, v_lo: float = 0.0) -> float:
+    """scale + ln of the integral of v^exponent rest(v) over v in (v_lo, 1)."""
+    v, _ = power_endpoint_integral(rest, exponent, 1.0, _SCALED_SPEC, lower=v_lo)
+    return scale + _log(v)
 
-    Substituted z = |y'| e^y; the density side equal to the evaluation side
-    puts the kernel singularity at z = 1.  All range caps are carried in ln z
-    so nothing overflows at large y.
+
+def _log_outward(make, k: float, near: float, far: float, step: float, degree: float) -> float:
+    """ln of the integral over w from near (next to z = 1) outward to far, in direction step.
+
+    Panels of width 1, 8, 64, ... from near; the decaying-tail rule where far
+    is infinite.  make(anchor, sign) is the integrand in s = sign (w - anchor)
+    >= 0 with its log scale, anchored at the end where e^(k w) peaks: the
+    nodes there stay exact at any |w|.
     """
-    alpha = kernel.alpha
-    a_f, delta = pieces[0].power, pieces[0].log_power
-    if any(piece.power != a_f or piece.log_power != delta for piece in pieces):
-        raise DomainError(f"near evaluation needs origin pieces of one shape, got {f.label}")
-    if abs(alpha - a_f) * y > 600.0:
-        raise DomainError("near evaluation with mismatched kernel/density exponents at extreme depth")
-    ln_rho_z = math.inf if kernel.reach == math.inf else math.log(kernel.reach) + y
-
-    def slow_f(arg: float) -> float:
-        return f.slow(arg) if f.slow is not None else 1.0
-
-    def dens_rest(z: float) -> float:
-        """density shape without its power part: (y - ln z)^delta S_f(y - ln z)."""
-        arg = y - math.log(z)
-        return arg**delta * slow_f(arg)
-
-    def piece_integral(piece: Piece) -> float:
-        rel_sign = -side if piece.hi <= 0.0 else side
-        ln_z_sup = y - piece.y0  # support cap |y'| < e^-y0
-        total = 0.0
-        if rel_sign > 0:
-            ln_z_hi = min(ln_z_sup, _ln_1p_exp(ln_rho_z) if ln_rho_z != math.inf else math.inf)
-            z_lo = 0.0 if ln_rho_z >= 0.0 else 1.0 - math.exp(ln_rho_z)
-            cap_half = min(0.5, math.exp(ln_z_hi)) if ln_z_hi < 0.0 else 0.5
-            # (z_lo, cap_half): power endpoint of the density at z = 0
-            if z_lo < cap_half:
-                if z_lo == 0.0:
-                    v, _ = power_endpoint_integral(
-                        lambda u: dens_rest(u) * (1.0 - u) ** (alpha - 1.0) * kernel.log_weight(math.log1p(-u) - y),
-                        -a_f,
-                        cap_half,
-                        _SCALED_SPEC,
-                    )
-                else:
-                    v, _ = integrate_panel(
-                        lambda z: z**-a_f * dens_rest(z) * (1.0 - z) ** (alpha - 1.0)
-                        * kernel.log_weight(math.log1p(-z) - y),
-                        z_lo,
-                        cap_half,
-                        _SCALED_SPEC,
-                    )
-                total += v
-            # kernel-singular branches around z = 1
-            if ln_z_hi > math.log(0.5):
-                left_w = min(0.5, 1.0 - z_lo) if z_lo > 0.5 else 0.5
-                v, _ = power_endpoint_integral(
-                    lambda u: (1.0 - u) ** -a_f * dens_rest(1.0 - u) * kernel.log_weight(math.log(u) - y),
-                    alpha - 1.0,
-                    left_w,
-                    _SCALED_SPEC,
-                )
-                total += v
-            if ln_z_hi > 0.0:
-                right_w = 0.5 if ln_z_hi > math.log(1.5) else math.exp(ln_z_hi) - 1.0
-                v, _ = power_endpoint_integral(
-                    lambda u: (1.0 + u) ** -a_f * dens_rest(1.0 + u) * kernel.log_weight(math.log(u) - y),
-                    alpha - 1.0,
-                    right_w,
-                    _SCALED_SPEC,
-                )
-                total += v
-            if ln_z_hi > math.log(1.5):
-
-                def far_branch(w: float) -> float:  # w = ln z; gap = z - 1
-                    shrink = -math.expm1(-w)
-                    return (
-                        math.exp((alpha - a_f) * w)
-                        * shrink ** (alpha - 1.0)
-                        * (y - w) ** delta
-                        * slow_f(y - w)
-                        * kernel.log_weight(w + math.log(shrink) - y)
-                    )
-
-                v, _ = integrate_panel(far_branch, math.log(1.5), ln_z_hi, _SCALED_SPEC)
-                total += v
-        else:
-            if ln_rho_z <= 0.0:
-                return 0.0  # the window |1 + z| < rho_z is empty
-            ln_z_hi = min(ln_z_sup, math.log(math.expm1(ln_rho_z)) if ln_rho_z < 30.0 else ln_rho_z)
-            if ln_z_hi > -math.inf:
-                v, _ = power_endpoint_integral(
-                    lambda u: dens_rest(u) * (1.0 + u) ** (alpha - 1.0) * kernel.log_weight(math.log1p(u) - y),
-                    -a_f,
-                    min(1.0, math.exp(min(ln_z_hi, 0.0))),
-                    _SCALED_SPEC,
-                )
-                total += v
-            if ln_z_hi > 0.0:
-
-                def far_branch_neg(w: float) -> float:  # gap = 1 + z
-                    grow = 1.0 + math.exp(-w)
-                    return (
-                        math.exp((alpha - a_f) * w)
-                        * grow ** (alpha - 1.0)
-                        * (y - w) ** delta
-                        * slow_f(y - w)
-                        * kernel.log_weight(w + math.log(grow) - y)
-                    )
-
-                v, _ = integrate_panel(far_branch_neg, 0.0, ln_z_hi, _SCALED_SPEC)
-                total += v
-        return total
-
-    total = sum(piece_integral(piece) for piece in pieces)
-    if total <= 0.0:
+    if (far - near) * step <= 0.0:
         return -math.inf
-    return -y * (alpha - a_f) + math.log(total)
+    if math.isinf(far):
+        fn, scale = make(near, step)
+        v, _ = integrate_decaying(fn, 0.0, _SCALED_SPEC, decay_rate=-k, poly_degree=degree)
+        return scale + _log(v)
+    length, cuts, width = abs(far - near), [0.0], 1.0
+    while cuts[-1] < length:
+        cuts.append(min(cuts[-1] + width, length))
+        width *= 8.0
+    anchor, sign = near, step
+    if k * far > k * near:
+        anchor, sign, cuts = far, -step, [length - c for c in reversed(cuts)]
+    fn, scale = make(anchor, sign)
+    v = sum(integrate_panel(fn, a, b, _SCALED_SPEC).value for a, b in zip(cuts[:-1], cuts[1:]))
+    return scale + _log(v)
 
 
-def _near_tail_family(delta: float, kernel: KernelSpec, y: float, side: float) -> float:
-    """ln u(side e^-y) for the density y'^-1 (ln y')^delta on (e, inf)."""
-    alpha = kernel.alpha
-    x_mag = math.exp(-min(y, 700.0))
-
-    def integrand(w: float) -> float:  # y' = e^w, w >= 1
-        rel = side * math.exp(-y - w)
-        gap_ln = w + math.log1p(-rel)
-        return w**delta * math.exp((alpha - 1.0) * w) * (1.0 - rel) ** (alpha - 1.0) * kernel.log_weight(gap_ln)
-
-    if kernel.variant == "truncated":
-        if kernel.radius <= math.e - (x_mag if side > 0 else -x_mag):
-            return -math.inf
-        w_hi = math.log(kernel.radius + (x_mag if side > 0 else -x_mag))
-        v, _ = integrate_panel(integrand, 1.0, w_hi, _SCALED_SPEC)
+def _log_piece_integral(f: TestFunction, piece: Piece, kernel: KernelSpec, ln_x: float, sigma: float,
+                        w_lo: float, w_hi: float) -> float:
+    """ln of one piece's share c^-1 u, whose range in w = ln z is (w_lo, w_hi)."""
+    alpha, power, delta = kernel.alpha, piece.power, piece.log_power
+    am1, k_low, k_up = alpha - 1.0, 1.0 - power, alpha - power
+    slow = f.slow if f.slow is not None and not f.slow.is_constant else None
+    dens = piece.role != "plain" and (delta != 0.0 or slow is not None)
+    lw = kernel.log_weight if kernel.has_log_factor else None
+    # the truncation window |1 - sigma z| < e^r; the kernel end keeps the unclipped range
+    r = math.log(kernel.reach) - ln_x
+    s_lo, s_hi = w_lo, w_hi
+    if sigma > 0.0:
+        w_hi = min(w_hi, _ln_1p_exp(r))
+        if r < 0.0:
+            w_lo = max(w_lo, math.log1p(-math.exp(r)))
+    elif r <= 0.0:
+        return -math.inf
     else:
-        v, _ = integrate_decaying(
-            integrand, 1.0, _SCALED_SPEC, decay_rate=1.0 - alpha, poly_degree=delta + kernel.beta
-        )
-    if v <= 0.0:
-        return -math.inf
-    return math.log(v)
+        w_hi = min(w_hi, r + math.log(-math.expm1(-r)))
+    logs = []
+
+    if w_lo == -math.inf:  # density end: z = e^top v, weight v^-power
+        top = min(_LN_HALF, w_hi)
+        e_top, lx_top = math.exp(top), ln_x + top
+
+        def at_zero(v: float) -> float:
+            z = e_top * v
+            val = (1.0 - sigma * z) ** am1
+            if dens:
+                a = abs(lx_top + math.log(v))
+                val *= a**delta if slow is None else a**delta * slow(a)
+            if lw is not None:
+                val *= lw(ln_x + math.log1p(-sigma * z))
+            return val
+
+        logs.append(_log_power_panel(at_zero, -power, am1 * ln_x + k_low * lx_top))
+        w_lo = _LN_HALF
+
+    if sigma > 0.0:  # kernel end: |1 - z| = e^top v on either side, weight v^(alpha-1)
+        ends = []
+        if s_lo < 0.0 and s_hi > _LN_HALF:
+            top = min(_LN_HALF, r, math.log(-math.expm1(s_lo)) if s_lo > _LN_HALF else 0.0)
+            ends.append((-1.0, top, -math.expm1(s_hi) if s_hi < 0.0 else 0.0))
+        if s_hi > 0.0 and s_lo < _LN_3_2:
+            top = min(_LN_HALF, r, math.log(math.expm1(s_hi)) if s_hi < _LN_3_2 else 0.0)
+            ends.append((1.0, top, math.expm1(s_lo) if s_lo > 0.0 else 0.0))
+        for dirn, top, u_lo in ends:
+            ln_v_lo = math.log(u_lo) - top if u_lo > 0.0 else -math.inf
+            if ln_v_lo >= 0.0:
+                continue
+
+            def at_one(v: float, dirn=dirn, e_top=math.exp(top), lx_top=ln_x + top) -> float:
+                ln_z = math.log1p(dirn * e_top * v)
+                val = math.exp(-power * ln_z)
+                if dens:
+                    a = abs(ln_x + ln_z)
+                    val *= a**delta if slow is None else a**delta * slow(a)
+                if lw is not None:
+                    val *= lw(lx_top + math.log(v))
+                return val
+
+            logs.append(_log_power_panel(at_one, am1, k_up * ln_x + alpha * top, math.exp(ln_v_lo)))
+
+    def make(k: float, upper: bool, anchor: float, sign: float):
+        lx = ln_x + anchor
+
+        def in_w(s: float) -> float:
+            # z^(1-power)|1 - sigma z|^(alpha-1) = e^(k w)(1 - sigma q)^(alpha-1), q = e^-|w|
+            w, ln_y = anchor + sign * s, lx + sign * s
+            q = math.exp(-w) if upper else math.exp(w)
+            val = math.exp(k * sign * s) * (1.0 - sigma * q) ** am1
+            if dens:
+                a = abs(ln_y)
+                val *= a**delta if slow is None else a**delta * slow(a)
+            if lw is not None:
+                val *= lw((ln_y if upper else ln_x) + math.log1p(-sigma * q))
+            return val
+
+        return in_w, (0.0 if upper else am1 * ln_x) + k * lx
+
+    b_lo, b_hi = (_LN_HALF, _LN_3_2) if sigma > 0.0 else (0.0, 0.0)
+    degree = delta + kernel.beta
+    logs.append(_log_outward(partial(make, k_low, False), k_low, min(b_lo, w_hi), w_lo, -1.0, degree))
+    logs.append(_log_outward(partial(make, k_up, True), k_up, max(b_hi, w_lo), w_hi, 1.0, degree))
+    total = -math.inf
+    for lv in logs:
+        total = logsumexp_pair(total, lv)
+    return total
 
 
-def _near_indicator(piece: Piece, kernel: KernelSpec, y: float, side: float) -> float:
-    """ln u(side e^-y) for a plain piece (coefficient excluded)."""
-    x = side * math.exp(-min(y, 700.0))
-    val = apply_kernel(TestFunction.indicator(piece.lo, piece.hi), x, kernel, _SCALED_SPEC)
-    return math.log(val) if val > 0.0 else -math.inf
+def _log_potential(f: TestFunction, kernel: KernelSpec, ln_x: float, side: float) -> float:
+    """ln u(side e^ln_x) for a catalog density, summed over its pieces (plain ones split at 0)."""
+    if kernel.variant == "bessel":
+        raise DomainError("scaled evaluation is for the power-kernel family")
+    if side not in (1.0, -1.0):
+        raise DomainError(f"side must be +-1.0, got {side}")
+    if f.evaluator is not None:
+        raise DomainError(f"no scaled evaluation for {f.label}")
+    _check_apply_convergence(f, math.nan, kernel)  # tails only: +-e^L is no finite singularity
+    total = -math.inf
+    for piece in f.pieces:
+        spans = [(piece.lo, 0.0), (0.0, piece.hi)] if piece.lo < 0.0 < piece.hi else [(piece.lo, piece.hi)]
+        for lo, hi in spans:
+            inner, outer = sorted((abs(lo), abs(hi)))
+            ln_i = _log_piece_integral(
+                f, piece, kernel, ln_x, side if hi > 0.0 else -side, _log(inner) - ln_x, math.log(outer) - ln_x
+            )
+            total = logsumexp_pair(total, ln_i)
+    return math.log(f.coefficient) + total
+
+
+def log_potential_far(f: TestFunction, kernel: KernelSpec, t: float, side: float) -> float:
+    """ln of the potential at x = side * e^t, stable at any t."""
+    return _log_potential(f, kernel, t, side)
 
 
 def log_potential_near(f: TestFunction, kernel: KernelSpec, y: float, side: float) -> float:
-    """ln of the potential at x = side * e^-y for y >= 1, stable at any y."""
-    origin = _scaled_pieces(f, kernel, side, "near")
-    total = _near_origin_family(f, origin, kernel, y, side) if origin else -math.inf
-    for piece in f.pieces:
-        if piece.role == "plain":
-            total = logsumexp_pair(total, _near_indicator(piece, kernel, y, side))
-        elif piece.role == "tail":
-            total = logsumexp_pair(
-                total, _near_tail_family(piece.log_power, kernel, y, _tail_family_side(f, piece, side))
-            )
-    return math.log(f.coefficient) + total
+    """ln of the potential at x = side * e^-y, stable at any y."""
+    return _log_potential(f, kernel, -y, side)
 
 
 # ---------------------------------------------------------------------------

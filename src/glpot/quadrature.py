@@ -121,10 +121,11 @@ def power_endpoint_integral(
     exponent: float,
     width: float,
     spec: QuadratureSpec,
+    lower: float = 0.0,
 ) -> IntegralResult:
-    """Integral of u^exponent * fn_rest(u) over u in (0, width), exponent > -1.
+    """Integral of u^exponent * fn_rest(u) over u in (lower, width), exponent > -1.
 
-    Substitutes u = w^(1/(1+exponent)) so the endpoint singularity is
+    Substitutes u = w^(1/(1+exponent)) so the singularity at u = 0 is
     absorbed into the measure; fn_rest may keep a mild (log) singularity.
     """
     if exponent <= -1.0:
@@ -135,7 +136,7 @@ def power_endpoint_integral(
         u = w ** (1.0 / s)
         return fn_rest(u) / s
 
-    return integrate_panel(transformed, 0.0, width**s, spec)
+    return integrate_panel(transformed, lower**s, width**s, spec)
 
 
 def logsumexp_pair(a: float, b: float) -> float:

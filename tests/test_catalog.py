@@ -12,10 +12,12 @@ from hypothesis import strategies as st
 
 import glpot
 from glpot import (
+    DivergenceError,
     DomainError,
     KernelSpec,
     SlowlyVarying,
     TestFunction,
+    apply_kernel,
     interval_mass,
     log_potential_far,
     log_potential_near,
@@ -206,13 +208,53 @@ def test_closed_form_masses_need_no_quadrature(monkeypatch):
 
 @pytest.mark.parametrize("evaluate", [log_potential_far, log_potential_near])
 @pytest.mark.parametrize(
-    "f",
-    [TestFunction.example3(0.5, 1.25), TestFunction.user(lambda x: 1.0, ((0.0, 1.0),))],
+    "f, error",
+    [
+        (TestFunction.example3(0.5, 1.25), DivergenceError),  # tail power 0.5 <= alpha: u is infinite
+        (TestFunction.user(lambda x: 1.0, ((0.0, 1.0),)), DomainError),
+    ],
     ids=["example3", "user"],
 )
-def test_scaled_evaluators_refuse_unsupported_densities(evaluate, f):
-    with pytest.raises(DomainError):
+def test_scaled_evaluators_refuse_unsupported_densities(evaluate, f, error):
+    with pytest.raises(error):
         evaluate(f, RIESZ, 3.0, 1.0)
+
+
+@pytest.mark.parametrize("evaluate", [log_potential_far, log_potential_near])
+def test_scaled_evaluators_refuse_bessel_kernel_and_bad_side(evaluate):
+    with pytest.raises(DomainError):
+        evaluate(TestFunction.g_delta(1.0), KernelSpec.bessel(0.5), 3.0, 1.0)
+    with pytest.raises(DomainError):
+        evaluate(TestFunction.g_delta(1.0), RIESZ, 3.0, 0.5)
+
+
+# forms and kernels the scaled evaluators refused before they shared one region table
+NEWLY_SCALED = {
+    "example3(0.7,1) x riesz(0.5)": (TestFunction.example3(0.7, 1.0), RIESZ),
+    "example3(0.7,0.7) x riesz(0.3)": (TestFunction.example3(0.7, 0.7), KernelSpec.riesz(0.3)),
+    "indicator(-0.5,2) x riesz(0.5)": (TestFunction.indicator(-0.5, 2.0), RIESZ),
+    "f_delta x partial window": (TestFunction.f_delta(0.5, 1.0), KernelSpec.truncated(0.5, radius=3.0)),
+    "g_delta x partial window": (TestFunction.g_delta(1.0), KernelSpec.truncated(0.5, radius=8.0)),
+    "h_delta x slow log_riesz": (
+        TestFunction.h_delta(0.5, 0.5),
+        KernelSpec.log_riesz(0.5, 1.0, SlowlyVarying.log_power(1.0)),
+    ),
+    "g_delta with a slow factor": (replace(TestFunction.g_delta(1.0), slow=SlowlyVarying.log_power(1.0)), RIESZ),
+    "big_r with a slow factor": (TestFunction.big_r(0.3, 0.5, SlowlyVarying.log_power(1.0)), KernelSpec.riesz(0.3)),
+}
+
+
+@pytest.mark.parametrize("case", list(NEWLY_SCALED))
+@pytest.mark.parametrize("side", [1.0, -1.0])
+def test_scaled_evaluators_match_apply_kernel(case, side):
+    f, kernel = NEWLY_SCALED[case]
+    for depth in (1.6, 3.0, 6.0):
+        for evaluate, x in ((log_potential_far, side * math.exp(depth)), (log_potential_near, side * math.exp(-depth))):
+            direct = apply_kernel(f, x, kernel)
+            if direct == 0.0:  # the window misses the support
+                assert evaluate(f, kernel, depth, side) == -math.inf
+            else:
+                assert evaluate(f, kernel, depth, side) == pytest.approx(math.log(direct), abs=5e-12)
 
 
 def _mirrored_g(delta: float) -> TestFunction:
