@@ -15,12 +15,10 @@ the norm moves by less than 0.5%.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import IntegrationWarning
 
 from .catalog import TestFunction
 from .errors import DivergenceError, DomainError, ToleranceError
@@ -93,8 +91,7 @@ def grand_norm(f: TestFunction, psi: PsiFunction, spec: QuadratureSpec | None = 
     """sup over a refined p-grid of |f|_p / psi(p).
 
     Divergent grid points, and points whose norm misses the quadrature
-    tolerance, are excluded and recorded.  QUADPACK's warnings are silenced:
-    the norm's own error check decides which points are too inaccurate.  An
+    tolerance, are excluded and recorded.  An
     endpoint flag is set when the ratio still climbs by more than 1% between
     the last two refinement levels, or the last one is unreachable (the sup
     is then suspected infinite at that endpoint).
@@ -112,9 +109,7 @@ def grand_norm(f: TestFunction, psi: PsiFunction, spec: QuadratureSpec | None = 
             return None
         val = None
         try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", IntegrationWarning)
-                val = lp_norm(f, p, spec) / psi(p)
+            val = lp_norm(f, p, spec) / psi(p)
         except DivergenceError:
             divergent.append(p)
         except ToleranceError:

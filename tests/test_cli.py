@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from pathlib import Path
 
 import pytest
@@ -107,6 +108,15 @@ class TestCliCommands:
         assert code == 0
         assert "inaccurate_points=" in out and "inaccurate_points=0" not in out
         assert err == ""
+
+    def test_lpnorm_keeps_quadpack_warnings_quiet(self, capsys):
+        # QUADPACK warns of roundoff here; lp_norm's own error check accepts the point
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["lpnorm", "--form", "g_delta:1", "--p", "1.0000000074505806"])
+        out, err = capsys.readouterr()
+        assert code == 0 and "g_delta(1),1.0000000074505806," in out
+        assert caught == [] and err == ""
 
     def test_vfun(self, capsys):
         code = main(["vfun", "--form", "g_delta:0", "--alpha", "0.5", "--p", "1.4"])
