@@ -251,7 +251,7 @@ class PotentialNormEvaluator:
             if coords[-1] >= cap:
                 if g[-1] >= g_max - 1.0:
                     raise DivergenceError(
-                        f"q-norm of the potential of {self.f.label} appears divergent at q={q:g}"
+                        f"q-norm of the potential of {self.f.label} appears divergent at q={q:.17g}"
                     )
                 raise ToleranceError(
                     f"potential table for {self.f.label} exceeded its range cap", achieved=math.inf
@@ -309,7 +309,7 @@ class PotentialNormEvaluator:
                 return fine / q
             self._refine()
         raise ToleranceError(
-            f"tabulated q-norm for {self.f.label} did not stabilise at q={q:g}", achieved=achieved
+            f"tabulated q-norm for {self.f.label} did not stabilise at q={q:.17g}", achieved=achieved
         )
 
     def qnorm(self, q: float) -> float:

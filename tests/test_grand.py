@@ -20,6 +20,7 @@ from glpot import (
     parse_psi_spec,
     v_functional,
 )
+from glpot.exponents import PotentialParams, sobolev_q
 
 
 class TestFitGrowthExponent:
@@ -167,6 +168,13 @@ class TestPotentialNormEvaluator:
         ev = PotentialNormEvaluator(TestFunction.g_delta(0.0), KernelSpec.riesz(0.5))
         with pytest.raises(DivergenceError):
             ev.qnorm(2.0)
+
+    def test_divergence_message_prints_q_exactly(self):
+        # q = 2.000004 printed with :g read "q=2", the exponent where the norm does diverge
+        q = sobolev_q(1.0 + 1e-6, PotentialParams(1, 0.5))
+        ev = PotentialNormEvaluator(TestFunction.g_delta(0.0), KernelSpec.riesz(0.5))
+        with pytest.raises(DivergenceError, match=f"q={format(q, '.17g')}$"):
+            ev.log_qnorm(q)
 
 
 class TestVFunctional:
