@@ -315,10 +315,8 @@ class PotentialNormEvaluator:
     def qnorm(self, q: float) -> float:
         return math.exp(self.log_qnorm(q))
 
-    def restricted_log_qnorm(self, q: float, side: float, near_only: bool = True) -> float:
+    def restricted_log_qnorm(self, q: float, side: float) -> float:
         """ln of the norm restricted to one near region (|x| <= 1/e, one sign)."""
-        if not near_only:
-            raise DomainError("only the near restriction is supported")
         return self._grown_log_integral(side, q, near=True) / q
 
 

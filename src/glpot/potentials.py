@@ -692,10 +692,9 @@ def fractional_maximal(f: TestFunction, x, alpha: float, n_grid: int = 200):
 
 @dataclass(frozen=True)
 class EvalGrid:
-    """Ordered evaluation abscissae with their spacing rule."""
+    """Ordered evaluation abscissae."""
 
     points: tuple[float, ...]
-    rule: str = "explicit"
 
     def __post_init__(self):
         pts = tuple(float(p) for p in self.points)
@@ -707,13 +706,13 @@ class EvalGrid:
     def uniform(lo: float, hi: float, n: int) -> "EvalGrid":
         if n < 2 or not hi > lo:
             raise DomainError("uniform grid needs n >= 2 and lo < hi")
-        return EvalGrid(tuple(np.linspace(lo, hi, n)), "uniform")
+        return EvalGrid(tuple(np.linspace(lo, hi, n)))
 
     @staticmethod
     def geometric(lo: float, hi: float, n: int) -> "EvalGrid":
         if n < 2 or not 0.0 < lo < hi:
             raise DomainError("geometric grid needs n >= 2 and 0 < lo < hi")
-        return EvalGrid(tuple(np.geomspace(lo, hi, n)), "geometric")
+        return EvalGrid(tuple(np.geomspace(lo, hi, n)))
 
 
 def maximal_over_grid(f: TestFunction, grid: EvalGrid, alpha: Optional[float] = None) -> float:

@@ -188,7 +188,6 @@ class PowerPsiSpec:
     b: float
     beta: float
     gamma: float
-    h: Optional[float] = None
 
     def __post_init__(self):
         if not (1.0 <= self.a < self.b):
