@@ -126,17 +126,17 @@ def lp_norm_report(f: TestFunction, p: float, spec: QuadratureSpec | None = None
     check_lp_convergence(f, p)
     logs: list[float] = []
     rels: list[float] = []
-    for piece in f.pieces:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", IntegrationWarning)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IntegrationWarning)
+        for piece in f.pieces:
             if piece.role == "plain":
                 lv, rel = _log_plain_piece(f, piece, p, spec)
             elif piece.role in ("origin", "tail"):
                 lv, rel = _log_piece_integral(f, piece, p, spec)
             else:
                 raise DomainError(f"unknown piece role {piece.role!r}")
-        logs.append(lv)
-        rels.append(rel)
+            logs.append(lv)
+            rels.append(rel)
     log_total = -math.inf
     for lv in logs:
         log_total = logsumexp_pair(log_total, lv)
