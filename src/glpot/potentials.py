@@ -8,10 +8,12 @@ splits the integration domain at the kernel singularity and at every
 singularity of the density, applying a power substitution at kernel ends
 and log substitutions at density ends and tails.
 
-For the extreme arguments the sharpness experiments need (|x| up to e^1300,
-or down to e^-1100), scaled evaluators return ln u(+-e^t) and ln u(+-e^-y)
-directly, factoring the power of |x| out of the integral so no intermediate
-quantity under- or overflows.
+For the extreme arguments the sharpness experiments need (|x| from e^-12000
+to e^12000 and beyond), the scaled evaluators return ln u(+-e^t) and
+ln u(+-e^-y) directly for every catalog density under the power-kernel
+family.  One region table per piece serves both sides and both regions, and
+every region is summed in logs, so no intermediate quantity under- or
+overflows.  A tail whose potential diverges raises DivergenceError.
 """
 
 from __future__ import annotations

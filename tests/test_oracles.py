@@ -39,11 +39,12 @@ def test_bessel_potential_of_indicator(x):
 # ---------------------------------------------------------------------------
 #
 # mpmath numbers have an unbounded exponent, so the reference integrates
-# f(y') K(x - y') |y'| over w = ln(|y'|/|x|) directly, at 30 digits, with
-# tanh-sinh on ranges split at every feature (support ends, w = 0, where the
-# kernel is singular or |1 + z| turns, the kinks |x - y'| = 1 of a log kernel, the truncation
-# window) and then geometrically from each feature, so that no panel is long
-# against its feature; each segment is integrated at O(1) scale.
+# f(y') K(x - y') |y'| over w = ln z = ln(|y'|/|x|) directly, at 30 digits,
+# with tanh-sinh on ranges split at every feature (support ends, z = 1, the
+# kinks |x - y'| = 1 of a log kernel, the truncation window) and then
+# geometrically from each feature, so that no panel is long against its
+# feature.  Each panel is mapped onto (0, 1) and integrated at O(1) scale,
+# with w = end v^(1/alpha) on the two panels at the kernel singularity.
 
 
 def _segments(form: str):
@@ -102,18 +103,18 @@ def _mp_log_potential(form: str, kernel, ln_x: float, side: float) -> float:
                     val *= abs(g) ** beta * (1 + mp.log1p(abs(g))) ** kappa
                 return val
 
-            feats = {mp.mpf(0)}  # z = 1: the kernel singularity, or where |1 + z| turns
-            for c in (1, kernel.radius):  # |x - y'| = c, so |1 -+ z| = c e^-L
+            feats = {mp.mpf(0)}
+            for c in (1, kernel.radius):  # |x - y'| = c: |1 - z| or 1 + z = c e^-L
                 if c is None:
                     continue
                 for s in (-1, 1) if same else (1,):
-                    arg = s * c * mp.exp(-L) if same else c * mp.exp(-L) - 2  # |1 -+ z| - 1
-                    if arg > -1:
-                        feats.add(mp.log1p(arg))
+                    z_m1 = s * c * mp.exp(-L) if same else c * mp.exp(-L) - 2  # z - 1
+                    if z_m1 > -1:
+                        feats.add(mp.log1p(z_m1))
             w_lo, w_hi = v_lo - L, v_hi - L
             cuts = sorted({w_lo, w_hi} | {w for w in feats if w_lo < w < w_hi})
             pts = sorted({p for a, b in zip(cuts[:-1], cuts[1:]) for p in _geometric(a, b)})
-            # tanh-sinh stops on an absolute error: integrate at O(1) scale, each panel mapped onto (0, 1)
+            # tanh-sinh stops on an absolute error estimate
             scale = max(integrand((p + q) / 2) for p, q in zip(pts[:-1], pts[1:]))
             for p, q in zip(pts[:-1], pts[1:]) if scale > 0 else ():
                 if same and 0 in (p, q):  # |w|^(alpha-1) at w = 0: w = end v^(1/alpha)
