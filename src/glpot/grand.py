@@ -91,10 +91,10 @@ def grand_norm(f: TestFunction, psi: PsiFunction, spec: QuadratureSpec | None = 
     """sup over a refined p-grid of |f|_p / psi(p).
 
     Divergent grid points, and points whose norm misses the quadrature
-    tolerance, are excluded and recorded.  An
-    endpoint flag is set when the ratio still climbs by more than 1% between
-    the last two refinement levels, or the last one is unreachable (the sup
-    is then suspected infinite at that endpoint).
+    tolerance, are excluded and recorded.  An endpoint flag is set when the
+    ratio still climbs by more than 1% between the last two refinement
+    levels, or the last one is unreachable (the sup is then suspected
+    infinite at that endpoint).
     """
     spec = spec or QuadratureSpec()
     interior, left, right = _grand_grid(psi.a, psi.b)
