@@ -9,7 +9,9 @@ pointwise.  Those are assembled from tables of ln|u| on log-spaced grids
 (near-origin, inner, and far regions), integrating the piecewise log-linear
 interpolant exactly panel by panel in log space, with the grid extended
 until the integrand has fallen ~20 decades below its peak and refined until
-the norm moves by less than 0.5%.
+the norm moves by less than 0.5%.  All three tables come from the scaled
+evaluators of potentials.py, the inner one at ln|x|: each table, and each
+extension of one, is a single batched call.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .catalog import TestFunction
 from .errors import DivergenceError, DomainError, ToleranceError
 from .exponents import PotentialParams, sobolev_q
 from .norms import lp_norm
-from .potentials import KernelSpec, apply_kernel, log_potential_far, log_potential_near
+from .potentials import KernelSpec, log_potential_far, log_potential_near
 from .psi import PsiFunction
 from .quadrature import QuadratureSpec, log_piecewise_integral, logsumexp_pair
 
@@ -157,7 +159,9 @@ class PotentialNormEvaluator:
     Regions: near (|x| <= 1/e, coordinate y = -ln|x|), inner
     (1/e <= |x| <= x0, coordinate x), far (|x| >= x0, coordinate t = ln|x|).
     Tables grow on demand until the transformed integrand of each requested
-    q has dropped `_LOG_DECAY_MARGIN` below its peak.
+    q has dropped `_LOG_DECAY_MARGIN` below its peak.  ``spec`` is not read:
+    the scaled evaluators that fill the tables work to their own fixed
+    accuracy.
     """
 
     def __init__(
@@ -170,7 +174,6 @@ class PotentialNormEvaluator:
     ):
         self.f = f
         self.kernel = kernel
-        self.spec = spec or QuadratureSpec()
         self.ratio = grid_ratio
         radius = kernel.radius or 0.0
         self.x0 = max(math.exp(1.5), 1.5 * (radius + f.support_bound))
@@ -196,19 +199,24 @@ class PotentialNormEvaluator:
 
     def _extend_near(self, side: float, y_target: float) -> None:
         ys, vals = self._near[side]
-        y = ys[-1] * self.ratio if ys else 1.0
-        while (ys[-1] if ys else 0.0) < y_target:
-            ys.append(y)
-            vals.append(log_potential_near(self.f, self.kernel, y, side))
-            y *= self.ratio
+        new = self._geometric_extension(ys, 1.0, y_target)
+        ys += new
+        vals += log_potential_near(self.f, self.kernel, new, side).tolist()
 
     def _extend_far(self, side: float, t_target: float) -> None:
         ts, vals = self._far[side]
-        t = ts[-1] * self.ratio if ts else self.t0
-        while (ts[-1] if ts else 0.0) < t_target:
-            ts.append(t)
-            vals.append(log_potential_far(self.f, self.kernel, t, side))
-            t *= self.ratio
+        new = self._geometric_extension(ts, self.t0, t_target)
+        ts += new
+        vals += log_potential_far(self.f, self.kernel, new, side).tolist()
+
+    def _geometric_extension(self, coords: list[float], first: float, target: float) -> list[float]:
+        """The coordinates that continue coords (or start at first) by the grid ratio until target is reached."""
+        new: list[float] = []
+        c = coords[-1] * self.ratio if coords else first
+        while (new[-1] if new else coords[-1] if coords else 0.0) < target:
+            new.append(c)
+            c *= self.ratio
+        return new
 
     def _inner_table(self, side: float) -> tuple[list[float], list[float]]:
         if side not in self._inner:
@@ -222,11 +230,7 @@ class PotentialNormEvaluator:
                                 if lo < edge < hi:
                                     edges.add(edge)
             xs = sorted(set(np.geomspace(lo, hi, self._inner_n)) | edges)
-            vals = []
-            for x in xs:
-                u = apply_kernel(self.f, side * x, self.kernel, self.spec)
-                vals.append(math.log(u) if u > 0.0 else -math.inf)
-            self._inner[side] = (xs, vals)
+            self._inner[side] = (xs, log_potential_far(self.f, self.kernel, np.log(xs), side).tolist())
         return self._inner[side]
 
     # -- assembly -------------------------------------------------------------

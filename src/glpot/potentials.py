@@ -13,7 +13,11 @@ to e^12000 and beyond), the scaled evaluators return ln u(+-e^t) and
 ln u(+-e^-y) directly for every catalog density under the power-kernel
 family.  One region table per piece serves both sides and both regions, and
 every region is summed in logs, so no intermediate quantity under- or
-overflows.  A tail whose potential diverges raises DivergenceError.
+overflows.  A tail whose potential diverges raises DivergenceError.  They
+take a whole array of t or y: each region is one call of the batched
+Gauss-Legendre rule (:func:`~glpot.quadrature.integrate_batch`) over every
+point it covers, and a point's value does not depend, to the bit, on the
+other points of the call.
 """
 
 from __future__ import annotations
@@ -31,11 +35,12 @@ from .catalog import Piece, TestFunction
 from .errors import DivergenceError, DomainError, ToleranceError
 from .psi import SlowlyVarying
 from .quadrature import (
+    BATCH_SPEC,
     IntegralResult,
     QuadratureSpec,
+    integrate_batch,
     integrate_decaying,
     integrate_panel,
-    logsumexp_pair,
     power_endpoint_integral,
 )
 
@@ -368,152 +373,176 @@ def bessel_potential(f: TestFunction, x: float, alpha: float, spec: QuadratureSp
 # the kernel's, clipped to the truncation window.  One region table serves
 # every piece: the density end z -> 0 and the kernel end z -> 1 (sigma = +1)
 # by power substitution, the rest in w = ln z on panels of width 1, 8, 64,
-# ... from the end next to z = 1, or by the decaying-tail rule where w is
-# unbounded.  Each region returns the log of its share of u.  Its scale
+# ... from the end next to z = 1, cut where w is unbounded at the decaying-
+# tail rule's truncation point.  Each region is evaluated for all points at
+# once and returns the log of its share of u at each.  Its scale
 # (|x|^(alpha - power), the substituted panel's width to its exponent, and
 # e^(k w) at the end where it peaks, k w from z^(1-power) below z = 1 and
 # z^(alpha-power) above it) is summed in logs through ln|y'| at that end, so
 # nothing under- or overflows and no two large logs cancel at any L.
 
-_SCALED_SPEC = QuadratureSpec(rel_tol=1e-9, abs_tol=1e-280, max_depth=60)
 _LN_HALF, _LN_3_2 = math.log(0.5), math.log(1.5)
 
 
-def _log(v: float) -> float:
-    return math.log(v) if v > 0.0 else -math.inf
+def _log(v: np.ndarray) -> np.ndarray:
+    """ln v elementwise, -inf where v == 0."""
+    with np.errstate(divide="ignore"):
+        return np.log(v)
 
 
-def _ln_1p_exp(a: float) -> float:
-    """ln(1 + e^a), stable for any a."""
-    if a > 30.0:
-        return a + math.log1p(math.exp(-a))
-    return math.log1p(math.exp(a))
+def _log_factor(a: np.ndarray, power: float, slow: Optional[SlowlyVarying]) -> np.ndarray:
+    """a^power S(a) elementwise (S, when given, is called point by point)."""
+    val = a**power
+    return val if slow is None else val * np.vectorize(slow, otypes=[float])(a)
 
 
-def _log_power_panel(rest, exponent: float, scale: float, v_lo: float = 0.0) -> float:
-    """scale + ln of the integral of v^exponent rest(v) over v in (v_lo, 1)."""
-    v, _ = power_endpoint_integral(rest, exponent, 1.0, _SCALED_SPEC, lower=v_lo)
-    return scale + _log(v)
+def _log_power_panel(rest, exponent: float, v_lo: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """scale + ln of the integral of v^exponent rest(rows, v) over v in (v_lo, 1), one row per point."""
+    s = 1.0 + exponent
+    value, _ = integrate_batch(
+        lambda rows, w: rest(rows, w ** (1.0 / s)) / s, (v_lo**s)[:, None], np.ones((len(v_lo), 1))
+    )
+    return scale + _log(value)
 
 
-def _log_outward(make, k: float, near: float, far: float, step: float, degree: float) -> float:
+def _log_outward(make, k: float, near: np.ndarray, far: np.ndarray, step: float, degree: float) -> np.ndarray:
     """ln of the integral over w from near (next to z = 1) outward to far, in direction step.
 
-    Panels of width 1, 8, 64, ... from near; the decaying-tail rule where far
-    is infinite.  make(anchor, sign) is the integrand in s = sign (w - anchor)
-    >= 0 with its log scale, anchored at the end where e^(k w) peaks: the
-    nodes there stay exact at any |w|.
+    Panels of width 1, 8, 64, ... from near; an infinite far is cut at the
+    decaying-tail rule's truncation point.  make(anchor, sign) is the
+    integrand in s = sign (w - anchor) >= 0 with its log scale, anchored at
+    the end where e^(k w) peaks: the nodes there stay exact at any |w|.
     """
-    if (far - near) * step <= 0.0:
-        return -math.inf
-    if math.isinf(far):
-        fn, scale = make(near, step)
-        v, _ = integrate_decaying(fn, 0.0, _SCALED_SPEC, decay_rate=-k, poly_degree=degree)
-        return scale + _log(v)
-    length, cuts, width = abs(far - near), [0.0], 1.0
-    while cuts[-1] < length:
-        cuts.append(min(cuts[-1] + width, length))
-        width *= 8.0
-    anchor, sign = near, step
-    if k * far > k * near:
-        anchor, sign, cuts = far, -step, [length - c for c in reversed(cuts)]
-    fn, scale = make(anchor, sign)
-    v = sum(integrate_panel(fn, a, b, _SCALED_SPEC).value for a, b in zip(cuts[:-1], cuts[1:]))
-    return scale + _log(v)
+    if np.isinf(far).any():
+        far = np.where(np.isinf(far), near + step * BATCH_SPEC.tail_cutoff(-k * step, degree, 0.0), far)
+    length = (far - near) * step
+    cuts = [0.0, 1.0]
+    while cuts[-1] < length.max():
+        cuts.append(8.0 * cuts[-1] + 1.0)
+    edges = np.minimum(np.array(cuts), length[:, None])
+    lo, hi = edges[:, :-1], edges[:, 1:]
+    flip = k * far > k * near
+    lo, hi = np.where(flip[:, None], length[:, None] - hi, lo), np.where(flip[:, None], length[:, None] - lo, hi)
+    fn, scale = make(np.where(flip, far, near), np.where(flip, -step, step))
+    value, _ = integrate_batch(fn, lo, hi)
+    return scale + _log(value)
 
 
-def _log_piece_integral(f: TestFunction, piece: Piece, kernel: KernelSpec, ln_x: float, sigma: float,
-                        w_lo: float, w_hi: float) -> float:
-    """ln of one piece's share c^-1 u, whose range in w = ln z is (w_lo, w_hi)."""
+def _log_piece_integral(f: TestFunction, piece: Piece, kernel: KernelSpec, ln_x: np.ndarray, sigma: float,
+                        w_lo: np.ndarray, w_hi: np.ndarray) -> np.ndarray:
+    """ln of one piece's share c^-1 u at each ln_x, whose range in w = ln z is (w_lo, w_hi)."""
     alpha, power, delta = kernel.alpha, piece.power, piece.log_power
     am1, k_low, k_up = alpha - 1.0, 1.0 - power, alpha - power
     slow = f.slow if f.slow is not None and not f.slow.is_constant else None
     dens = piece.role != "plain" and (delta != 0.0 or slow is not None)
-    lw = kernel.log_weight if kernel.has_log_factor else None
+    kernel_slow = kernel.slow if kernel.slow is not None and not kernel.slow.is_constant else None
+    kernel_log = kernel.has_log_factor
+    total = np.full(ln_x.shape, -np.inf)
+
+    def region(at, log_part, *arrays):
+        """Add log_part(*arrays restricted to the points at) into total at those points."""
+        idx = np.flatnonzero(at)
+        if len(idx):
+            total[idx] = np.logaddexp(total[idx], log_part(*(a[idx] for a in arrays)))
+
     # the truncation window |1 - sigma z| < e^r; the kernel end keeps the unclipped range
     r = math.log(kernel.reach) - ln_x
     s_lo, s_hi = w_lo, w_hi
     if sigma > 0.0:
-        w_hi = min(w_hi, _ln_1p_exp(r))
-        if r < 0.0:
-            w_lo = max(w_lo, math.log1p(-math.exp(r)))
-    elif r <= 0.0:
-        return -math.inf
+        w_hi = np.minimum(w_hi, np.logaddexp(0.0, r))
+        with np.errstate(divide="ignore"):  # r >= 0: a branch np.where discards
+            w_lo = np.where(r < 0.0, np.maximum(w_lo, np.log1p(-np.exp(np.minimum(r, 0.0)))), w_lo)
     else:
-        w_hi = min(w_hi, r + math.log(-math.expm1(-r)))
-    logs = []
+        live = r > 0.0
+        with np.errstate(all="ignore"):  # branches np.where discards
+            w_hi = np.where(live, np.minimum(w_hi, r + np.log(-np.expm1(-r))), -np.inf)
+        w_lo = np.where(live, w_lo, np.inf)
 
-    if w_lo == -math.inf:  # density end: z = e^top v, weight v^-power
-        top = min(_LN_HALF, w_hi)
-        e_top, lx_top = math.exp(top), ln_x + top
+    def density_end(ln_x, w_hi):
+        # z = e^top v, weight v^-power
+        top = np.minimum(_LN_HALF, w_hi)
+        e_top, lx_top = np.exp(top), ln_x + top
 
-        def at_zero(v: float) -> float:
-            z = e_top * v
+        def at_zero(rows, v):
+            z = e_top[rows, None] * v
             val = (1.0 - sigma * z) ** am1
             if dens:
-                a = abs(lx_top + math.log(v))
-                val *= a**delta if slow is None else a**delta * slow(a)
-            if lw is not None:
-                val *= lw(ln_x + math.log1p(-sigma * z))
+                val *= _log_factor(np.abs(lx_top[rows, None] + np.log(v)), delta, slow)
+            if kernel_log:
+                val *= _log_factor(np.abs(ln_x[rows, None] + np.log1p(-sigma * z)), kernel.beta, kernel_slow)
             return val
 
-        logs.append(_log_power_panel(at_zero, -power, am1 * ln_x + k_low * lx_top))
-        w_lo = _LN_HALF
+        return _log_power_panel(at_zero, -power, np.zeros(len(ln_x)), am1 * ln_x + k_low * lx_top)
 
-    if sigma > 0.0:  # kernel end: |1 - z| = e^top v on either side, weight v^(alpha-1)
+    region(w_lo == -np.inf, density_end, ln_x, w_hi)
+    w_lo = np.where(w_lo == -np.inf, _LN_HALF, w_lo)
+
+    def kernel_end(dirn, ln_x, top, ln_v_lo):
+        # |1 - z| = e^top v on the side dirn of z = 1, weight v^(alpha-1)
+        e_top, lx_top = np.exp(top), ln_x + top
+
+        def at_one(rows, v):
+            ln_z = np.log1p(dirn * e_top[rows, None] * v)
+            val = np.exp(-power * ln_z)
+            if dens:
+                val *= _log_factor(np.abs(ln_x[rows, None] + ln_z), delta, slow)
+            if kernel_log:
+                val *= _log_factor(np.abs(lx_top[rows, None] + np.log(v)), kernel.beta, kernel_slow)
+            return val
+
+        return _log_power_panel(at_one, am1, np.exp(ln_v_lo), k_up * ln_x + alpha * top)
+
+    if sigma > 0.0:
         ends = []
-        if s_lo < 0.0 and s_hi > _LN_HALF:
-            top = min(_LN_HALF, r, math.log(-math.expm1(s_lo)) if s_lo > _LN_HALF else 0.0)
-            ends.append((-1.0, top, -math.expm1(s_hi) if s_hi < 0.0 else 0.0))
-        if s_hi > 0.0 and s_lo < _LN_3_2:
-            top = min(_LN_HALF, r, math.log(math.expm1(s_hi)) if s_hi < _LN_3_2 else 0.0)
-            ends.append((1.0, top, math.expm1(s_lo) if s_lo > 0.0 else 0.0))
-        for dirn, top, u_lo in ends:
-            ln_v_lo = math.log(u_lo) - top if u_lo > 0.0 else -math.inf
-            if ln_v_lo >= 0.0:
-                continue
+        with np.errstate(all="ignore"):  # branches and rows the masks discard
+            for dirn, covered, edge, u_lo in (
+                (-1.0, (s_lo < 0.0) & (s_hi > _LN_HALF), np.where(s_lo > _LN_HALF, np.log(-np.expm1(s_lo)), 0.0),
+                 np.where(s_hi < 0.0, -np.expm1(s_hi), 0.0)),
+                (1.0, (s_hi > 0.0) & (s_lo < _LN_3_2), np.where(s_hi < _LN_3_2, np.log(np.expm1(s_hi)), 0.0),
+                 np.where(s_lo > 0.0, np.expm1(s_lo), 0.0)),
+            ):
+                top = np.minimum(np.minimum(_LN_HALF, r), edge)
+                ln_v_lo = np.log(u_lo) - top
+                ends.append((dirn, covered & (ln_v_lo < 0.0), top, ln_v_lo))
+        for dirn, at, top, ln_v_lo in ends:
+            region(at, partial(kernel_end, dirn), ln_x, top, ln_v_lo)
 
-            def at_one(v: float, dirn=dirn, e_top=math.exp(top), lx_top=ln_x + top) -> float:
-                ln_z = math.log1p(dirn * e_top * v)
-                val = math.exp(-power * ln_z)
-                if dens:
-                    a = abs(ln_x + ln_z)
-                    val *= a**delta if slow is None else a**delta * slow(a)
-                if lw is not None:
-                    val *= lw(lx_top + math.log(v))
-                return val
-
-            logs.append(_log_power_panel(at_one, am1, k_up * ln_x + alpha * top, math.exp(ln_v_lo)))
-
-    def make(k: float, upper: bool, anchor: float, sign: float):
+    def make(k, upper, ln_x, anchor, sign):
         lx = ln_x + anchor
 
-        def in_w(s: float) -> float:
+        def in_w(rows, s):
             # z^(1-power)|1 - sigma z|^(alpha-1) = e^(k w)(1 - sigma q)^(alpha-1), q = e^-|w|
-            w, ln_y = anchor + sign * s, lx + sign * s
-            q = math.exp(-w) if upper else math.exp(w)
-            val = math.exp(k * sign * s) * (1.0 - sigma * q) ** am1
+            step = sign[rows, None] * s
+            w, ln_y = anchor[rows, None] + step, lx[rows, None] + step
+            q = np.exp(-w) if upper else np.exp(w)
+            val = np.exp(k * step) * (1.0 - sigma * q) ** am1
             if dens:
-                a = abs(ln_y)
-                val *= a**delta if slow is None else a**delta * slow(a)
-            if lw is not None:
-                val *= lw((ln_y if upper else ln_x) + math.log1p(-sigma * q))
+                val *= _log_factor(np.abs(ln_y), delta, slow)
+            if kernel_log:
+                ln_abs = (ln_y if upper else ln_x[rows, None]) + np.log1p(-sigma * q)
+                val *= _log_factor(np.abs(ln_abs), kernel.beta, kernel_slow)
             return val
 
         return in_w, (0.0 if upper else am1 * ln_x) + k * lx
 
+    def outward(k, upper, step, ln_x, near, far):
+        return _log_outward(partial(make, k, upper, ln_x), k, near, far, step, delta + kernel.beta)
+
     b_lo, b_hi = (_LN_HALF, _LN_3_2) if sigma > 0.0 else (0.0, 0.0)
-    degree = delta + kernel.beta
-    logs.append(_log_outward(partial(make, k_low, False), k_low, min(b_lo, w_hi), w_lo, -1.0, degree))
-    logs.append(_log_outward(partial(make, k_up, True), k_up, max(b_hi, w_lo), w_hi, 1.0, degree))
-    total = -math.inf
-    for lv in logs:
-        total = logsumexp_pair(total, lv)
+    for k, upper, near, far, step in (
+        (k_low, False, np.minimum(b_lo, w_hi), w_lo, -1.0),
+        (k_up, True, np.maximum(b_hi, w_lo), w_hi, 1.0),
+    ):
+        region((far - near) * step > 0.0, partial(outward, k, upper, step), ln_x, near, far)
     return total
 
 
-def _log_potential(f: TestFunction, kernel: KernelSpec, ln_x: float, side: float) -> float:
-    """ln u(side e^ln_x) for a catalog density, summed over its pieces (plain ones split at 0)."""
+def _log_potential(f: TestFunction, kernel: KernelSpec, ln_x, side: float):
+    """ln u(side e^ln_x) for a catalog density, summed over its pieces (plain ones split at 0).
+
+    ln_x is a float (float result) or an array (array result); each point's
+    value is the same, bit for bit, whatever else is evaluated with it.
+    """
     if kernel.variant == "bessel":
         raise DomainError("scaled evaluation is for the power-kernel family")
     if side not in (1.0, -1.0):
@@ -521,26 +550,29 @@ def _log_potential(f: TestFunction, kernel: KernelSpec, ln_x: float, side: float
     if f.evaluator is not None:
         raise DomainError(f"no scaled evaluation for {f.label}")
     _check_apply_convergence(f, math.nan, kernel)  # tails only: +-e^L is no finite singularity
-    total = -math.inf
+    lx = np.atleast_1d(np.asarray(ln_x, dtype=float))
+    total = np.full(lx.shape, -np.inf)
     for piece in f.pieces:
         spans = [(piece.lo, 0.0), (0.0, piece.hi)] if piece.lo < 0.0 < piece.hi else [(piece.lo, piece.hi)]
         for lo, hi in spans:
             inner, outer = sorted((abs(lo), abs(hi)))
+            ln_inner = math.log(inner) if inner > 0.0 else -math.inf
             ln_i = _log_piece_integral(
-                f, piece, kernel, ln_x, side if hi > 0.0 else -side, _log(inner) - ln_x, math.log(outer) - ln_x
+                f, piece, kernel, lx, side if hi > 0.0 else -side, ln_inner - lx, math.log(outer) - lx
             )
-            total = logsumexp_pair(total, ln_i)
-    return math.log(f.coefficient) + total
+            total = np.logaddexp(total, ln_i)
+    total += math.log(f.coefficient)
+    return float(total[0]) if np.ndim(ln_x) == 0 else total
 
 
-def log_potential_far(f: TestFunction, kernel: KernelSpec, t: float, side: float) -> float:
-    """ln of the potential at x = side * e^t, stable at any t."""
+def log_potential_far(f: TestFunction, kernel: KernelSpec, t, side: float):
+    """ln of the potential at x = side * e^t, stable at any t (a float or an array of t)."""
     return _log_potential(f, kernel, t, side)
 
 
-def log_potential_near(f: TestFunction, kernel: KernelSpec, y: float, side: float) -> float:
-    """ln of the potential at x = side * e^-y, stable at any y."""
-    return _log_potential(f, kernel, -y, side)
+def log_potential_near(f: TestFunction, kernel: KernelSpec, y, side: float):
+    """ln of the potential at x = side * e^-y, stable at any y (a float or an array of y)."""
+    return _log_potential(f, kernel, -np.asarray(y, dtype=float), side)
 
 
 # ---------------------------------------------------------------------------

@@ -103,11 +103,14 @@ class TestCliCommands:
         assert "value=" in capsys.readouterr().out
 
     def test_grand_report_survives_inaccurate_points(self, capsys):
-        code = main(["grand", "--form", "g_delta:1", "--psi", "power:a=1,b=2,beta=1,gamma=1"])
+        # pytest's capture hides warnings from stderr, so they are recorded instead
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["grand", "--form", "g_delta:1", "--psi", "power:a=1,b=2,beta=1,gamma=1"])
         out, err = capsys.readouterr()
         assert code == 0
         assert "inaccurate_points=" in out and "inaccurate_points=0" not in out
-        assert err == ""
+        assert caught == [] and err == ""
 
     def test_lpnorm_keeps_quadpack_warnings_quiet(self, capsys):
         # QUADPACK warns of roundoff here; lp_norm's own error check accepts the point

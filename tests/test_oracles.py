@@ -192,3 +192,25 @@ RIESZ, LOG_RIESZ, TRUNCATED = "riesz:0.5", "log_riesz:0.5,1,1", "truncated:0.5,0
 def test_scaled_evaluators_against_mpmath(form, kernel, region, side, depth):
     got, want = _scaled(form, kernel, region, side, depth)
     _assert_close_in_u(got, want)
+
+
+# ---------------------------------------------------------------------------
+# apply_kernel: the same reference at moderate |x|
+# ---------------------------------------------------------------------------
+
+SWEEP_FORMS = ("g_delta:1", "f_delta:0.5,1", "h_delta:0.5,0.5", "big_r:0.3,0.5,1", "example3:0.7,1", "indicator:-0.5,2")
+
+
+@pytest.mark.parametrize("x", [-3.0, -0.7, 0.3, 1.3, 5.0])
+@pytest.mark.parametrize("kernel", [RIESZ, LOG_RIESZ, TRUNCATED])
+@pytest.mark.parametrize("form", SWEEP_FORMS)
+def test_apply_kernel_against_mpmath(form, kernel, x):
+    k = parse_kernel_spec(kernel)
+    got = apply_kernel_report(parse_form_spec(form), x, k)
+    want = math.exp(_mp_log_potential(form, k, math.log(abs(x)), math.copysign(1.0, x)))
+    if want == 0.0:  # the truncation window misses the support
+        assert got.value == 0.0
+        return
+    actual = abs(got.value - want)
+    assert actual <= 1e-10 * want
+    assert actual <= got.error

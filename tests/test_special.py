@@ -50,3 +50,13 @@ def test_log_variant_far_tail_against_mpmath():
         for s, x in ((1.0, 1023.0), (257.0, 255.0), (257.0, 800.0), (3.5, 5000.0)):
             want = float(mp.log(mp.gammainc(s, x)))
             assert log_upper_gamma(s, x) == pytest.approx(want, rel=1e-13)
+
+
+@pytest.mark.parametrize("s", sorted(set(np.linspace(0.2, 50.0, 50).tolist()) | {0.5, 1.0, 1.5, 2.0}))
+def test_upper_gamma_against_mpmath(s):
+    import mpmath as mp
+
+    with mp.workdps(30):
+        for x in (0.0, 1e-6, 1e-3, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 30.0, 49.0, 51.0, 100.0, 300.0, 700.0):
+            want = float(mp.gammainc(mp.mpf(s), mp.mpf(x)))
+            assert upper_gamma(s, x) == pytest.approx(want, rel=1e-12), (s, x)
