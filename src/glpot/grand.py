@@ -212,10 +212,10 @@ class PotentialNormEvaluator:
     def _geometric_extension(self, coords: list[float], first: float, target: float) -> list[float]:
         """The coordinates that continue coords (or start at first) by the grid ratio until target is reached."""
         new: list[float] = []
-        c = coords[-1] * self.ratio if coords else first
-        while (new[-1] if new else coords[-1] if coords else 0.0) < target:
+        last, c = (coords[-1], coords[-1] * self.ratio) if coords else (0.0, first)
+        while last < target:
             new.append(c)
-            c *= self.ratio
+            last, c = c, c * self.ratio
         return new
 
     def _inner_table(self, side: float) -> tuple[list[float], list[float]]:

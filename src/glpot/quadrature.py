@@ -186,7 +186,7 @@ def integrate_batch(fn: Callable[[np.ndarray, np.ndarray], np.ndarray], lo: np.n
     a, b, rows = lo[panel_rows, panel_cols], hi[panel_rows, panel_cols], panel_rows
     levels = []  # per depth: (value, error, bisected) of its panels
     tol = None
-    for depth in range(BATCH_SPEC.max_depth + 1):
+    for _ in range(BATCH_SPEC.max_depth + 1):
         width = b - a
         f = fn(rows, a[:, None] + width[:, None] * x)
         coarse = (f[:, :_GL_N] * w1).sum(axis=1) * width
@@ -202,7 +202,8 @@ def integrate_batch(fn: Callable[[np.ndarray, np.ndarray], np.ndarray], lo: np.n
         mid = a + (b - a) / 2.0
         a, b, rows = np.stack([a, mid], axis=1).ravel(), np.stack([mid, b], axis=1).ravel(), np.repeat(rows, 2)
     else:
-        worst = np.max(error[bisect] / np.abs(value[bisect]))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            worst = float(np.max(error[bisect] / np.abs(value[bisect])))
         raise ToleranceError(
             f"batched quadrature missed its tolerance after {BATCH_SPEC.max_depth} bisections", achieved=worst
         )
