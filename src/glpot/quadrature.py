@@ -35,8 +35,9 @@ class QuadratureSpec:
     """Tolerances, subdivision depth and tail-truncation policy.
 
     ``max_depth`` caps both QUADPACK subdivisions per panel and the number
-    of doubling panels used on semi-infinite ranges.  The tail rule bounds
-    the discarded mass by ``rel_tol/10`` of the integral's scale.
+    of doubling panels used on semi-infinite ranges (for the batched rule,
+    its bisections).  The tail rule bounds the discarded mass by
+    ``rel_tol/10`` of the integral's scale.
     """
 
     rel_tol: float = 1e-8
