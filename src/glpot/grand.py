@@ -7,11 +7,13 @@ sup is still climbing at the deepest refinement (suspected infinite).
 The sharpness functional needs L_q norms of a potential known only
 pointwise.  Those are assembled from tables of ln|u| on log-spaced grids
 (near-origin, inner, and far regions), integrating the piecewise log-linear
-interpolant exactly panel by panel in log space, with the grid extended
-until the integrand has fallen ~20 decades below its peak and refined until
-the norm moves by less than 0.5%.  All three tables come from the scaled
-evaluators of potentials.py, the inner one at ln|x|: each table, and each
-extension of one, is a single batched call.
+interpolant exactly in log space, with the grid extended until the
+integrand has fallen ~20 decades below its peak and refined until the norm
+moves by less than 0.5%.  All three tables come from the scaled evaluators
+of potentials.py, the inner one at ln|x|: each table, and each extension of
+one, is a single batched call.  The tables are numpy arrays, and each
+norm's integrand q ln|u| +- coordinate and its integral over a table are
+one array pass (quadrature.log_piecewise_integral).
 """
 
 from __future__ import annotations
@@ -178,47 +180,39 @@ class PotentialNormEvaluator:
         radius = kernel.radius or 0.0
         self.x0 = max(math.exp(1.5), 1.5 * (radius + f.support_bound))
         self.t0 = math.log(self.x0)
-        self._near: dict[float, tuple[list[float], list[float]]] = {}
-        self._far: dict[float, tuple[list[float], list[float]]] = {}
-        self._inner: dict[float, tuple[list[float], list[float]]] = {}
+        self._near: dict[float, tuple[np.ndarray, np.ndarray]] = {}
+        self._far: dict[float, tuple[np.ndarray, np.ndarray]] = {}
+        self._inner: dict[float, tuple[np.ndarray, np.ndarray]] = {}
         self._inner_n = inner_points
 
     # -- tables -------------------------------------------------------------
 
-    def _near_table(self, side: float) -> tuple[list[float], list[float]]:
-        if side not in self._near:
-            self._near[side] = ([], [])
-            self._extend_near(side, 40.0)
-        return self._near[side]
+    def _grown_table(self, side: float, near: bool) -> tuple[np.ndarray, np.ndarray]:
+        """The near or far table of one side, (coordinates, ln u), built on first use."""
+        tables = self._near if near else self._far
+        if side not in tables:
+            self._extend(side, near, 40.0 if near else self.t0 + 30.0)
+        return tables[side]
 
-    def _far_table(self, side: float) -> tuple[list[float], list[float]]:
-        if side not in self._far:
-            self._far[side] = ([], [])
-            self._extend_far(side, self.t0 + 30.0)
-        return self._far[side]
+    def _extend(self, side: float, near: bool, target: float) -> None:
+        """Continue the near (y = -ln|x|) or far (t = ln|x|) table by the grid ratio until target."""
+        tables = self._near if near else self._far
+        coords, vals = tables.get(side, (np.empty(0), np.empty(0)))
+        new = np.array(self._geometric_extension(coords, 1.0 if near else self.t0, target))
+        evaluate = log_potential_near if near else log_potential_far
+        new_vals = evaluate(self.f, self.kernel, new, side)
+        tables[side] = (np.concatenate([coords, new]), np.concatenate([vals, new_vals]))
 
-    def _extend_near(self, side: float, y_target: float) -> None:
-        ys, vals = self._near[side]
-        new = self._geometric_extension(ys, 1.0, y_target)
-        ys += new
-        vals += log_potential_near(self.f, self.kernel, new, side).tolist()
-
-    def _extend_far(self, side: float, t_target: float) -> None:
-        ts, vals = self._far[side]
-        new = self._geometric_extension(ts, self.t0, t_target)
-        ts += new
-        vals += log_potential_far(self.f, self.kernel, new, side).tolist()
-
-    def _geometric_extension(self, coords: list[float], first: float, target: float) -> list[float]:
+    def _geometric_extension(self, coords: np.ndarray, first: float, target: float) -> list[float]:
         """The coordinates that continue coords (or start at first) by the grid ratio until target is reached."""
         new: list[float] = []
-        last, c = (coords[-1], coords[-1] * self.ratio) if coords else (0.0, first)
+        last, c = (coords[-1], coords[-1] * self.ratio) if len(coords) else (0.0, first)
         while last < target:
             new.append(c)
             last, c = c, c * self.ratio
         return new
 
-    def _inner_table(self, side: float) -> tuple[list[float], list[float]]:
+    def _inner_table(self, side: float) -> tuple[np.ndarray, np.ndarray]:
         if side not in self._inner:
             lo, hi = math.exp(-1.0), self.x0
             edges = {abs(v) for seg in self.f.support for v in seg if math.isfinite(v) and lo < abs(v) < hi}
@@ -229,8 +223,8 @@ class PotentialNormEvaluator:
                             for edge in (abs(v) + self.kernel.radius, abs(v) - self.kernel.radius):
                                 if lo < edge < hi:
                                     edges.add(edge)
-            xs = sorted(set(np.geomspace(lo, hi, self._inner_n)) | edges)
-            self._inner[side] = (xs, log_potential_far(self.f, self.kernel, np.log(xs), side).tolist())
+            xs = np.array(sorted(set(np.geomspace(lo, hi, self._inner_n)) | edges))
+            self._inner[side] = (xs, log_potential_far(self.f, self.kernel, np.log(xs), side))
         return self._inner[side]
 
     # -- assembly -------------------------------------------------------------
@@ -239,18 +233,14 @@ class PotentialNormEvaluator:
         self, side: float, q: float, near: bool, stride: int = 1
     ) -> float:
         """log integral over one near/far table, growing it until covered."""
-        extend = self._extend_near if near else self._extend_far
-        table = self._near_table(side) if near else self._far_table(side)
         cap = 5.0e4
         while True:
-            coords, vals = table
-            g = [q * v + (-c if near else c) for c, v in zip(coords, vals)]
-            finite = [gi for gi in g if gi > -math.inf]
-            if not finite:
+            coords, vals = self._grown_table(side, near)
+            g = q * vals + (-coords if near else coords)
+            g_max = g.max()
+            if g_max == -math.inf:
                 return -math.inf
-            g_max = max(finite)
-            tail_ok = g[-1] <= g_max - _LOG_DECAY_MARGIN and g[-1] <= g[-2] <= g[-3]
-            if tail_ok:
+            if g[-1] <= g_max - _LOG_DECAY_MARGIN and g[-1] <= g[-2] <= g[-3]:
                 break
             if coords[-1] >= cap:
                 if g[-1] >= g_max - 1.0:
@@ -260,23 +250,12 @@ class PotentialNormEvaluator:
                 raise ToleranceError(
                     f"potential table for {self.f.label} exceeded its range cap", achieved=math.inf
                 )
-            extend(side, coords[-1] * 2.0)
-        coords, vals = table
-        cs = coords[::stride]
-        gs = [q * v + (-c if near else c) for c, v in zip(coords, vals)][::stride]
-        if cs[-1] != coords[-1]:
-            cs = cs + [coords[-1]]
-            gs = gs + [q * vals[-1] + (-coords[-1] if near else coords[-1])]
-        return log_piecewise_integral(cs, gs)
+            self._extend(side, near, coords[-1] * 2.0)
+        return _strided_log_integral(coords, g, stride)
 
     def _inner_log_integral(self, side: float, q: float, stride: int = 1) -> float:
         xs, vals = self._inner_table(side)
-        cs = xs[::stride]
-        gs = [q * v for v in vals][::stride]
-        if cs[-1] != xs[-1]:
-            cs = cs + [xs[-1]]
-            gs = gs + [q * vals[-1]]
-        return log_piecewise_integral(cs, gs)
+        return _strided_log_integral(xs, q * vals, stride)
 
     def _log_qnorm_power(self, q: float, stride: int = 1) -> float:
         total = -math.inf
@@ -322,6 +301,14 @@ class PotentialNormEvaluator:
     def restricted_log_qnorm(self, q: float, side: float) -> float:
         """ln of the norm restricted to one near region (|x| <= 1/e, one sign)."""
         return self._grown_log_integral(side, q, near=True) / q
+
+
+def _strided_log_integral(coords: np.ndarray, g: np.ndarray, stride: int) -> float:
+    """log_piecewise_integral over every stride-th point of the grid, its last point kept."""
+    keep = np.arange(0, len(coords), stride)
+    if keep[-1] != len(coords) - 1:
+        keep = np.append(keep, len(coords) - 1)
+    return log_piecewise_integral(coords[keep], g[keep])
 
 
 # ---------------------------------------------------------------------------

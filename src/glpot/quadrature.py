@@ -238,26 +238,24 @@ def logsumexp_pair(a: float, b: float) -> float:
     return m + math.log(math.exp(a - m) + math.exp(b - m))
 
 
-def log_panel_integral(y1: float, y2: float, g1: float, g2: float) -> float:
-    """log of the exact integral of exp(linear interpolant of g) over [y1, y2]."""
-    h = y2 - y1
-    if h <= 0.0:
-        return -math.inf
-    b = (g2 - g1) / h
-    m = max(g1, g2)
-    if m == -math.inf:
-        return -math.inf
-    if abs(b) * h < 1e-12:
-        return m + math.log(h)
-    val = (math.exp(g2 - m) - math.exp(g1 - m)) / b
-    if val <= 0.0:
-        return -math.inf
-    return m + math.log(val)
-
-
 def log_piecewise_integral(ys, gs) -> float:
-    """log of the integral of exp(piecewise-linear g) over the grid ``ys``."""
-    total = -math.inf
-    for i in range(len(ys) - 1):
-        total = logsumexp_pair(total, log_panel_integral(ys[i], ys[i + 1], gs[i], gs[i + 1]))
-    return total
+    """log of the integral of exp(piecewise-linear g) over the grid ``ys``.
+
+    Each panel's integral is exact for the linear interpolant of g (its
+    width times e^max(g) when g is flat to 1e-12 over it), all panels at
+    once; their logs are then summed shifted by the largest.  A panel of
+    zero width, or one where g is -inf at either end, adds nothing.
+    """
+    ys, gs = np.asarray(ys, dtype=float), np.asarray(gs, dtype=float)
+    h, g1, g2 = np.diff(ys), gs[:-1], gs[1:]
+    m = np.maximum(g1, g2)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        b = (g2 - g1) / h
+        flat = np.abs(b) * h < 1e-12
+        # a zero-width panel or a -inf end leaves val 0 or nan, which the mask drops
+        val = np.where(flat, h, (np.exp(g2 - m) - np.exp(g1 - m)) / b)
+        logs = np.where(val > 0.0, m + np.log(val), -np.inf)
+    top = logs.max(initial=-np.inf)
+    if top == -np.inf:
+        return -math.inf
+    return float(top + np.log(np.exp(logs - top).sum()))

@@ -7,11 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from glpot import KernelSpec, PotentialNormEvaluator, TestFunction, log_potential_far, log_potential_near
+from glpot import KernelSpec, PotentialNormEvaluator, TestFunction, apply_kernel_report, log_potential_far, log_potential_near
 from glpot import quadrature
+from glpot.catalog import INV_E
 from glpot.errors import ToleranceError
+from glpot.experiments import ExperimentConfig, _e6_potentials, _run_e6
 from glpot.psi import SlowlyVarying
-from glpot.quadrature import integrate_batch
+from glpot.quadrature import integrate_batch, log_piecewise_integral
 
 # ---------------------------------------------------------------------------
 # the rule
@@ -127,3 +129,93 @@ def test_potential_norm_tables_never_reach_quadpack(monkeypatch):
         assert math.isfinite(PotentialNormEvaluator(f, RIESZ).log_qnorm(4.0))
     ev = PotentialNormEvaluator(TestFunction.f_zero(0.5, 1.0), TRUNCATED)
     assert math.isfinite(ev.restricted_log_qnorm(8.0, 1.0))
+
+
+# ---------------------------------------------------------------------------
+# E6's potentials come from the same batched path
+# ---------------------------------------------------------------------------
+
+E6_FORMS = {f.label: f for f in (TestFunction.indicator(0.0, 1.0), TestFunction.f_delta(0.5, 0.0))}
+
+
+def _assert_matches_apply_kernel(f, x, pot):
+    ref = apply_kernel_report(f, float(x), RIESZ)
+    assert abs(pot - ref.value) <= max(ref.error, 1e-12 * ref.value), (f.label, x)
+
+
+def test_e6_potentials_match_apply_kernel_at_every_grid_point():
+    result = _run_e6(ExperimentConfig(name="E6_maximal_domination"))
+    assert len(result.csv_rows) == 400
+    for label, x, _, pot, _ in result.csv_rows:
+        _assert_matches_apply_kernel(E6_FORMS[label], x, pot)
+
+
+@pytest.mark.parametrize("label", sorted(E6_FORMS))
+def test_e6_potentials_match_apply_kernel_at_the_edges(label):
+    # the indicator ends at 1, f_delta at 1/e; 1e-9 sits next to f_delta's singularity
+    xs = np.array([-1.0, -INV_E, 1e-9, INV_E, 1.0])
+    for x, pot in zip(xs, _e6_potentials(E6_FORMS[label], RIESZ, xs)):
+        _assert_matches_apply_kernel(E6_FORMS[label], x, pot)
+
+
+def test_e6_never_reaches_quadpack(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("QUADPACK called while running E6")
+
+    monkeypatch.setattr(quadrature, "_quad", refuse)
+    assert _run_e6(ExperimentConfig(name="E6_maximal_domination")).passed
+
+
+# ---------------------------------------------------------------------------
+# log-space assembly of the potential norms
+# ---------------------------------------------------------------------------
+
+
+def _scalar_log_piecewise_integral(ys, gs):
+    """The panel-by-panel formula the array version replaced."""
+
+    def panel(y1, y2, g1, g2):
+        h = y2 - y1
+        if h <= 0.0:
+            return -math.inf
+        b = (g2 - g1) / h
+        m = max(g1, g2)
+        if m == -math.inf:
+            return -math.inf
+        if abs(b) * h < 1e-12:
+            return m + math.log(h)
+        val = (math.exp(g2 - m) - math.exp(g1 - m)) / b
+        return m + math.log(val) if val > 0.0 else -math.inf
+
+    total = -math.inf
+    for i in range(len(ys) - 1):
+        total = quadrature.logsumexp_pair(total, panel(ys[i], ys[i + 1], gs[i], gs[i + 1]))
+    return total
+
+
+WIDTHS = st.one_of(st.just(0.0), st.floats(1e-6, 10.0))
+STEPS = st.one_of(st.just(0.0), st.floats(-1e-13, 1e-13), st.floats(-40.0, 40.0))  # flat, nearly flat, sloped
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    start=st.floats(-50.0, 50.0),
+    g0=st.floats(-700.0, 700.0),
+    panels=st.lists(st.tuples(WIDTHS, STEPS, st.booleans()), min_size=1, max_size=40),
+)
+def test_log_piecewise_integral_matches_the_scalar_panel_formula(start, g0, panels):
+    ys, gs, g = [start], [g0], g0
+    for width, step, dropped in panels:
+        g += step
+        ys.append(ys[-1] + width)
+        gs.append(-math.inf if dropped else g)
+    want = _scalar_log_piecewise_integral(ys, gs)
+    got = log_piecewise_integral(np.array(ys), np.array(gs))
+    if want == -math.inf:
+        assert got == -math.inf
+    else:
+        assert abs(got - want) <= 8 * math.ulp(max(abs(want), 1.0))
+
+
+def test_log_piecewise_integral_of_an_all_minus_inf_grid():
+    assert log_piecewise_integral(np.array([0.0, 1.0, 3.0]), np.full(3, -np.inf)) == -math.inf

@@ -1,7 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad as sp_quad
 
 from glpot import (
@@ -18,6 +21,7 @@ from glpot import (
     lp_norm_report,
     weak_lp_quasinorm,
 )
+from glpot import norms
 from glpot.catalog import MonotoneBranch, Piece, Singularity
 from glpot.quadrature import integrate_decaying
 
@@ -322,3 +326,44 @@ class TestWeakQuasinorm:
     )
     def test_dominated_by_strong_norm(self, f, p):
         assert weak_lp_quasinorm(f, p) <= lp_norm(f, p) * (1.0 + 1e-9)
+
+
+# ---------------------------------------------------------------------------
+# properties over drawn catalog forms
+# ---------------------------------------------------------------------------
+
+ALPHAS = st.floats(0.1, 0.6)  # every p below is under 1/alpha
+DELTAS = st.floats(0.0, 2.0)
+FORMS = st.one_of(
+    st.builds(TestFunction.f_delta, ALPHAS, DELTAS),
+    st.builds(TestFunction.g_delta, DELTAS),
+    st.builds(TestFunction.h_delta, ALPHAS, DELTAS),
+    st.builds(TestFunction.big_r, ALPHAS, DELTAS),
+    st.builds(lambda lo, width: TestFunction.indicator(lo, lo + width), st.floats(-5.0, 5.0), st.floats(0.01, 10.0)),
+)
+LEVELS = st.floats(-8.0, 8.0).map(math.exp)
+
+
+@settings(max_examples=60, deadline=None)
+@given(f=FORMS, c=st.floats(1e-3, 1e3), p=st.floats(1.05, 1.6))
+def test_norm_scales_with_the_coefficient(f, c, p):
+    scaled = dataclasses.replace(f, coefficient=c * f.coefficient)
+    assert lp_norm(scaled, p) == pytest.approx(c * lp_norm(f, p), rel=1e-9)
+
+
+@settings(max_examples=100, deadline=None)
+@given(f=FORMS, a=LEVELS, b=LEVELS)
+def test_distribution_function_does_not_increase_with_the_level(f, a, b):
+    lo, hi = sorted((a, b))
+    assert distribution_function(f, lo) >= distribution_function(f, hi)
+
+
+@settings(max_examples=100, deadline=None)
+@given(f=FORMS, level=LEVELS)
+def test_rearrangement_is_equimeasurable(f, level):
+    # f* decreases, so |{f* > level}| = m_f(level) = t means f*(t) <= level < f*(s) for s < t
+    t = distribution_function(f, level)
+    if not 0.0 < t < math.inf:
+        return
+    assert decreasing_rearrangement(f, t) <= level + 2.0 * norms._BRENT_TOL * max(1.0, level)
+    assert decreasing_rearrangement(f, t * (1.0 - 1e-6)) >= level
