@@ -61,8 +61,27 @@ class Piece:
         return math.log(abs(self.lo) if self.hi == math.inf else abs(self.hi))
 
     def rate(self, p: float) -> float:
-        """c with |x|^(-power p) dx = e^(-c y) dy in y = |ln|x|| (c > 0: |f|^p decays in y)."""
-        return 1.0 - self.power * p if self.role == "origin" else self.power * p - 1.0
+        """c with |x|^(-power p) dx = e^(-c y) dy in y = |ln|x|| (c > 0: |f|^p decays in y).
+
+        Correctly rounded: next to the endpoint p = 1/power, c is tiny and the
+        rounding error of power p alone would be a large part of it.
+        """
+        product, error = _two_product(self.power, p)
+        return (1.0 - product) - error if self.role == "origin" else (product - 1.0) + error
+
+
+def _two_product(a: float, b: float) -> tuple[float, float]:
+    """(a b rounded, its rounding error), exactly: Dekker's product of Veltkamp halves."""
+    product = a * b
+    (a_hi, a_lo), (b_hi, b_lo) = _halves(a), _halves(b)
+    return product, ((a_hi * b_hi - product) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+
+
+def _halves(a: float) -> tuple[float, float]:
+    """a as the sum of two floats of at most 26 significant bits each."""
+    t = 134217729.0 * a  # 2^27 + 1
+    hi = t - (t - a)
+    return hi, a - hi
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ import numpy as np
 from .catalog import TestFunction
 from .errors import DivergenceError, DomainError, ToleranceError
 from .exponents import PotentialParams, sobolev_q
-from .norms import lp_norm
+from .norms import _lp_norms, check_lp_convergence, lp_norm
 from .potentials import KernelSpec, log_potential_far, log_potential_near
 from .psi import PsiFunction
 from .quadrature import QuadratureSpec, log_piecewise_integral, logsumexp_pair
@@ -94,47 +94,42 @@ def _grand_grid(a: float, b: float, base: int = 64, depth: int = 30) -> tuple[li
 def grand_norm(f: TestFunction, psi: PsiFunction, spec: QuadratureSpec | None = None) -> GrandNormReport:
     """sup over a refined p-grid of |f|_p / psi(p).
 
-    Divergent grid points, and points whose norm misses the quadrature
-    tolerance, are excluded and recorded.  An endpoint flag is set when the
-    ratio still climbs by more than 1% between the last two refinement
-    levels, or the last one is unreachable (the sup is then suspected
-    infinite at that endpoint).
+    The norms of the whole grid are one batched computation, each the same,
+    bit for bit, as lp_norm at that p.  Divergent grid points, and points
+    whose norm misses the quadrature tolerance, are excluded and recorded.
+    An endpoint flag is set when the ratio still climbs by more than 1%
+    between the last two refinement levels, or the last one is unreachable
+    (the sup is then suspected infinite at that endpoint).
     """
     spec = spec or QuadratureSpec()
     interior, left, right = _grand_grid(psi.a, psi.b)
+    grid_all = interior + left + right
     divergent: list[float] = []
-    inaccurate: list[float] = []
-    evaluated: dict[float, float] = {}
-
-    def ratio(p: float) -> Optional[float]:
-        if p in evaluated:
-            return evaluated[p]
+    convergent: list[float] = []
+    for p in dict.fromkeys(grid_all):
         if not psi.contains(p) or p < 1.0:
-            return None
-        val = None
+            continue
         try:
-            val = lp_norm(f, p, spec) / psi(p)
+            check_lp_convergence(f, p)
+            convergent.append(p)
         except DivergenceError:
             divergent.append(p)
-        except ToleranceError:
-            inaccurate.append(p)
-        evaluated[p] = val
-        return val
+    values, rels = _lp_norms(f, np.array(convergent)) if convergent else ((), ())
+    inaccurate = [p for p, rel in zip(convergent, rels) if not rel <= spec.rel_tol]
+    ratios = {p: float(value) / psi(p) for p, value, rel in zip(convergent, values, rels) if rel <= spec.rel_tol}
 
     best, best_p = -math.inf, math.nan
-    grid_all: list[float] = []
-    for p in interior + left + right:
-        grid_all.append(p)
-        val = ratio(p)
+    for p in grid_all:
+        val = ratios.get(p)
         if val is not None and val > best:
             best, best_p = val, p
 
     def climbing(seq: list[float]) -> bool:
         if not seq:
             return False
-        if ratio(seq[-1]) is None:
+        if seq[-1] not in ratios:
             return True  # the endpoint is unreachable: |f|_p diverges there
-        vals = [v for v in (ratio(p) for p in seq) if v is not None]
+        vals = [ratios[p] for p in seq if p in ratios]
         if len(vals) < 2:
             return False
         return vals[-1] > vals[-2] * 1.01

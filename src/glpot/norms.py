@@ -1,25 +1,30 @@
 """L_p norms, distribution functions and rearrangements of catalog functions.
 
-The quadrature route splits |f|^p at every singularity, moves log-singular
-pieces to the variable y = |ln|x|| (where they become gamma-type integrands),
-and truncates infinite ranges by the tail rule of the quadrature spec.  The
-closed-form route expresses every catalog form with a constant slow factor
-through the upper incomplete gamma function and serves as an independent
-oracle.
+The quadrature route splits |f|^p at every singularity and moves each
+singular piece to the variable y = |ln|x||, where |f|^p dx becomes the
+gamma-type integrand e^(-c y) y^m (times the slow factor).  Every exponent
+of a request is one row of the batched Gauss-Legendre rule
+(:func:`~glpot.quadrature.integrate_batch`): doubling panels outward from
+the integrand's peak, cut where the tail rule of ``BATCH_SPEC`` drops the
+rest, so a single p and a whole grand-norm grid run the same code and get
+the same bits.  A plain catalog piece is exact.  The closed-form route
+expresses every catalog form with a constant slow factor through the upper
+incomplete gamma function and serves as an independent oracle.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-import warnings
+import sys
 from typing import NamedTuple
 
-from scipy.integrate import IntegrationWarning
+import numpy as np
 from scipy.optimize import brentq
 
 from .catalog import MonotoneBranch, Piece, TestFunction
 from .errors import DivergenceError, DomainError, ToleranceError
-from .quadrature import QuadratureSpec, integrate_decaying, integrate_panel, logsumexp_pair
+from .quadrature import BATCH_SPEC, QuadratureSpec, integrate_batch, logsumexp_pair
 from .special import log_upper_gamma
 
 
@@ -45,109 +50,155 @@ def check_lp_convergence(f: TestFunction, p: float) -> None:
             )
 
 
-def _piece_log_abs(f: TestFunction, piece: Piece, y: float) -> float:
-    """ln|f| at |x| = e^(-y) (origin piece) or e^y (tail piece), exactly.
+_EPS = sys.float_info.epsilon
+#: panel ends from y0 to halfway up to the peak, as fractions of that range:
+#: halving toward y0, where the slow factor and, at y0 = 0 (a piece ending at
+#: |x| = 1), y^m vary on the scale of y0 or less
+_TOWARD_Y0 = np.concatenate([[0.0], 2.0 ** -np.arange(40, -1, -1)])
 
-    The catalog densities coincide with their annotation |x|^-power
-    |ln|x||^log_power (times the slow factor) throughout the piece; user
-    densities are evaluated directly while |x| is representable and through
-    their decay hint beyond.
+
+def _log_extra(f: TestFunction, piece: Piece):
+    """y -> ln|f| minus the piece's annotation coefficient |x|^-power |ln|x||^log_power, or None if 0.
+
+    For a catalog form that is ln S(y) of a varying slow factor.  A user
+    density is evaluated while |x| = e^(-+y) is representable and follows
+    its annotation beyond.
     """
-    sign_y = piece.power if piece.role == "origin" else -piece.power
     if f.evaluator is None:
-        val = math.log(f.coefficient) + sign_y * y
+        if f.slow is None or f.slow.is_constant:
+            return None
+        slow = np.vectorize(f.slow, otypes=[float])
+        return lambda y: np.log(slow(y))
+    sign_x = 1.0 if piece.hi > 0.0 else -1.0
+    sign_y = -1.0 if piece.role == "origin" else 1.0
+    density = np.vectorize(f, otypes=[float])
+
+    def extra(y):
+        near = y <= 700.0
+        with np.errstate(divide="ignore"):
+            log_abs = np.log(np.abs(density(sign_x * np.exp(sign_y * np.minimum(y, 700.0)))))
+        annotation = math.log(f.coefficient) - sign_y * piece.power * y
         if piece.log_power != 0.0:
-            val += piece.log_power * math.log(max(y, 1e-300))
-        if f.slow is not None:
-            val += math.log(f.slow(y))
-        return val
-    if y <= 700.0:
-        x = math.exp(-y) if piece.role == "origin" else math.exp(y)
-        x = x if piece.hi > 0.0 or piece.hi == math.inf else -x
-        v = abs(f(x))
-        if v > 0.0:
-            return math.log(v)
-    return math.log(f.coefficient) + sign_y * y + piece.log_power * math.log(max(y, 1e-300))
+            annotation = annotation + piece.log_power * np.log(y)
+        return np.where(near & (log_abs > -np.inf), log_abs - annotation, 0.0)
+
+    return extra
 
 
-def _log_piece_integral(f: TestFunction, piece: Piece, p: float, spec: QuadratureSpec) -> tuple[float, float]:
-    """(ln of the |f|^p integral over one singular piece, relative error).
+def _log_singular_integrals(f: TestFunction, piece: Piece, ps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(ln of the |f|^p integral over one singular piece, its relative error) for every p.
 
-    The transformed integrand exp(p ln|f| -+ y) is rescaled by its peak so
-    arbitrarily large p cannot underflow the quadrature.
+    In y the integrand is C^p e^(-c y) y^m e^(p extra(y)), c = Piece.rate(p)
+    and m = log_power p.  It is integrated in s = y - y_peak, the offset from
+    its peak y_peak = max(y0, m/c), as exp(-c s + m ln(1 + s/y_peak) + ...):
+    each term is small where the integrand is not, so none is the difference
+    of two terms of size p power y, however large p or close to an endpoint
+    of its interval.
     """
-    y0, decay = piece.y0, piece.rate(p)
-    orient = -1.0 if piece.role == "origin" else 1.0
+    c = np.array([piece.rate(p) for p in ps])
+    if not (c > 0.0).all():
+        raise DomainError(f"|{f.label}|_p: the batched rule needs |f|^p to decay exponentially in |ln|x||")
+    m = piece.log_power * ps
+    y0 = piece.y0
+    y_peak = np.where(m > 0.0, np.maximum(y0, m / c), y0)
+    ln_peak = np.log(y_peak, out=np.zeros_like(y_peak), where=(m != 0.0))
+    right = np.array([BATCH_SPEC.tail_cutoff(ci, mi, y0) for ci, mi in zip(c, m)]) - y_peak
+    left = (y0 - y_peak) / 2.0
+    # in s: doubling panels outward from the peak, the first min(1, 4/c) wide to resolve it, right
+    # to the tail cut and left to halfway down to y0; from there, panels halving toward y0
+    width = np.minimum(1.0, 4.0 / c)
+    n_doubling = int(np.ceil(np.log2(np.maximum(right, -left) / width + 1.0).max())) + 1
+    doubling = width[:, None] * (2.0 ** np.arange(n_doubling + 1) - 1.0)
+    outward_right, outward_left = np.minimum(doubling, right[:, None]), np.maximum(-doubling, left[:, None])
+    below = (y0 - y_peak)[:, None] * (1.0 - _TOWARD_Y0 / 2.0)
+    lo = np.concatenate([below[:, :-1], outward_left[:, 1:], outward_right[:, :-1]], axis=1)
+    hi = np.concatenate([below[:, 1:], outward_left[:, :-1], outward_right[:, 1:]], axis=1)
+    extra = _log_extra(f, piece)
+    extra_peak = np.zeros(len(ps)) if extra is None else extra(y_peak)
 
-    def log_integrand(y: float) -> float:
-        return p * _piece_log_abs(f, piece, y) + orient * y
+    def exponent(rows, s):
+        g = -c[rows, None] * s
+        if piece.log_power != 0.0:
+            g += m[rows, None] * np.log1p(s / y_peak[rows, None])
+        if extra is not None:
+            g += ps[rows, None] * (extra(y_peak[rows, None] + s) - extra_peak[rows, None])
+        return g
 
-    # peak of e^{-c y} y^m sits at y = m/c
-    m = piece.log_power * p
-    y_peak = max(y0, m / decay) if decay > 0.0 and m > 0.0 else y0
-    shift = max(log_integrand(y0), log_integrand(y_peak))
-
-    def integrand(y: float) -> float:
-        return math.exp(log_integrand(y) - shift)
-
-    if decay > 0.0:
-        width = min(1.0, 4.0 / decay)  # resolve the boundary layer at huge p
-        v, e = integrate_decaying(integrand, y0, spec, decay_rate=decay, poly_degree=m, first_width=width)
-    else:
-        v, e = integrate_decaying(integrand, y0, spec)
-    if v <= 0.0:
-        return -math.inf, 0.0
-    return shift + math.log(v), e / v
+    value, error = integrate_batch(lambda rows, s: np.exp(exponent(rows, s)), lo, hi)
+    # the cut tail is below 2 e^-cT T^m / c: the cutoff T keeps cT > 2m + 2
+    tail = 2.0 * np.exp(exponent(slice(None), right[:, None])[:, 0]) / c
+    shift = ps * math.log(f.coefficient) - c * y_peak + m * ln_peak + ps * extra_peak
+    return shift + np.log(value), (error + tail) / value
 
 
-def _log_plain_piece(f: TestFunction, piece: Piece, p: float, spec: QuadratureSpec) -> tuple[float, float]:
-    """(ln of the |f|^p integral over a bounded piece, relative error)."""
-    xs = [piece.lo + (piece.hi - piece.lo) * i / 128.0 for i in range(129)]
-    peak = max(abs(f(x)) for x in xs)
+def _log_plain_integrals(f: TestFunction, piece: Piece, ps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(ln of the |f|^p integral over a bounded piece, its relative error) for every p.
+
+    A catalog piece is the constant coefficient, so the integral is exact.
+    A user density is integrated relative to its largest sampled value.
+    """
+    length = piece.hi - piece.lo
+    if f.evaluator is None:
+        return ps * math.log(f.coefficient) + math.log(length), np.zeros(len(ps))
+    density = np.vectorize(f, otypes=[float])
+    peak = np.abs(density(np.linspace(piece.lo, piece.hi, 129))).max()
     if peak == 0.0:
-        return -math.inf, 0.0
-    v, e = integrate_panel(lambda x: (abs(f(x)) / peak) ** p, piece.lo, piece.hi, spec)
-    if v <= 0.0:
-        return -math.inf, 0.0
-    return p * math.log(peak) + math.log(v), e / v
+        return np.full(len(ps), -np.inf), np.zeros(len(ps))
+    value, error = integrate_batch(
+        lambda rows, x: (np.abs(density(x)) / peak) ** ps[rows, None],
+        np.full((len(ps), 1), piece.lo),
+        np.full((len(ps), 1), piece.hi),
+    )
+    with np.errstate(divide="ignore"):
+        return ps * math.log(peak) + np.log(value), error / value
+
+
+def _log_lp_integrals(f: TestFunction, ps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """ln of each piece's integral of |f|^p and that integral's relative error, one column per p.
+
+    Every p must be >= 1 and pass check_lp_convergence.  Each singular piece
+    is one integrate_batch call with a row per p, so a p's column does not
+    depend on the other exponents of the request.
+    """
+    logs, rels = np.empty((2, len(f.pieces), len(ps)))
+    for i, piece in enumerate(f.pieces):
+        if piece.role == "plain":
+            logs[i], rels[i] = _log_plain_integrals(f, piece, ps)
+        elif piece.role in ("origin", "tail"):
+            logs[i], rels[i] = _log_singular_integrals(f, piece, ps)
+        else:
+            raise DomainError(f"unknown piece role {piece.role!r}")
+    return logs, rels
+
+
+def _lp_norms(f: TestFunction, ps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(|f|_p, its relative error) for every p of a request, each p on its own column."""
+    logs, rels = _log_lp_integrals(f, ps)
+    log_total = functools.reduce(np.logaddexp, logs)
+    with np.errstate(invalid="ignore"):  # nan where every piece is 0, dropped below
+        # each piece's relative error, weighted by its share of the total
+        rel = sum(r * np.exp(lv - log_total) for lv, r in zip(logs, rels))
+    # the n-against-2n estimate misses rounding: a few ulps of ln|f|_p^p, then of the last exp
+    rel = (rel + _EPS * (8.0 + np.abs(log_total))) / ps + _EPS  # of the norm, not of its p-th power
+    return np.exp(log_total / ps), np.where(log_total == -np.inf, 0.0, rel)
 
 
 def lp_norm_report(f: TestFunction, p: float, spec: QuadratureSpec | None = None) -> NormResult:
     """(integral of |f|^p)^(1/p) with an error estimate, by singular quadrature.
 
     Pieces are accumulated in log space, so norms stay accurate even when
-    the p-th power integral itself would under- or overflow.  QUADPACK's
-    warnings are silenced: the error check below decides whether the norm is
-    accurate enough.
+    the p-th power integral itself would under- or overflow.  The reported
+    error is the batched rule's n-against-2n estimate plus a rounding floor;
+    past ``spec.rel_tol`` it raises ToleranceError.
     """
     if p < 1.0:
         raise DomainError(f"p must be >= 1, got {p}")
     spec = spec or QuadratureSpec()
     check_lp_convergence(f, p)
-    logs: list[float] = []
-    rels: list[float] = []
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        for piece in f.pieces:
-            if piece.role == "plain":
-                lv, rel = _log_plain_piece(f, piece, p, spec)
-            elif piece.role in ("origin", "tail"):
-                lv, rel = _log_piece_integral(f, piece, p, spec)
-            else:
-                raise DomainError(f"unknown piece role {piece.role!r}")
-            logs.append(lv)
-            rels.append(rel)
-    log_total = -math.inf
-    for lv in logs:
-        log_total = logsumexp_pair(log_total, lv)
-    if log_total == -math.inf:
-        return NormResult(0.0, 0.0)
-    # weight each piece's relative error by its share of the total
-    rel = sum(r * math.exp(lv - log_total) for lv, r in zip(logs, rels) if lv > -math.inf)
-    rel /= p  # relative error of the norm, not of its p-th power
-    if rel > spec.rel_tol:
-        raise ToleranceError(f"|{f.label}|_{p:.17g} quadrature too inaccurate", achieved=rel)
-    return NormResult(math.exp(log_total / p), rel)
+    values, rels = _lp_norms(f, np.array([float(p)]))
+    if not rels[0] <= spec.rel_tol:
+        raise ToleranceError(f"|{f.label}|_{p:.17g} quadrature too inaccurate", achieved=float(rels[0]))
+    return NormResult(float(values[0]), float(rels[0]))
 
 
 def lp_norm(f: TestFunction, p: float, spec: QuadratureSpec | None = None) -> float:
@@ -303,6 +354,7 @@ def decreasing_rearrangement(f: TestFunction, t: float) -> float:
             return 0.0
         if distribution_function(f, lo) > t:
             break
+        hi = lo  # the bracket stays within a factor 2, so the relative width below is reached
     else:
         return 0.0
     for _ in range(120):
@@ -311,7 +363,7 @@ def decreasing_rearrangement(f: TestFunction, t: float) -> float:
             hi = mid
         else:
             lo = mid
-        if hi - lo <= _BRENT_TOL * max(1.0, hi):
+        if hi - lo <= _BRENT_TOL * hi:
             break
     return hi
 

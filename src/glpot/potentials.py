@@ -396,11 +396,20 @@ def _log_factor(a: np.ndarray, power: float, slow: Optional[SlowlyVarying]) -> n
     return val if slow is None else val * np.vectorize(slow, otypes=[float])(a)
 
 
+def _resolved(result: IntegralResult) -> np.ndarray:
+    """The values of an integrate_batch result; ToleranceError if a row is unresolved at the depth cap."""
+    if not np.isfinite(result.error).all():
+        raise ToleranceError(
+            f"batched quadrature missed its tolerance after {BATCH_SPEC.max_depth} bisections", achieved=math.inf
+        )
+    return result.value
+
+
 def _log_power_panel(rest, exponent: float, v_lo: np.ndarray, scale: np.ndarray) -> np.ndarray:
     """scale + ln of the integral of v^exponent rest(rows, v) over v in (v_lo, 1), one row per point."""
     s = 1.0 + exponent
-    value, _ = integrate_batch(
-        lambda rows, w: rest(rows, w ** (1.0 / s)) / s, (v_lo**s)[:, None], np.ones((len(v_lo), 1))
+    value = _resolved(
+        integrate_batch(lambda rows, w: rest(rows, w ** (1.0 / s)) / s, (v_lo**s)[:, None], np.ones((len(v_lo), 1)))
     )
     return scale + _log(value)
 
@@ -424,8 +433,7 @@ def _log_outward(make, k: float, near: np.ndarray, far: np.ndarray, step: float,
     flip = k * far > k * near
     lo, hi = np.where(flip[:, None], length[:, None] - hi, lo), np.where(flip[:, None], length[:, None] - lo, hi)
     fn, scale = make(np.where(flip, far, near), np.where(flip, -step, step))
-    value, _ = integrate_batch(fn, lo, hi)
-    return scale + _log(value)
+    return scale + _log(_resolved(integrate_batch(fn, lo, hi)))
 
 
 def _log_piece_integral(f: TestFunction, piece: Piece, kernel: KernelSpec, ln_x: np.ndarray, sigma: float,

@@ -2,14 +2,14 @@
 
 The splitting and substitution logic (what turns a singular integral into a
 sequence of well-behaved panels) lives here and in the callers.  Two rules
-integrate the panels.  Scalar integrands, one point at a time (norms,
-masses, pointwise potentials), go to QUADPACK via
-:func:`scipy.integrate.quad`.  Integrands evaluated on arrays, for many
-points at once (the scaled potentials behind the potential-norm tables), go
-to :func:`integrate_batch`: composite Gauss-Legendre that compares n and 2n
-nodes on every panel, the idea behind the Gauss-Kronrod pairs of Piessens
-et al., *QUADPACK* (1983), and bisects, all together, only the panels that
-miss the tolerance.
+integrate the panels.  Scalar integrands, one point at a time (masses and
+pointwise potentials), go to QUADPACK via :func:`scipy.integrate.quad`.
+Integrands evaluated on arrays, for many points at once (the L_p norms of
+every exponent of a request, and the scaled potentials behind the
+potential-norm tables), go to :func:`integrate_batch`: composite
+Gauss-Legendre that compares n and 2n nodes on every panel, the idea behind
+the Gauss-Kronrod pairs of Piessens et al., *QUADPACK* (1983), and bisects,
+all together, only the panels that miss the tolerance.
 """
 
 from __future__ import annotations
@@ -176,7 +176,8 @@ def integrate_batch(fn: Callable[[np.ndarray, np.ndarray], np.ndarray], lo: np.n
     Every panel is integrated at n and 2n nodes, and a panel whose two
     values differ by more than BATCH_SPEC.rel_tol of its integral's first
     estimate is bisected, all such panels together, up to
-    BATCH_SPEC.max_depth times; beyond that ToleranceError is raised.
+    BATCH_SPEC.max_depth times; a row with a panel still unresolved then
+    gets the error inf, and the other rows are unaffected.
     Returns the 2n-node values and the summed differences, one per row.
     A row's result depends on that row alone, bit for bit: not on the
     other rows, their number or their order.
@@ -187,45 +188,38 @@ def integrate_batch(fn: Callable[[np.ndarray, np.ndarray], np.ndarray], lo: np.n
     a, b, rows = lo[panel_rows, panel_cols], hi[panel_rows, panel_cols], panel_rows
     levels = []  # per depth: (value, error, bisected) of its panels
     tol = None
-    for _ in range(BATCH_SPEC.max_depth + 1):
+    for depth in range(BATCH_SPEC.max_depth + 1):
         width = b - a
         f = fn(rows, a[:, None] + width[:, None] * x)
         coarse = (f[:, :_GL_N] * w1).sum(axis=1) * width
         value = (f[:, _GL_N:] * w2).sum(axis=1) * width
         error = np.abs(value - coarse)
         if tol is None:
-            tol = BATCH_SPEC.rel_tol * np.abs(_row_sums(value, rows, panel_cols, n_rows, n_panels))
+            first_sums = _row_sums(value, rows, panel_cols, n_rows, n_panels)
+            tol = BATCH_SPEC.rel_tol * np.abs(first_sums)
         bisect = error > tol[rows]
+        if depth == BATCH_SPEC.max_depth:
+            error[bisect] = np.inf  # unresolved at the depth cap
+            bisect[:] = False
         levels.append((value, error, bisect))
         if not bisect.any():
             break
         a, b, rows = a[bisect], b[bisect], rows[bisect]
         mid = a + (b - a) / 2.0
         a, b, rows = np.stack([a, mid], axis=1).ravel(), np.stack([mid, b], axis=1).ravel(), np.repeat(rows, 2)
-    else:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            worst = float(np.max(error[bisect] / np.abs(value[bisect])))
-        raise ToleranceError(
-            f"batched quadrature missed its tolerance after {BATCH_SPEC.max_depth} bisections", achieved=worst
-        )
     for (value, error, bisect), (child_value, child_error, _) in zip(levels[-2::-1], levels[:0:-1]):
         value[bisect] = child_value[0::2] + child_value[1::2]
         error[bisect] = child_error[0::2] + child_error[1::2]
     value, error, _ = levels[0]
-    return IntegralResult(
-        _row_sums(value, panel_rows, panel_cols, n_rows, n_panels),
-        _row_sums(error, panel_rows, panel_cols, n_rows, n_panels),
-    )
+    total = first_sums if len(levels) == 1 else _row_sums(value, panel_rows, panel_cols, n_rows, n_panels)
+    return IntegralResult(total, _row_sums(error, panel_rows, panel_cols, n_rows, n_panels))
 
 
 def _row_sums(values: np.ndarray, rows: np.ndarray, cols: np.ndarray, n_rows: int, n_panels: int) -> np.ndarray:
     """Per-row sums of panel values, added panel by panel in column order."""
     grid = np.zeros((n_rows, n_panels))
     grid[rows, cols] = values
-    total = np.zeros(n_rows)
-    for col in grid.T:
-        total += col
-    return total
+    return np.cumsum(grid, axis=1)[:, -1]
 
 
 def logsumexp_pair(a: float, b: float) -> float:

@@ -7,9 +7,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from glpot import KernelSpec, PotentialNormEvaluator, TestFunction, apply_kernel_report, log_potential_far, log_potential_near
-from glpot import quadrature
+from glpot import (
+    KernelSpec,
+    PotentialNormEvaluator,
+    TestFunction,
+    apply_kernel_report,
+    grand_norm,
+    log_potential_far,
+    log_potential_near,
+    lp_norm_report,
+    parse_psi_spec,
+)
+from glpot import potentials, quadrature
 from glpot.catalog import INV_E
+from glpot.cli import parse_form_spec
 from glpot.errors import ToleranceError
 from glpot.experiments import ExperimentConfig, _e6_potentials, _run_e6
 from glpot.psi import SlowlyVarying
@@ -42,9 +53,19 @@ def test_bisection_reaches_a_log_singularity():
 
 
 def test_depth_cap_raises():
-    # x^-1/2 needs ~2 log2(1/tol) bisections at 0, beyond the cap
+    # x^-1/2 needs ~2 log2(1/tol) bisections at 0, beyond the cap: its row gets the
+    # error inf, a good row of the same batch keeps its bits, and the scaled evaluators raise
+    def singular_then_cubic(rows, x):
+        return np.where(rows[:, None] == 0, x**-0.5, x**3)
+
+    capped = integrate_batch(singular_then_cubic, np.zeros((2, 1)), np.ones((2, 1)))
+    alone = integrate_batch(lambda rows, x: x**3, np.zeros((1, 1)), np.ones((1, 1)))
+    assert capped.error[0] == math.inf
+    assert (capped.value[1], capped.error[1]) == (alone.value[0], alone.error[0])
     with pytest.raises(ToleranceError):
-        integrate_batch(lambda rows, x: x**-0.5, np.zeros((1, 1)), np.ones((1, 1)))
+        potentials._log_power_panel(lambda rows, v: v**-0.5, 0.0, np.zeros(1), np.zeros(1))
+    with pytest.raises(ToleranceError):
+        potentials._log_outward(lambda anchor, sign: (lambda rows, s: s**-0.5, 0.0), -1.0, np.zeros(1), np.ones(1), 1.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -116,7 +137,7 @@ def test_user_slow_factors_are_evaluated_elementwise():
 
 
 # ---------------------------------------------------------------------------
-# potential-norm tables make no QUADPACK call
+# potential-norm tables and L_p norms make no QUADPACK call
 # ---------------------------------------------------------------------------
 
 
@@ -129,6 +150,29 @@ def test_potential_norm_tables_never_reach_quadpack(monkeypatch):
         assert math.isfinite(PotentialNormEvaluator(f, RIESZ).log_qnorm(4.0))
     ev = PotentialNormEvaluator(TestFunction.f_zero(0.5, 1.0), TRUNCATED)
     assert math.isfinite(ev.restricted_log_qnorm(8.0, 1.0))
+
+
+def test_lp_norms_never_reach_quadpack(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("QUADPACK called for an L_p norm")
+
+    monkeypatch.setattr(quadrature, "_quad", refuse)
+    near_two = (1.5, 2.0 - 2.0**-30)  # 2^-30 from the end p = 2 of most of these exponent intervals
+    above_two = (2.0 + 2.0**-30, 3.0)
+    for form, ps in [
+        ("g_delta:1", above_two),
+        ("f_delta:0.5,1", near_two),
+        ("h_delta:0.5,1", near_two),
+        ("f_zero:0.5,1", near_two),
+        ("big_r:0.5,1", near_two),
+        ("big_r:0.3,0.5,1", near_two),
+        ("example3:0.5,1", above_two),
+        ("indicator:-0.5,2", above_two),
+    ]:
+        for p in ps:
+            assert math.isfinite(lp_norm_report(parse_form_spec(form), p).value)
+    report = grand_norm(TestFunction.f_delta(0.5, 1.0), parse_psi_spec("power:a=1,b=2,beta=0,gamma=1.5"))
+    assert math.isfinite(report.value)
 
 
 # ---------------------------------------------------------------------------

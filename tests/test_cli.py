@@ -102,7 +102,7 @@ class TestCliCommands:
         assert code == 0
         assert "value=" in capsys.readouterr().out
 
-    def test_grand_report_survives_inaccurate_points(self, capsys):
+    def test_grand_report_survives_inaccurate_points(self, capsys, far_rows_unresolved):
         # pytest's capture hides warnings from stderr, so they are recorded instead
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")

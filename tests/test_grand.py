@@ -3,7 +3,6 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.integrate import IntegrationWarning
 from scipy.integrate import quad as sp_quad
 
 from glpot import (
@@ -111,22 +110,30 @@ class TestGrandNorm:
         assert report.right_unbounded_suspected
         assert math.isfinite(report.value)
 
-    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")  # the reference lp_norm below
-    def test_inaccurate_points_excluded_and_listed(self):
-        # within ~2e-9 of p = 1, |g_1|_p misses the quadrature tolerance; those
-        # points are listed and skipped instead of aborting the whole report
+    def test_bounded_pair_is_not_flagged(self):
+        # its deepest right points, 2^-29 and 2^-30 below p = 2, once missed the
+        # tolerance, and an unreachable last point set the flag
+        f = TestFunction.f_delta(0.5, 1.0)
+        report = grand_norm(f, parse_psi_spec("power:a=1,b=2,beta=0,gamma=1.5"))
+        assert not (report.left_unbounded_suspected or report.right_unbounded_suspected)
+        assert report.inaccurate_points == () and report.divergent_points == ()
+        assert 2.0 - 2.0**-30 in report.grid
+
+    def test_inaccurate_points_excluded_and_listed(self, far_rows_unresolved):
+        # the points whose rows are unresolved are listed and skipped instead of
+        # aborting the whole report
         g1 = TestFunction.g_delta(1.0)
         psi = parse_psi_spec("power:a=1,b=2,beta=1,gamma=1")
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             report = grand_norm(g1, psi)
-        assert not [w for w in caught if issubclass(w.category, IntegrationWarning)]
+        assert not caught
         assert report.inaccurate_points
         assert all(0.0 < p - 1.0 < 1e-8 for p in report.inaccurate_points)
         assert not set(report.inaccurate_points) & set(report.divergent_points)
         assert report.argmax_p not in report.inaccurate_points
         assert math.isfinite(report.value)
-        assert report.value == pytest.approx(lp_norm(g1, report.argmax_p) / psi(report.argmax_p), rel=1e-12)
+        assert report.value == lp_norm(g1, report.argmax_p) / psi(report.argmax_p)
         # the deepest left point is unreachable, so the left end stays suspect
         assert report.left_unbounded_suspected
 

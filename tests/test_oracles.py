@@ -1,11 +1,11 @@
-"""Pointwise potentials against independent high-precision mpmath quadrature."""
+"""Pointwise potentials and L_p norms against independent high-precision mpmath references."""
 
 import math
 
 import mpmath as mp
 import pytest
 
-from glpot import TestFunction, apply_kernel_report, log_potential_far, log_potential_near, parse_kernel_spec
+from glpot import TestFunction, apply_kernel_report, log_potential_far, log_potential_near, lp_norm_report, parse_kernel_spec
 from glpot.cli import parse_form_spec
 
 
@@ -214,3 +214,88 @@ def test_apply_kernel_against_mpmath(form, kernel, x):
     actual = abs(got.value - want)
     assert actual <= 1e-10 * want
     assert actual <= got.error
+
+
+# ---------------------------------------------------------------------------
+# L_p norms toward the ends of the exponent interval
+# ---------------------------------------------------------------------------
+#
+# |f|_p^p is a textbook integral in y = |ln|x||: int_y0^inf e^(-c y) y^m dy
+# = c^(-m-1) Gamma(m+1, c y0) for a constant slow factor, at 30 digits with
+# the float parameters taken exactly.  A log-power slow factor is integrated
+# by tanh-sinh in u = ln y, where the peak at e^u ~ (m+1)/c is O(1) wide.
+
+#: form -> exponent interval (a, b) of finite norms; the parameter pairs of
+#: f_zero and example3 lie within a factor 2, so gamma - alpha is exact in floats
+LP_FORMS = {
+    "g_delta:0": (1.0, math.inf),
+    "g_delta:1": (1.0, math.inf),
+    "g_delta:2.5": (1.0, math.inf),
+    "f_delta:0.5,0": (1.0, 2.0),
+    "f_delta:0.5,1": (1.0, 2.0),
+    "f_delta:0.3,1.7": (1.0, 1.0 / 0.3),
+    "f_delta:0.25,2": (1.0, 4.0),
+    "h_delta:0.5,1": (1.0, 2.0),
+    "h_delta:0.3,0.4": (1.0, 1.0 / 0.3),
+    "f_zero:0.5,1": (1.0, 2.0),
+    "big_r:0.5,1": (1.0, 2.0),
+    "big_r:0.3,0.5": (1.0, 1.0 / 0.3),
+    "big_r:0.3,0.5,1": (1.0, 1.0 / 0.3),
+    "example3:0.5,1": (2.0, math.inf),
+    "example3:0.7,1.3": (1.0 / 0.7, math.inf),
+    "indicator:-0.5,2": (1.0, math.inf),
+}
+#: offsets 2^-k from a finite end, down to 2^-30
+LP_RUNGS = (1, 3, 6, 10, 14, 18, 22, 26, 28, 29, 30)
+
+
+def _mp_gamma_tail(c, m, y0, kappa, p):
+    """int_y0^inf e^(-c y) y^m (1 + ln(1 + y))^(kappa p) dy."""
+    if kappa == 0:
+        return c ** (-m - 1) * mp.gammainc(m + 1, c * y0)
+    peak = mp.log((m + 1) / c)
+    cuts = [mp.log(y0)] + [u for u in (peak - 20, peak - 5, peak, peak + 2) if u > mp.log(y0)]
+    cuts.append(mp.log((m + 121) / c))  # e^(-c y) < e^-120 beyond
+
+    def integrand(u):
+        return mp.exp(-c * mp.exp(u) + (m + 1) * u) * (1 + mp.log(1 + mp.exp(u))) ** (kappa * p)
+
+    return mp.quad(integrand, cuts)
+
+
+def _mp_lp_norm(form: str, p: float):
+    """|f|_p from the textbook integrals, at 30 digits."""
+    name, _, args = form.partition(":")
+    with mp.workdps(30):
+        a = [mp.mpf(float(v)) for v in args.split(",")]
+        P = mp.mpf(p)
+        if name == "g_delta":
+            power = _mp_gamma_tail(P - 1, a[0] * P, 1, 0, P)
+        elif name in ("f_delta", "h_delta"):
+            power = _mp_gamma_tail(1 - a[0] * P, a[1] * P, 1, 0, P)
+            if name == "h_delta":
+                power += _mp_gamma_tail(P - 1, a[1] * P, 1, 0, P)
+        elif name == "f_zero":
+            power = _mp_gamma_tail(1 - a[0] * P, (a[1] - a[0]) * P, 1, 0, P)
+        elif name == "big_r":  # both sides of 0
+            power = 2 * _mp_gamma_tail(1 - a[0] * P, a[1] * P, 1, a[2] if len(a) > 2 else 0, P)
+        elif name == "example3":  # both sides, from |x| = 1
+            power = 2 * mp.gamma((a[1] - a[0]) * P + 1) * (a[0] * P - 1) ** (-(a[1] - a[0]) * P - 1)
+        else:
+            power = a[1] - a[0]
+        return power ** (1 / P)
+
+
+def _lp_ladder(a: float, b: float) -> list[float]:
+    ladder = [a + 2.0**-k for k in LP_RUNGS]
+    return ladder + ([b - 2.0**-k for k in LP_RUNGS] if b < math.inf else [a + 2.0**k for k in range(6)])
+
+
+@pytest.mark.parametrize("form", sorted(LP_FORMS))
+def test_lp_norm_report_against_mpmath(form):
+    f = parse_form_spec(form)
+    for p in _lp_ladder(*LP_FORMS[form]):
+        got = lp_norm_report(f, p)
+        want = _mp_lp_norm(form, p)
+        actual = float(abs(got.value - want) / want)
+        assert actual <= got.rel_error <= 1e-12, (p, actual, got.rel_error)
