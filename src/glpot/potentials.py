@@ -36,6 +36,7 @@ from .errors import DivergenceError, DomainError, ToleranceError
 from .psi import SlowlyVarying
 from .quadrature import (
     BATCH_SPEC,
+    MAX_ROW_PANELS,
     IntegralResult,
     QuadratureSpec,
     integrate_batch,
@@ -342,11 +343,19 @@ def apply_kernel_report(
             else:
                 pieces.append((c1, c2))
         for p_lo, p_hi in pieces:
-            v, e = _integrate_subpiece(f, x, kernel, p_lo, p_hi, spec)
+            try:
+                v, e = _integrate_subpiece(f, x, kernel, p_lo, p_hi, spec)
+            except OverflowError as exc:
+                raise ToleranceError(
+                    f"potential at x={x:.17g} not resolved: the density overflowed at a node next to its singularity",
+                    achieved=math.inf,
+                ) from exc
             total += v
             err += e + kernel.rel_err * abs(v)
+    if not (math.isfinite(total) and math.isfinite(err)):
+        raise ToleranceError(f"potential at x={x:.17g} not resolved: value {total}, error {err}", achieved=math.inf)
     if total != 0.0 and err / abs(total) > spec.rel_tol:
-        raise ToleranceError(f"potential at x={x:g} too inaccurate", achieved=err / abs(total))
+        raise ToleranceError(f"potential at x={x:.17g} too inaccurate", achieved=err / abs(total))
     return IntegralResult(total, err)
 
 
@@ -371,15 +380,24 @@ def bessel_potential(f: TestFunction, x: float, alpha: float, spec: QuadratureSp
 # sigma = +1 when the piece lies on x's side.  D is the density's log factor
 # |ln|y'||^delta S(|ln|y'||) (1 for a plain piece, whose power is 0) and W
 # the kernel's, clipped to the truncation window.  One region table serves
-# every piece: the density end z -> 0 and the kernel end z -> 1 (sigma = +1)
-# by power substitution, the rest in w = ln z on panels of width 1, 8, 64,
-# ... from the end next to z = 1, cut where w is unbounded at the decaying-
-# tail rule's truncation point.  Each region is evaluated for all points at
-# once and returns the log of its share of u at each.  Its scale
-# (|x|^(alpha - power), the substituted panel's width to its exponent, and
-# e^(k w) at the end where it peaks, k w from z^(1-power) below z = 1 and
-# z^(alpha-power) above it) is summed in logs through ln|y'| at that end, so
-# nothing under- or overflows and no two large logs cancel at any L.
+# every piece.  Away from z = 0 and z = 1 the integral is taken in w = ln z
+# on panels of width 1, 8, 64, ... outward from the end next to z = 1, cut
+# where w is unbounded at the decaying-tail rule's truncation point.  An
+# end with no log factor is one power-substituted panel: the density end
+# z -> 0 of a pure power under a kernel without one, and the kernel end
+# z -> 1 of such a kernel.  A log factor there is a log singularity in the
+# substituted variable, so such an end is integrated in logs instead: the
+# density end is the outward region in w run on to w = -inf, and the kernel
+# end of a log kernel, |1 - z| = e^top v, takes the same doubling panels in
+# tau = -alpha ln v (weight e^-tau), with ln v = -tau/alpha passed to the
+# integrand.  A log kernel's factor has a kink at |x - y'| = 1, where
+# ln|1 - sigma z| = -L; every region whose range holds it gets a panel edge
+# there.  Each region is evaluated for all points at once and returns the
+# log of its share of u at each.  Its scale (|x|^(alpha - power), the
+# substituted panel's width to its exponent, and e^(k w) at the end where it
+# peaks, k w from z^(1-power) below z = 1 and z^(alpha-power) above it) is
+# summed in logs through ln|y'| at that end, so nothing under- or overflows
+# and no two large logs cancel at any L.
 
 _LN_HALF, _LN_3_2 = math.log(0.5), math.log(1.5)
 
@@ -397,10 +415,12 @@ def _log_factor(a: np.ndarray, power: float, slow: Optional[SlowlyVarying]) -> n
 
 
 def _resolved(result: IntegralResult) -> np.ndarray:
-    """The values of an integrate_batch result; ToleranceError if a row is unresolved at the depth cap."""
+    """The values of an integrate_batch result; ToleranceError if a row is unresolved at a cap."""
     if not np.isfinite(result.error).all():
         raise ToleranceError(
-            f"batched quadrature missed its tolerance after {BATCH_SPEC.max_depth} bisections", achieved=math.inf
+            f"batched quadrature missed its tolerance within {BATCH_SPEC.max_depth} bisections "
+            f"and {MAX_ROW_PANELS} panels per row",
+            achieved=math.inf,
         )
     return result.value
 
@@ -414,11 +434,13 @@ def _log_power_panel(rest, exponent: float, v_lo: np.ndarray, scale: np.ndarray)
     return scale + _log(value)
 
 
-def _log_outward(make, k: float, near: np.ndarray, far: np.ndarray, step: float, degree: float) -> np.ndarray:
+def _log_outward(make, k: float, near: np.ndarray, far: np.ndarray, step: float, degree: float,
+                 kink: Optional[np.ndarray] = None) -> np.ndarray:
     """ln of the integral over w from near (next to z = 1) outward to far, in direction step.
 
-    Panels of width 1, 8, 64, ... from near; an infinite far is cut at the
-    decaying-tail rule's truncation point.  make(anchor, sign) is the
+    Panels of width 1, 8, 64, ... from near, and one more edge at kink
+    where it lies inside the range (nan: nowhere); an infinite far is cut
+    at the decaying-tail rule's truncation point.  make(anchor, sign) is the
     integrand in s = sign (w - anchor) >= 0 with its log scale, anchored at
     the end where e^(k w) peaks: the nodes there stay exact at any |w|.
     """
@@ -429,6 +451,9 @@ def _log_outward(make, k: float, near: np.ndarray, far: np.ndarray, step: float,
     while cuts[-1] < length.max():
         cuts.append(8.0 * cuts[-1] + 1.0)
     edges = np.minimum(np.array(cuts), length[:, None])
+    if kink is not None:
+        at = np.clip(np.nan_to_num((kink - near) * step, nan=0.0), 0.0, length)
+        edges = np.sort(np.column_stack([edges, at]), axis=1)
     lo, hi = edges[:, :-1], edges[:, 1:]
     flip = k * far > k * near
     lo, hi = np.where(flip[:, None], length[:, None] - hi, lo), np.where(flip[:, None], length[:, None] - lo, hi)
@@ -448,10 +473,10 @@ def _log_piece_integral(f: TestFunction, piece: Piece, kernel: KernelSpec, ln_x:
     total = np.full(ln_x.shape, -np.inf)
 
     def region(at, log_part, *arrays):
-        """Add log_part(*arrays restricted to the points at) into total at those points."""
+        """Add log_part(*arrays restricted to the points at, None passed as it is) into total at those points."""
         idx = np.flatnonzero(at)
         if len(idx):
-            total[idx] = np.logaddexp(total[idx], log_part(*(a[idx] for a in arrays)))
+            total[idx] = np.logaddexp(total[idx], log_part(*(a if a is None else a[idx] for a in arrays)))
 
     # the truncation window |1 - sigma z| < e^r; the kernel end keeps the unclipped range
     r = math.log(kernel.reach) - ln_x
@@ -466,39 +491,44 @@ def _log_piece_integral(f: TestFunction, piece: Piece, kernel: KernelSpec, ln_x:
             w_hi = np.where(live, np.minimum(w_hi, r + np.log(-np.expm1(-r))), -np.inf)
         w_lo = np.where(live, w_lo, np.inf)
 
-    def density_end(ln_x, w_hi):
-        # z = e^top v, weight v^-power
-        top = np.minimum(_LN_HALF, w_hi)
-        e_top, lx_top = np.exp(top), ln_x + top
+    if not (dens or kernel_log):
+        def density_end(ln_x, w_hi):
+            # z = e^top v, weight v^-power; the rest, (1 - sigma z)^(alpha-1), is smooth
+            top = np.minimum(_LN_HALF, w_hi)
+            e_top = np.exp(top)
+            return _log_power_panel(lambda rows, v: (1.0 - sigma * e_top[rows, None] * v) ** am1, -power,
+                                    np.zeros(len(ln_x)), am1 * ln_x + k_low * (ln_x + top))
 
-        def at_zero(rows, v):
-            z = e_top[rows, None] * v
-            val = (1.0 - sigma * z) ** am1
-            if dens:
-                val *= _log_factor(np.abs(lx_top[rows, None] + np.log(v)), delta, slow)
-            if kernel_log:
-                val *= _log_factor(np.abs(ln_x[rows, None] + np.log1p(-sigma * z)), kernel.beta, kernel_slow)
-            return val
-
-        return _log_power_panel(at_zero, -power, np.zeros(len(ln_x)), am1 * ln_x + k_low * lx_top)
-
-    region(w_lo == -np.inf, density_end, ln_x, w_hi)
-    w_lo = np.where(w_lo == -np.inf, _LN_HALF, w_lo)
+        region(w_lo == -np.inf, density_end, ln_x, w_hi)
+        w_lo = np.where(w_lo == -np.inf, _LN_HALF, w_lo)
 
     def kernel_end(dirn, ln_x, top, ln_v_lo):
         # |1 - z| = e^top v on the side dirn of z = 1, weight v^(alpha-1)
         e_top, lx_top = np.exp(top), ln_x + top
+        scale = k_up * ln_x + alpha * top
 
-        def at_one(rows, v):
-            ln_z = np.log1p(dirn * e_top[rows, None] * v)
-            val = np.exp(-power * ln_z)
-            if dens:
-                val *= _log_factor(np.abs(ln_x[rows, None] + ln_z), delta, slow)
-            if kernel_log:
-                val *= _log_factor(np.abs(lx_top[rows, None] + np.log(v)), kernel.beta, kernel_slow)
-            return val
+        def density(rows, ln_z):
+            return _log_factor(np.abs(ln_x[rows, None] + ln_z), delta, slow) if dens else 1.0
 
-        return _log_power_panel(at_one, am1, np.exp(ln_v_lo), k_up * ln_x + alpha * top)
+        if not kernel_log:
+            def at_one(rows, v):
+                ln_z = np.log1p(dirn * e_top[rows, None] * v)
+                return np.exp(-power * ln_z) * density(rows, ln_z)
+
+            return _log_power_panel(at_one, am1, np.exp(ln_v_lo), scale)
+
+        def make(anchor, sign):
+            # v = e^(-tau/alpha), v^(alpha-1) dv = e^-tau dtau / alpha; anchored at tau = 0
+            def at_tau(rows, tau):
+                ln_v = -tau / alpha
+                ln_z = np.log1p(dirn * np.exp(top[rows, None] + ln_v))
+                val = np.exp(-tau - power * ln_z) * density(rows, ln_z)
+                return val * _log_factor(np.abs(lx_top[rows, None] + ln_v), kernel.beta, kernel_slow)
+
+            return at_tau, scale - math.log(alpha)
+
+        kink = alpha * lx_top  # tau where |1 - z| = e^-L
+        return _log_outward(make, -1.0, np.zeros(len(ln_x)), -alpha * ln_v_lo, 1.0, kernel.beta, kink)
 
     if sigma > 0.0:
         ends = []
@@ -533,15 +563,22 @@ def _log_piece_integral(f: TestFunction, piece: Piece, kernel: KernelSpec, ln_x:
 
         return in_w, (0.0 if upper else am1 * ln_x) + k * lx
 
-    def outward(k, upper, step, ln_x, near, far):
-        return _log_outward(partial(make, k, upper, ln_x), k, near, far, step, delta + kernel.beta)
+    def outward(k, upper, step, ln_x, near, far, kink):
+        return _log_outward(partial(make, k, upper, ln_x), k, near, far, step, delta + kernel.beta, kink)
 
+    kinks = (None, None)
+    if kernel_log:  # w where ln|1 - sigma z| = -L, below and above z = 1 (nan where there is none)
+        with np.errstate(all="ignore"):  # expm1 overflows where there is no kink
+            if sigma > 0.0:
+                kinks = np.log(-np.expm1(-ln_x)), np.logaddexp(0.0, -ln_x)
+            else:
+                kinks = (np.log(-np.expm1(ln_x)) - ln_x,) * 2
     b_lo, b_hi = (_LN_HALF, _LN_3_2) if sigma > 0.0 else (0.0, 0.0)
-    for k, upper, near, far, step in (
-        (k_low, False, np.minimum(b_lo, w_hi), w_lo, -1.0),
-        (k_up, True, np.maximum(b_hi, w_lo), w_hi, 1.0),
+    for k, upper, near, far, step, kink in (
+        (k_low, False, np.minimum(b_lo, w_hi), w_lo, -1.0, kinks[0]),
+        (k_up, True, np.maximum(b_hi, w_lo), w_hi, 1.0, kinks[1]),
     ):
-        region((far - near) * step > 0.0, partial(outward, k, upper, step), ln_x, near, far)
+        region((far - near) * step > 0.0, partial(outward, k, upper, step), ln_x, near, far, kink)
     return total
 
 

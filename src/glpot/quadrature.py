@@ -157,6 +157,8 @@ def power_endpoint_integral(
 BATCH_SPEC = QuadratureSpec(rel_tol=1e-13, max_depth=50)
 #: the error estimate compares Gauss-Legendre at _GL_N and 2 _GL_N nodes
 _GL_N = 12
+#: most panels one row of :func:`integrate_batch` may have on one level
+MAX_ROW_PANELS = 1024
 
 
 @functools.cache
@@ -176,8 +178,10 @@ def integrate_batch(fn: Callable[[np.ndarray, np.ndarray], np.ndarray], lo: np.n
     Every panel is integrated at n and 2n nodes, and a panel whose two
     values differ by more than BATCH_SPEC.rel_tol of its integral's first
     estimate is bisected, all such panels together, up to
-    BATCH_SPEC.max_depth times; a row with a panel still unresolved then
-    gets the error inf, and the other rows are unaffected.
+    BATCH_SPEC.max_depth times.  A row with a panel still unresolved then,
+    or one whose next level would have more than MAX_ROW_PANELS panels (a
+    noisy integrand), stops there with the error inf; the other rows are
+    unaffected.
     Returns the 2n-node values and the summed differences, one per row.
     A row's result depends on that row alone, bit for bit: not on the
     other rows, their number or their order.
@@ -198,9 +202,13 @@ def integrate_batch(fn: Callable[[np.ndarray, np.ndarray], np.ndarray], lo: np.n
             first_sums = _row_sums(value, rows, panel_cols, n_rows, n_panels)
             tol = BATCH_SPEC.rel_tol * np.abs(first_sums)
         bisect = error > tol[rows]
-        if depth == BATCH_SPEC.max_depth:
-            error[bisect] = np.inf  # unresolved at the depth cap
-            bisect[:] = False
+        if depth == BATCH_SPEC.max_depth or 2 * np.count_nonzero(bisect) > MAX_ROW_PANELS:
+            # rows unresolved at the depth cap, or whose next level would pass the panel cap
+            stop = bisect
+            if depth < BATCH_SPEC.max_depth:
+                stop = bisect & (2 * np.bincount(rows[bisect], minlength=n_rows) > MAX_ROW_PANELS)[rows]
+            error[stop] = np.inf
+            bisect &= ~stop
         levels.append((value, error, bisect))
         if not bisect.any():
             break
@@ -235,19 +243,20 @@ def logsumexp_pair(a: float, b: float) -> float:
 def log_piecewise_integral(ys, gs) -> float:
     """log of the integral of exp(piecewise-linear g) over the grid ``ys``.
 
-    Each panel's integral is exact for the linear interpolant of g (its
-    width times e^max(g) when g is flat to 1e-12 over it), all panels at
-    once; their logs are then summed shifted by the largest.  A panel of
-    zero width, or one where g is -inf at either end, adds nothing.
+    Each panel's integral is exact for the linear interpolant of g, all
+    panels at once: e^max(g) (1 - e^-|g2 - g1|) / |slope|, with expm1 so
+    that a nearly flat panel does not cancel (its width times e^max(g) when
+    g is flat to 1e-12 over it).  Their logs are then summed shifted by the
+    largest.  A panel of zero width, or one where g is -inf at either end,
+    adds nothing.
     """
     ys, gs = np.asarray(ys, dtype=float), np.asarray(gs, dtype=float)
     h, g1, g2 = np.diff(ys), gs[:-1], gs[1:]
     m = np.maximum(g1, g2)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        b = (g2 - g1) / h
-        flat = np.abs(b) * h < 1e-12
+        rise = np.abs(g2 - g1)
         # a zero-width panel or a -inf end leaves val 0 or nan, which the mask drops
-        val = np.where(flat, h, (np.exp(g2 - m) - np.exp(g1 - m)) / b)
+        val = np.where(rise < 1e-12, h, -np.expm1(-rise) / (rise / h))
         logs = np.where(val > 0.0, m + np.log(val), -np.inf)
     top = logs.max(initial=-np.inf)
     if top == -np.inf:

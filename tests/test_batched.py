@@ -22,7 +22,7 @@ from glpot import potentials, quadrature
 from glpot.catalog import INV_E
 from glpot.cli import parse_form_spec
 from glpot.errors import ToleranceError
-from glpot.experiments import ExperimentConfig, _e6_potentials, _run_e6
+from glpot.experiments import ExperimentConfig, _e6_potentials, _run_e6, run_experiment
 from glpot.psi import SlowlyVarying
 from glpot.quadrature import integrate_batch, log_piecewise_integral
 
@@ -68,9 +68,50 @@ def test_depth_cap_raises():
         potentials._log_outward(lambda anchor, sign: (lambda rows, s: s**-0.5, 0.0), -1.0, np.zeros(1), np.ones(1), 1.0, 0.0)
 
 
+def test_a_noisy_row_stops_at_the_panel_cap():
+    # noise far above the tolerance fails every panel on every level, so that row's panel
+    # count doubles until the cap stops it; a good row of the same batch keeps its bits
+    panels = []
+
+    def noisy_then_cubic(rows, x):
+        panels.append(np.count_nonzero(rows == 0))
+        return np.where(rows[:, None] == 0, 1.0 + 1e-6 * np.sin(1e9 * x), x**3)
+
+    capped = integrate_batch(noisy_then_cubic, np.zeros((2, 1)), np.ones((2, 1)))
+    alone = integrate_batch(lambda rows, x: x**3, np.zeros((1, 1)), np.ones((1, 1)))
+    assert capped.error[0] == math.inf
+    assert max(panels) <= quadrature.MAX_ROW_PANELS
+    assert len(panels) <= quadrature.BATCH_SPEC.max_depth  # the panel cap stopped it, not the depth cap
+    assert (capped.value[1], capped.error[1]) == (alone.value[0], alone.error[0])
+
+
 # ---------------------------------------------------------------------------
 # scaled evaluators: one value per point, whatever the batch
 # ---------------------------------------------------------------------------
+
+
+def test_the_default_tables_never_bisect_deep(monkeypatch):
+    # a log factor at a power-substituted end once took up to 35 bisection levels
+    # there; in log coordinates no region of E1-E4's tables needs more than a few
+    depths = []
+
+    def counting(fn, lo, hi):
+        calls = 0
+
+        def fn_counted(rows, x):
+            nonlocal calls
+            calls += 1  # once per level
+            return fn(rows, x)
+
+        result = integrate_batch(fn_counted, lo, hi)
+        depths.append(calls - 1)
+        return result
+
+    monkeypatch.setattr(potentials, "integrate_batch", counting)
+    for name in ("E1_upper_thm1", "E2_lower_p_to_1", "E3_lower_p_to_inv_alpha", "E4_truncated_thm6"):
+        run_experiment(ExperimentConfig(name=name), write_files=False)
+    assert len(depths) > 100
+    assert max(depths) <= 12
 
 RIESZ, LOG_RIESZ, TRUNCATED = KernelSpec.riesz(0.5), KernelSpec.log_riesz(0.5, 1.0), KernelSpec.truncated(0.5, radius=1.0)
 CASES = {
@@ -216,20 +257,19 @@ def test_e6_never_reaches_quadpack(monkeypatch):
 
 
 def _scalar_log_piecewise_integral(ys, gs):
-    """The panel-by-panel formula the array version replaced."""
+    """The same panel formula, one panel at a time, summed pair by pair."""
 
     def panel(y1, y2, g1, g2):
         h = y2 - y1
         if h <= 0.0:
             return -math.inf
-        b = (g2 - g1) / h
         m = max(g1, g2)
-        if m == -math.inf:
+        if min(g1, g2) == -math.inf:
             return -math.inf
-        if abs(b) * h < 1e-12:
+        rise = abs(g2 - g1)
+        if rise < 1e-12:
             return m + math.log(h)
-        val = (math.exp(g2 - m) - math.exp(g1 - m)) / b
-        return m + math.log(val) if val > 0.0 else -math.inf
+        return m + math.log(-math.expm1(-rise) / (rise / h))
 
     total = -math.inf
     for i in range(len(ys) - 1):
@@ -259,6 +299,13 @@ def test_log_piecewise_integral_matches_the_scalar_panel_formula(start, g0, pane
         assert got == -math.inf
     else:
         assert abs(got - want) <= 8 * math.ulp(max(abs(want), 1.0))
+
+
+def test_log_piecewise_integral_of_a_nearly_flat_panel():
+    # e^8 (e^(10^-6) - 1) / 10^-6 at 30 digits: ln is 8.0000005000000416666...; the
+    # difference of exponentials lost the last 5 digits to cancellation
+    got = log_piecewise_integral(np.array([0.0, 1.0]), np.array([8.0, 8.0 + 1e-6]))
+    assert abs(got - 8.000000500000041666) <= 2 * math.ulp(8.0)
 
 
 def test_log_piecewise_integral_of_an_all_minus_inf_grid():

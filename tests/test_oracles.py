@@ -48,33 +48,38 @@ def test_bessel_potential_of_indicator(x):
 
 
 def _segments(form: str):
-    """(sign of y', range of v = ln|y'|, ln|f|(e^v)) of each support segment, from the textbook formulas."""
+    """(sign of y', range of v = ln|y'|, ln|f|(e^v), power a of |f| ~ |y'|^-a at an infinite v) of each support
+    segment, from the textbook formulas."""
     name, _, args = form.partition(":")
     p = [mp.mpf(v) for v in args.split(",")]
     if name == "g_delta":
-        return [(1, 1, mp.inf, lambda v: -v + p[0] * mp.log(v))]
+        return [(1, 1, mp.inf, lambda v: -v + p[0] * mp.log(v), 1)]
     if name == "f_delta":
-        return [(1, -mp.inf, -1, lambda v: -p[0] * v + p[1] * mp.log(-v))]
+        return [(1, -mp.inf, -1, lambda v: -p[0] * v + p[1] * mp.log(-v), p[0])]
     if name == "h_delta":
         return _segments(f"f_delta:{args}") + _segments(f"g_delta:{args.split(',')[1]}")
     if name == "big_r":  # |x|^-a |ln|x||^delta (1 + ln(1 + |ln|x||))^kappa
-        ln_f = lambda v: -p[0] * v + p[1] * mp.log(-v) + p[2] * mp.log(1 + mp.log1p(-v))
-        return [(1, -mp.inf, -1, ln_f), (-1, -mp.inf, -1, ln_f)]
+        kappa = p[2] if len(p) > 2 else 0
+        ln_f = lambda v: -p[0] * v + p[1] * mp.log(-v) + kappa * mp.log(1 + mp.log1p(-v))
+        return [(1, -mp.inf, -1, ln_f, p[0]), (-1, -mp.inf, -1, ln_f, p[0])]
     if name == "example3":
         ln_f = lambda v: -p[0] * v + (p[1] - p[0]) * mp.log(v)
-        return [(1, 0, mp.inf, ln_f), (-1, 0, mp.inf, ln_f)]
+        return [(1, 0, mp.inf, ln_f, p[0]), (-1, 0, mp.inf, ln_f, p[0])]
     if name == "indicator":  # lo < 0 < hi
-        return [(1, -mp.inf, mp.log(p[1]), lambda v: 0), (-1, -mp.inf, mp.log(-p[0]), lambda v: 0)]
+        return [(1, -mp.inf, mp.log(p[1]), lambda v: 0, 0), (-1, -mp.inf, mp.log(-p[0]), lambda v: 0, 0)]
     raise ValueError(form)
 
 
-def _geometric(a, b):
+def _geometric(a, b, rate):
     """a, b and points 2^j in from each end, j = -1, 0, 1, ... up to half the range.
 
-    An infinite end is moved 2^10 past the finite one: every integrand here
-    decays there at least as fast as e^(-0.2 |w|).
+    An infinite end is moved 2^10 past the finite one, or 200/rate when
+    that is further: the integrand decays there like e^(-rate |w|) times a
+    power of |w|, below e^-120 of its peak at that distance for the log
+    orders here (up to 3).
     """
-    a, b = (b - 2**10 if mp.isinf(a) else a), (a + 2**10 if mp.isinf(b) else b)
+    reach = max(mp.mpf(2) ** 10, 200 / rate if rate > 0 else 0)
+    a, b = (b - reach if mp.isinf(a) else a), (a + reach if mp.isinf(b) else b)
     pts = {a, b}
     for end, step in ((a, 1), (b, -1)):
         d = mp.mpf(0.5)
@@ -91,8 +96,10 @@ def _mp_log_potential(form: str, kernel, ln_x: float, side: float) -> float:
         kappa = kernel.slow.kappa if kernel.slow is not None else 0
         ln_rho = mp.log(kernel.radius) if kernel.radius is not None else mp.inf
         total = mp.mpf(0)
-        for sign, v_lo, v_hi, ln_f in _segments(form):
+        for sign, v_lo, v_hi, ln_f, power in _segments(form):
             same = sign == side
+            # the integrand decays like e^((1 - a) w) as w -> -inf and e^((alpha - a) w) as w -> inf
+            rate = 1 - power if mp.isinf(v_lo) else power - alpha
 
             def integrand(w):
                 g = L + (mp.log(abs(mp.expm1(w))) if same else mp.log1p(mp.exp(w)))  # ln|x - y'|
@@ -113,7 +120,7 @@ def _mp_log_potential(form: str, kernel, ln_x: float, side: float) -> float:
                         feats.add(mp.log1p(z_m1))
             w_lo, w_hi = v_lo - L, v_hi - L
             cuts = sorted({w_lo, w_hi} | {w for w in feats if w_lo < w < w_hi})
-            pts = sorted({p for a, b in zip(cuts[:-1], cuts[1:]) for p in _geometric(a, b)})
+            pts = sorted({p for a, b in zip(cuts[:-1], cuts[1:]) for p in _geometric(a, b, rate)})
             # tanh-sinh stops on an absolute error estimate
             scale = max(integrand((p + q) / 2) for p, q in zip(pts[:-1], pts[1:]))
             for p, q in zip(pts[:-1], pts[1:]) if scale > 0 else ():
@@ -187,6 +194,35 @@ RIESZ, LOG_RIESZ, TRUNCATED = "riesz:0.5", "log_riesz:0.5,1,1", "truncated:0.5,0
         ("indicator:-0.5,2", RIESZ, "far", 1.0, 5e4),
         ("indicator:-0.5,2", LOG_RIESZ, "near", 1.0, 5e4),
         ("indicator:-0.5,2", TRUNCATED, "far", -1.0, 1.6),
+        # finite potentials at x = 1/2 that defeated bisection toward a power-substituted log end
+        ("f_delta:0.95,1", RIESZ, "far", 1.0, -math.log(2.0)),  # u = 566.26597659775961
+        ("f_delta:0.97,1", RIESZ, "far", 1.0, -math.log(2.0)),  # u = 1571.97626286109673
+        ("f_delta:0.99,2", RIESZ, "far", 1.0, -math.log(2.0)),  # u = 2828429.73318561654
+        ("big_r:0.97,0.5", RIESZ, "far", 1.0, -math.log(2.0)),  # u = 480.968793906583980
+        # log orders 0.5-3 at density powers 0.02-0.99, slow factors, log kernels' ends
+        ("f_delta:0.02,0.5", RIESZ, "far", 1.0, 0.7),
+        ("f_delta:0.3,3", RIESZ, "near", -1.0, 3.0),
+        ("f_delta:0.7,2", RIESZ, "far", -1.0, 40.0),
+        ("f_delta:0.9,1", RIESZ, "near", 1.0, 2000.0),
+        ("f_delta:0.99,0.5", RIESZ, "far", 1.0, 0.7),
+        ("f_delta:0.99,3", RIESZ, "near", -1.0, 3.0),
+        ("h_delta:0.99,3", LOG_RIESZ, "far", -1.0, 40.0),
+        ("f_delta:0.9,2", "truncated:0.5,2,3", "near", -1.0, 3.0),
+        ("big_r:0.9,1,1", RIESZ, "near", -1.0, 3.0),
+        ("big_r:0.02,3,2", LOG_RIESZ, "far", 1.0, 0.7),
+        ("big_r:0.5,0.5,1", "truncated:0.5,2,3", "near", 1.0, 2000.0),
+        ("g_delta:3", LOG_RIESZ, "far", 1.0, 0.7),
+        # x where |x - y| = 1 for some y in the support: the kink of a log kernel's factor
+        *(
+            (form, kernel, "far", math.copysign(1.0, x), math.log(abs(x)))
+            for kernel in ("log_riesz:0.5,1", "truncated:0.5,1,2")
+            for form, x in [
+                ("h_delta:0.5,1", 1.993597),
+                ("h_delta:0.5,1", 3.71967),
+                ("f_delta:0.5,1", 27.0 / 23.0),
+                *(("f_delta:0.5,1", x) for x in (1.02, 1.105, 1.19, 1.275, 1.36, -0.66, -0.82, -0.98)),
+            ]
+        ),
     ],
 )
 def test_scaled_evaluators_against_mpmath(form, kernel, region, side, depth):

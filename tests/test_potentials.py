@@ -15,6 +15,7 @@ from glpot import (
     KernelSpec,
     SlowlyVarying,
     TestFunction,
+    ToleranceError,
     apply_kernel,
     apply_kernel_report,
     bessel_potential,
@@ -239,6 +240,15 @@ class TestApplyKernel:
     def test_report_error_estimate(self):
         res = apply_kernel_report(TestFunction.g_delta(0.0), 10.0, RIESZ_HALF)
         assert res.error / res.value < 1e-8
+
+    @pytest.mark.parametrize("delta", [1.0, 2.0])
+    @pytest.mark.parametrize("power", [0.95, 0.99])
+    def test_unresolved_points_raise(self, power, delta):
+        # next to a singularity of power ~1, QUADPACK's nodes reach where the density
+        # overflows: an inf value with a nan error, or an OverflowError from the density
+        # (the potentials are finite: 566.27 for f_delta(0.95,1), 2828429.7 for f_delta(0.99,2))
+        with pytest.raises(ToleranceError, match=r"potential at x=0\.5 "):
+            apply_kernel_report(TestFunction.f_delta(power, delta), 0.5, RIESZ_HALF)
 
 
 class TestScaledEvaluators:
