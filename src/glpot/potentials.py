@@ -5,8 +5,12 @@ varying generalisations, the ball-truncated variants, the exponentially
 decaying smoothed kernel built from the Macdonald function, and the
 Hardy-Littlewood / fractional maximal operators.  Pointwise evaluation
 splits the integration domain at the kernel singularity and at every
-singularity of the density, applying a power substitution at kernel ends
-and log substitutions at density ends and tails.
+singularity of the density, and integrates every sub-piece as one row of a
+single call of the batched Gauss-Legendre rule, its integrand evaluated on
+arrays: an exponential substitution at the kernel end, |x - y| = W e^(-t/s),
+ln|y| on a piece ending at (or cut just short of) a density singularity at
+the origin and ln|x - y| elsewhere, tails included, with the density and
+the Jacobian formed in logs.
 
 For the extreme arguments the sharpness experiments need (|x| from e^-12000
 to e^12000 and beyond), the scaled evaluators return ln u(+-e^t) and
@@ -23,10 +27,11 @@ other points of the call.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from functools import partial
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 from scipy.special import gammaincc, kve
@@ -42,11 +47,17 @@ from .quadrature import (
     integrate_batch,
     integrate_decaying,
     integrate_panel,
-    power_endpoint_integral,
 )
 
 #: beyond this separation the exponentially decaying kernel underflows
 BESSEL_REACH = 700.0
+#: the potential where no part of the support lies within the kernel's reach, one shared result
+_NOTHING_IN_REACH = IntegralResult(0.0, 0.0)
+_EPS = sys.float_info.epsilon
+#: width in t of the panel whose mean gives the integrand at a row end, in :func:`apply_kernel_report`
+_END_PANEL = 1e-3
+#: rounding floor of :func:`apply_kernel_report`'s relative error
+_ROUNDING = 64 * _EPS
 #: bound on the relative error of :func:`macdonald_K` on (0, BESSEL_REACH], nu in [0, 5]
 MACDONALD_REL_ERR = 5e-13
 
@@ -125,38 +136,26 @@ class KernelSpec:
             self.beta > 0.0 or (self.slow is not None and not self.slow.is_constant)
         )
 
-    def log_weight(self, ln_abs_z: float) -> float:
-        """The |ln|z||^beta S(|ln|z||) factor, given ln|z| (1 for plain variants)."""
-        if self.variant in ("riesz", "bessel"):
-            return 1.0
-        a = abs(ln_abs_z)
-        w = a**self.beta if self.beta != 0.0 else 1.0
-        if self.slow is not None:
-            w *= self.slow(a)
-        return w
+    def regular_part(self, ln_abs_z) -> np.ndarray:
+        """K(z) |z|^(1-alpha) elementwise, given ln|z|; K is |z|^(alpha-1) times it.
 
-    def rest(self, z: float) -> float:
-        """evaluate(z) / |z|^(alpha-1); bounded near z = 0."""
-        az = abs(z)
-        if self.variant in ("log_riesz", "truncated"):
-            if self.variant == "truncated" and az >= self.radius:
-                return 0.0
-            return self.log_weight(math.log(az))
+        Bounded at z = 0.  The log variants give |ln|z||^beta S(|ln|z||), 0
+        past |z| = radius when truncated (|z| = radius rounds in); 'bessel'
+        gives |z|^nu K_nu(|z|) = |z|^nu kve(nu, |z|) e^-|z|, nu = (1-alpha)/2,
+        which tends to 2^(nu-1) Gamma(nu) at z = 0.
+        """
+        ln_abs_z = np.asarray(ln_abs_z, dtype=float)
         if self.variant == "bessel":
             nu = (1.0 - self.alpha) / 2.0
-            return az**nu * macdonald_K(nu, az)
-        return 1.0
-
-    def evaluate(self, z: float) -> float:
-        az = abs(z)
-        if az == 0.0:
-            raise DomainError("kernel is singular at 0")
-        if self.variant == "bessel":
-            nu = (1.0 - self.alpha) / 2.0
-            return az**-nu * macdonald_K(nu, az)
-        if self.variant == "truncated" and az >= self.radius:
-            return 0.0
-        return az ** (self.alpha - 1.0) * self.log_weight(math.log(az))
+            z = np.maximum(np.exp(ln_abs_z), 1e-300)  # |z|^nu K_nu(|z|) is at its limit there
+            return z**nu * kve(nu, z) * np.exp(-z)
+        part = np.ones(ln_abs_z.shape)
+        if self.has_log_factor:
+            slow = self.slow if self.slow is not None and not self.slow.is_constant else None
+            part = _log_factor(np.abs(ln_abs_z), self.beta, slow)
+        if self.variant == "truncated":
+            part = np.where(ln_abs_z <= math.log(self.radius), part, 0.0)
+        return part
 
 
 def parse_kernel_spec(text: str) -> KernelSpec:
@@ -226,11 +225,12 @@ def _check_apply_convergence(f: TestFunction, x: float, kernel: KernelSpec) -> N
             )
 
 
-def _density_exponent_at(f: TestFunction, location: float) -> float:
+def _singularity_at(f: TestFunction, location: float) -> tuple[float, float]:
+    """(power, log_power) of the density's singularity at a finite location, (0, 0) if it has none there."""
     for s in f.singularities:
         if math.isfinite(s.location) and s.location == location:
-            return s.power
-    return 0.0
+            return s.power, s.log_power
+    return 0.0, 0.0
 
 
 def _tail_decay_hint(f: TestFunction, left: bool, kernel: KernelSpec) -> tuple[Optional[float], float]:
@@ -243,70 +243,11 @@ def _tail_decay_hint(f: TestFunction, left: bool, kernel: KernelSpec) -> tuple[O
     return None, 0.0
 
 
-def _integrate_subpiece(
-    f: TestFunction,
-    x: float,
-    kernel: KernelSpec,
-    lo: float,
-    hi: float,
-    spec: QuadratureSpec,
-) -> IntegralResult:
-    """Integral of f(y) K(x-y) over one piece with no interior breakpoint."""
-    if hi <= lo:
-        return IntegralResult(0.0, 0.0)
-    alpha = kernel.alpha
-    if hi == math.inf:
-        rate, deg = _tail_decay_hint(f, left=False, kernel=kernel)
-        w0 = math.log(max(lo, 1e-300))
-        return integrate_decaying(
-            lambda w: f(math.exp(w)) * kernel.evaluate(x - math.exp(w)) * math.exp(w),
-            w0,
-            spec,
-            decay_rate=rate,
-            poly_degree=deg,
-        )
-    if lo == -math.inf:
-        rate, deg = _tail_decay_hint(f, left=True, kernel=kernel)
-        w0 = math.log(max(-hi, 1e-300))
-        return integrate_decaying(
-            lambda w: f(-math.exp(w)) * kernel.evaluate(x + math.exp(w)) * math.exp(w),
-            w0,
-            spec,
-            decay_rate=rate,
-            poly_degree=deg,
-        )
-    if lo == x:
-        extra = _density_exponent_at(f, x)  # x may sit on a density singularity
-        return power_endpoint_integral(
-            lambda u: (u**extra * f(x + u)) * kernel.rest(u), alpha - 1.0 - extra, hi - lo, spec
-        )
-    if hi == x:
-        extra = _density_exponent_at(f, x)
-        return power_endpoint_integral(
-            lambda u: (u**extra * f(x - u)) * kernel.rest(-u), alpha - 1.0 - extra, hi - lo, spec
-        )
-    if lo == 0.0 and _density_exponent_at(f, 0.0) > 0.0:
-        w0 = -math.log(hi)
-        return integrate_decaying(
-            lambda w: f(math.exp(-w)) * kernel.evaluate(x - math.exp(-w)) * math.exp(-w), w0, spec
-        )
-    if hi == 0.0 and _density_exponent_at(f, 0.0) > 0.0:
-        w0 = -math.log(-lo)
-        return integrate_decaying(
-            lambda w: f(-math.exp(-w)) * kernel.evaluate(x + math.exp(-w)) * math.exp(-w), w0, spec
-        )
-    return integrate_panel(lambda y: f(y) * kernel.evaluate(x - y), lo, hi, spec)
-
-
-def apply_kernel_report(
-    f: TestFunction, x: float, kernel: KernelSpec, spec: QuadratureSpec | None = None
-) -> IntegralResult:
-    """Convolution value (kernel * f)(x) with an error estimate."""
-    spec = spec or QuadratureSpec()
-    _check_apply_convergence(f, x, kernel)
+def _subpieces(f: TestFunction, x: float, kernel: KernelSpec):
+    """The pieces (lo, hi) of the support within the kernel's reach of x, cut at x, at every density
+    singularity and, for a log kernel, at x -+ 1; none touches both x and a density singularity."""
     sing_locs = [s.location for s in f.singularities if math.isfinite(s.location)]
     reach = kernel.reach
-    total, err = 0.0, 0.0
     for seg_lo, seg_hi in f.support:
         lo = max(seg_lo, x - reach) if reach != math.inf else seg_lo
         hi = min(seg_hi, x + reach) if reach != math.inf else seg_hi
@@ -323,35 +264,209 @@ def apply_kernel_report(
                 if lo < edge < hi:
                     cuts.add(edge)
         ordered = sorted(cuts)
-        pieces: list[tuple[float, float]] = []
         for c1, c2 in zip(ordered[:-1], ordered[1:]):
             # keep the kernel-singular piece finite and short, and never let a
             # single piece touch both the kernel and a density singularity
             if c1 == x and c2 == math.inf:
                 w = max(1.0, 2.0 * abs(x))
-                pieces += [(x, x + w), (x + w, math.inf)]
+                yield from ((x, x + w), (x + w, math.inf))
             elif c2 == x and c1 == -math.inf:
                 w = max(1.0, 2.0 * abs(x))
-                pieces += [(-math.inf, x - w), (x - w, x)]
+                yield from ((-math.inf, x - w), (x - w, x))
             elif (c1 == x and c2 in sing_locs) or (c2 == x and c1 in sing_locs):
                 mid = c1 + 0.5 * (c2 - c1)
-                pieces += [(c1, mid), (mid, c2)]
+                yield from ((c1, mid), (mid, c2))
             elif c1 == x and math.isfinite(c2) and c2 - c1 > 1.0:
-                pieces += [(c1, c1 + 0.5 * (c2 - c1)), (c1 + 0.5 * (c2 - c1), c2)]
+                yield from ((c1, c1 + 0.5 * (c2 - c1)), (c1 + 0.5 * (c2 - c1), c2))
             elif c2 == x and math.isfinite(c1) and c2 - c1 > 1.0:
-                pieces += [(c1, c2 - 0.5 * (c2 - c1)), (c2 - 0.5 * (c2 - c1), c2)]
+                yield from ((c1, c2 - 0.5 * (c2 - c1)), (c2 - 0.5 * (c2 - c1), c2))
+            elif (c1 in sing_locs or c2 in sing_locs) and abs(x - (c2 if c1 in sing_locs else c1)) < c2 - c1 < math.inf:
+                # x just past the end away from a density singularity: the kernel gets its own piece
+                mid = c1 + 0.5 * (c2 - c1)
+                yield from ((c1, mid), (mid, c2))
             else:
-                pieces.append((c1, c2))
-        for p_lo, p_hi in pieces:
-            try:
-                v, e = _integrate_subpiece(f, x, kernel, p_lo, p_hi, spec)
-            except OverflowError as exc:
-                raise ToleranceError(
-                    f"potential at x={x:.17g} not resolved: the density overflowed at a node next to its singularity",
-                    achieved=math.inf,
-                ) from exc
-            total += v
-            err += e + kernel.rel_err * abs(v)
+                yield c1, c2
+
+
+def _doubling_edges(t_lo: float, t_hi: float, width: float) -> list[float]:
+    """Panel edges from t_lo to t_hi, the panels width, 2 width, 4 width, ... wide; the last one takes the rest."""
+    edges, k = [t_lo], 1
+    while t_lo + width * (2.0 ** (k + 1) - 1.0) < t_hi:
+        edges.append(t_lo + width * (2.0**k - 1.0))
+        k += 1
+    return edges + [t_hi]
+
+
+class _RowParams(NamedTuple):
+    """How one row of :func:`apply_kernel_report` maps t to y and forms its integrand (see :func:`_row`)."""
+
+    v0: float
+    v1: float
+    sign: float
+    base: float
+    ky: float
+    kd: float
+    delta: float
+    origin: bool
+    singular: bool
+    unit: bool
+    v_end: float
+    c: float
+
+
+def _row(f: TestFunction, x: float, kernel: KernelSpec, lo: float, hi: float) -> Optional[tuple]:
+    """One sub-piece as a row of the batched rule: (_RowParams, panel edges, rate), or None where f is 0.
+
+    Over t the row maps v = v0 + v1 t to y: on an origin row v = ln|y|, y = sign e^v; on every
+    other row v = ln|x - y|, y = x + sign e^v.  Its integrand f(y) K(x - y) |dy/dt| is
+    e^(base + ky ln|y| + kd ln|x - y|) times the kernel's regular part and the density's log
+    factor |ln|y||^delta S (the slow factor on singular pieces only).  The panels double from
+    the end where the integrand is largest.  A row with a rate is cut where the tail rule drops
+    the rest, past which it decays like e^(-rate t) times a power of t; rate is nan on a row
+    that is not cut.
+    """
+    base, power, delta, singular = 0.0, 0.0, 0.0, False
+    if f.evaluator is None:
+        piece = next((p for p in f.pieces if p.lo <= lo and hi <= p.hi), None)
+        if piece is None:
+            return None
+        base, singular = math.log(f.coefficient), piece.role != "plain"
+        if singular:
+            power, delta = piece.power, piece.log_power
+    origin, v0, v1, rate = False, 0.0, 1.0, math.nan
+    # start: where the integrand has settled into the decay the tail rule cuts
+    if lo == x or hi == x:
+        # kernel end: |x - y| = u = W e^(-t/s), so u^(s-1) du = W^s e^-t dt / s over t > 0; the rest of the
+        # integrand is settled where u is below 1 and below the distance to any other density singularity
+        extra, extra_log = _singularity_at(f, x)  # x may sit on a density singularity
+        s = kernel.alpha - extra
+        sign, v0, v1, t_lo, base = (1.0 if lo == x else -1.0), math.log(hi - lo), -1.0 / s, 0.0, base - math.log(s)
+        near = [abs(x - p.location) for p in f.singularities if math.isfinite(p.location) and p.location != x]
+        rate, degree, start = 1.0, kernel.beta + extra_log, s * max(0.0, v0 - math.log(min([1.0] + near)))
+    elif math.isinf(hi - lo):
+        # tail: |x - y| = e^t from the finite end on, settled where |x - y| > |x|
+        rate, degree = _tail_decay_hint(f, left=lo == -math.inf, kernel=kernel)
+        if rate is None:
+            raise DomainError(f"potential of {f.label}: an unbounded support piece needs a tail decay hint")
+        sign = 1.0 if hi == math.inf else -1.0
+        t_lo = math.log(lo - x if sign > 0.0 else x - hi)
+        start = max(t_lo, math.log(abs(x))) if x != 0.0 else t_lo
+    elif (lo == 0.0 or hi == 0.0) and _singularity_at(f, 0.0)[0] > 0.0:
+        # density origin end: y = -+e^-t, t from -ln of the far end on, settled where |y| < |x|
+        power0, degree = _singularity_at(f, 0.0)
+        origin, sign, v1, t_lo, rate = True, (1.0 if lo == 0.0 else -1.0), -1.0, -math.log(max(-lo, hi)), 1.0 - power0
+        start = max(t_lo, -math.log(abs(x)))
+    elif lo * hi > 0.0 and _singularity_at(f, 0.0)[0] > 0.0 and min(abs(lo), abs(hi)) < min(abs(lo - x), abs(hi - x)):
+        # a piece cut short of the density's singularity at 0 (by a kernel's window or kink), nearer 0 than x:
+        # y = -+e^-t between its ends, graded toward 0 as the origin end is
+        origin, sign, v1, width = True, math.copysign(1.0, hi), -1.0, 1.0
+        t_lo, t_hi = -math.log(max(-lo, hi)), -math.log(min(abs(lo), abs(hi)))
+    else:
+        # a finite piece away from x: |x - y| = e^t; the bessel kernel's e^-|x - y| decays at the rate
+        # |x - y| in t, so its panels start that much narrower
+        sign = 1.0 if lo > x else -1.0
+        t_lo, t_hi = sorted((math.log(abs(lo - x)), math.log(abs(hi - x))))
+        width = 1.0 / max(1.0, math.exp(t_lo)) if kernel.variant == "bessel" else 1.0
+    if not math.isnan(rate):
+        t_hi, width = BATCH_SPEC.tail_cutoff(rate, degree, start), 1.0 / max(1.0, rate)
+    # |dy/dt| is |y| on an origin row and |x - y| (over s at a kernel end) on the others
+    ky, kd = (1.0 - power, kernel.alpha - 1.0) if origin else (-power, kernel.alpha)
+    # the log v does not give, ln|x - y| on an origin row and ln|y| on the others, is taken to full
+    # relative accuracy where it is 0 at an end, so that a log factor vanishing there is exact:
+    # log1p(c expm1(v - v_end)), from |x - y| - 1 or |y| - 1 = c expm1(v - v_end); at a kernel end
+    # on |y| = 1, v_end is -inf and |y| - 1 = c e^v
+    unit, v_end, c = False, 0.0, 0.0
+    density_log = singular and (delta != 0.0 or (f.slow is not None and not f.slow.is_constant))
+    for end in (lo, hi):
+        if origin and end != 0.0 and kernel.has_log_factor and abs(x - end) == 1.0:
+            unit, v_end, c = True, math.log(abs(end)), -math.copysign(1.0, x - end) * sign * abs(end)
+        elif not origin and density_log and abs(end) == 1.0:
+            d = abs(end - x)
+            unit, v_end, c = True, (math.log(d) if d else -math.inf), math.copysign(1.0, end) * sign * (d or 1.0)
+    params = _RowParams(v0, v1, sign, base, ky, kd, delta, origin, singular, unit, v_end, c)
+    return params, _doubling_edges(t_lo, t_hi, width), rate
+
+
+def apply_kernel_report(
+    f: TestFunction, x: float, kernel: KernelSpec, spec: QuadratureSpec | None = None
+) -> IntegralResult:
+    """Convolution value (kernel * f)(x) with an error estimate.
+
+    Every sub-piece of the support (see :func:`_row`) is one row of one
+    :func:`~glpot.quadrature.integrate_batch` call, its integrand evaluated
+    on arrays and formed in logs up to its bounded factors.  The reported
+    error is the rows' n-against-2n estimates, the bound of each cut tail,
+    what the rounding of each row end can move, a rounding floor and the
+    kernel's own evaluation error; past ``spec.rel_tol`` of the value it
+    raises ToleranceError.
+    """
+    spec = spec or QuadratureSpec()
+    _check_apply_convergence(f, x, kernel)
+    rows = [r for lo, hi in _subpieces(f, x, kernel) if hi > lo and (r := _row(f, x, kernel, lo, hi)) is not None]
+    if not rows:
+        return _NOTHING_IN_REACH
+    n = len(rows)
+    # each cut row once more, as the single panel (cut, cut + 1/rate): see the tail below
+    rows += [(p, [edges[-1], edges[-1] + 1.0 / rate], rate) for p, edges, rate in rows if not math.isnan(rate)]
+    n_tails = len(rows) - n
+    # and each end of a row that is not a cut, as a panel w wide inward from it: see the end shifts below
+    shifts = []
+    for p, e, rate in rows[:n]:
+        w = min(_END_PANEL, (e[-1] - e[0]) / 2.0)
+        for t_end, panel in ((e[0], [e[0], e[0] + w]), (e[-1], [e[-1] - w, e[-1]]))[: 1 + math.isnan(rate)]:
+            rows.append((p, panel, math.nan))
+            shifts.append((1.0 + abs(t_end) + abs(x) / kernel.reach) / w if w > 0.0 else 0.0)
+    n_cols = max(len(edges) for _, edges, _ in rows)
+    edges = np.array([e + e[-1:] * (n_cols - len(e)) for _, e, _ in rows])
+    params = np.array([p for p, _, _ in rows])
+    has_origin = any(p.origin for p, _, _ in rows)
+    log_factor, has_unit = any(p.delta for p, _, _ in rows), any(p.unit for p, _, _ in rows)
+    slow = f.slow if f.evaluator is None and f.slow is not None and not f.slow.is_constant else None
+    need_ln_y = log_factor or slow is not None or any(p.ky for p, _, _ in rows)
+    density = None if f.evaluator is None else np.vectorize(f, otypes=[float])
+
+    def integrand(r, t):
+        v0, v1, sign, base, ky, kd, delta, origin, singular, unit, v_end, c = params[r].T[:, :, None]  # _RowParams
+        v = v0 + v1 * t
+        exp_v = np.exp(v)
+        e = sign * exp_v
+        y, ln_y, ln_d = x + e, v, v  # at x = 0, y = sign |x - y|, so ln|y| = ln|x - y| = v
+        if x != 0.0 and (has_origin or need_ln_y):
+            o = origin > 0.0
+            if has_origin:
+                y = np.where(o, e, y)
+            # the log v does not give: ln|x - y| on an origin row, ln|y| on the others
+            other = np.log(np.abs(np.where(o, x - y, y) if has_origin else y))
+            if has_unit:
+                shift = np.where(v_end == -np.inf, c * exp_v, c * np.expm1(v - v_end))
+                other = np.where(unit > 0.0, np.log1p(shift), other)
+            ln_y, ln_d = (np.where(o, v, other), np.where(o, other, v)) if has_origin else (other, v)
+        val = np.exp(base + ky * ln_y + kd * ln_d) * kernel.regular_part(ln_d)
+        if log_factor or slow is not None:
+            factor = _log_factor(np.abs(ln_y), delta, slow)
+            val *= factor if slow is None else np.where(singular > 0.0, factor, 1.0)
+        if density is not None:
+            val = val * density(y)
+        return val
+
+    try:
+        with np.errstate(all="ignore"):  # a node rounded onto a singularity: the sum's check below reports it
+            value, error = integrate_batch(integrand, edges[:, :-1], edges[:, 1:])
+    except (OverflowError, ZeroDivisionError) as exc:  # a user density evaluated in floats
+        raise ToleranceError(
+            f"potential at x={x:.17g} not resolved: the density overflowed at a node next to its singularity",
+            achieved=math.inf,
+        ) from exc
+    # past its cut a row decays like g(t) = A t^m e^(-rate t) with rate t > 2m + 2: its tail lies between
+    # J, the integral of its extra row, and 2 g(cut) / rate <= 2 J / (1 - 1/e), so J / (1 - 1/e), exact
+    # for m = 0, is within itself of the tail
+    tail = value[n : n + n_tails].sum() / (1.0 - math.exp(-1.0))
+    total = float(value[:n].sum() + tail)
+    # a row end sits where rounding put it: its t, the log of a distance, within eps (1 + |t|), and a
+    # truncated kernel's window edge x -+ radius within eps |x| in y, so eps |x| / radius in t; the
+    # integrand there, its mean over the end's panel, times that shift bounds what the shift moves
+    ends = np.abs(value[n + n_tails :]) @ np.array(shifts)
+    err = float(error[:n].sum() + tail + _EPS * ends) + (_ROUNDING + kernel.rel_err) * abs(total)
     if not (math.isfinite(total) and math.isfinite(err)):
         raise ToleranceError(f"potential at x={x:.17g} not resolved: value {total}, error {err}", achieved=math.inf)
     if total != 0.0 and err / abs(total) > spec.rel_tol:

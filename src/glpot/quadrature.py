@@ -2,14 +2,15 @@
 
 The splitting and substitution logic (what turns a singular integral into a
 sequence of well-behaved panels) lives here and in the callers.  Two rules
-integrate the panels.  Scalar integrands, one point at a time (masses and
-pointwise potentials), go to QUADPACK via :func:`scipy.integrate.quad`.
-Integrands evaluated on arrays, for many points at once (the L_p norms of
-every exponent of a request, and the scaled potentials behind the
-potential-norm tables), go to :func:`integrate_batch`: composite
-Gauss-Legendre that compares n and 2n nodes on every panel, the idea behind
-the Gauss-Kronrod pairs of Piessens et al., *QUADPACK* (1983), and bisects,
-all together, only the panels that miss the tolerance.
+integrate the panels.  Scalar integrands, one interval at a time (the masses
+of growing pieces and of user densities), go to QUADPACK via
+:func:`scipy.integrate.quad`.  Integrands evaluated on arrays (the L_p norms
+of every exponent of a request, the scaled potentials behind the
+potential-norm tables, and each pointwise potential, one row per sub-piece)
+go to :func:`integrate_batch`: composite Gauss-Legendre that compares n and
+2n nodes on every panel, the idea behind the Gauss-Kronrod pairs of Piessens
+et al., *QUADPACK* (1983), and bisects, all together, only the panels that
+miss the tolerance.
 """
 
 from __future__ import annotations
@@ -136,6 +137,7 @@ def power_endpoint_integral(
 
     Substitutes u = w^(1/(1+exponent)) so the singularity at u = 0 is
     absorbed into the measure; fn_rest may keep a mild (log) singularity.
+    No glpot path calls it any more; ``perfbench/tracer.py`` binds it by name.
     """
     if exponent <= -1.0:
         raise DomainError(f"endpoint exponent must exceed -1, got {exponent}")

@@ -90,9 +90,8 @@ def test_a_noisy_row_stops_at_the_panel_cap():
 # ---------------------------------------------------------------------------
 
 
-def test_the_default_tables_never_bisect_deep(monkeypatch):
-    # a log factor at a power-substituted end once took up to 35 bisection levels
-    # there; in log coordinates no region of E1-E4's tables needs more than a few
+def _levels_per_call(monkeypatch) -> list:
+    """Bisection levels of every integrate_batch call made by the potentials module."""
     depths = []
 
     def counting(fn, lo, hi):
@@ -108,6 +107,13 @@ def test_the_default_tables_never_bisect_deep(monkeypatch):
         return result
 
     monkeypatch.setattr(potentials, "integrate_batch", counting)
+    return depths
+
+
+def test_the_default_tables_never_bisect_deep(monkeypatch):
+    # a log factor at a power-substituted end once took up to 35 bisection levels
+    # there; in log coordinates no region of E1-E4's tables needs more than a few
+    depths = _levels_per_call(monkeypatch)
     for name in ("E1_upper_thm1", "E2_lower_p_to_1", "E3_lower_p_to_inv_alpha", "E4_truncated_thm6"):
         run_experiment(ExperimentConfig(name=name), write_files=False)
     assert len(depths) > 100
@@ -214,6 +220,43 @@ def test_lp_norms_never_reach_quadpack(monkeypatch):
             assert math.isfinite(lp_norm_report(parse_form_spec(form), p).value)
     report = grand_norm(TestFunction.f_delta(0.5, 1.0), parse_psi_spec("power:a=1,b=2,beta=0,gamma=1.5"))
     assert math.isfinite(report.value)
+
+
+#: the forms and kernels of `glpot potential`'s benchmark grid
+POINTWISE_FORMS = ("indicator:0,1", "f_delta:0.5,1", "g_delta:1", "h_delta:0.5,1")
+POINTWISE_KERNELS = ("riesz:0.5", "log_riesz:0.5,1", "truncated:0.5,0,1", "bessel:0.5")
+
+
+def test_pointwise_potentials_never_reach_quadpack(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("QUADPACK called for a pointwise potential")
+
+    monkeypatch.setattr(quadrature, "_quad", refuse)
+    for form in POINTWISE_FORMS:
+        for kernel in POINTWISE_KERNELS:
+            f, k = parse_form_spec(form), potentials.parse_kernel_spec(kernel)
+            for x in (-2.5, -0.3, 0.2, 1.0, 2.0, 3.3, 5.5):
+                result = apply_kernel_report(f, x, k)
+                assert math.isfinite(result.value) and result.error <= 1e-12 * max(result.value, 1e-300)
+
+
+@pytest.mark.parametrize(
+    "form, kernel, x",
+    [
+        ("g_delta:1", "riesz:0.5", 2.716261),  # 0.002 below the support's end e
+        ("g_delta:1", "log_riesz:0.5,1", 2.716261),
+        ("g_delta:1", "bessel:0.5", 2.716261),
+        ("f_delta:0.5,1", "riesz:0.5", 0.37),  # 0.002 past the end 1/e away from the singularity
+        ("f_delta:0.5,1", "riesz:0.5", math.nextafter(INV_E, 1.0)),
+        ("big_r:0.5,1", "riesz:0.5", -math.nextafter(INV_E, 1.0)),
+        ("indicator:0,1", "riesz:0.5", math.nextafter(1.0, 2.0)),
+    ],
+)
+def test_points_next_to_a_support_edge_bisect_shallow(monkeypatch, form, kernel, x):
+    # the kernel's near singularity is graded in ln|x - y|, so a few levels resolve it
+    depths = _levels_per_call(monkeypatch)
+    apply_kernel_report(parse_form_spec(form), x, potentials.parse_kernel_spec(kernel))
+    assert len(depths) == 1 and depths[0] <= 6
 
 
 # ---------------------------------------------------------------------------

@@ -100,29 +100,46 @@ def _scalar_maximal_sup(f, x, weight_exp, n_grid):
     return max(vals[i], fc, fd)
 
 
+def _kernel_value(k: KernelSpec, z: float) -> float:
+    """K(z) from the kernel's array method: |z|^(alpha-1) times its regular part."""
+    return abs(z) ** (k.alpha - 1.0) * float(k.regular_part(math.log(abs(z))))
+
+
 class TestKernelSpec:
     def test_values(self):
         k = KernelSpec.riesz(0.5)
-        assert k.evaluate(0.25) == pytest.approx(2.0, rel=1e-14)
-        assert k.evaluate(-0.25) == pytest.approx(2.0, rel=1e-14)
+        assert _kernel_value(k, 0.25) == pytest.approx(2.0, rel=1e-14)
+        assert _kernel_value(k, -0.25) == pytest.approx(2.0, rel=1e-14)
 
     def test_log_variant(self):
         k = KernelSpec.log_riesz(0.5, 1.0)
         z = 0.1
-        assert k.evaluate(z) == pytest.approx(z**-0.5 * abs(math.log(z)), rel=1e-14)
+        assert _kernel_value(k, z) == pytest.approx(z**-0.5 * abs(math.log(z)), rel=1e-14)
 
     def test_truncated(self):
         k = KernelSpec.truncated(0.5, radius=1.0)
-        assert k.evaluate(2.0) == 0.0
-        assert k.evaluate(0.25) == pytest.approx(2.0, rel=1e-14)
+        assert _kernel_value(k, 2.0) == 0.0
+        assert _kernel_value(k, 0.25) == pytest.approx(2.0, rel=1e-14)
 
     def test_bessel_local_behaviour(self):
-        # rest(z) = |z|^nu K_nu(|z|) tends to 2^(nu-1) Gamma(nu) at zero
+        # the regular part |z|^nu K_nu(|z|) tends to 2^(nu-1) Gamma(nu) at zero
         alpha = 0.5
         k = KernelSpec.bessel(alpha)
         nu = (1.0 - alpha) / 2.0
         want = 2.0 ** (nu - 1.0) * math.gamma(nu)
-        assert k.rest(1e-8) == pytest.approx(want, rel=1e-4)
+        assert float(k.regular_part(math.log(1e-8))) == pytest.approx(want, rel=1e-4)
+
+    def test_regular_part_is_elementwise(self):
+        # an array of ln|z| gives the same values as each ln|z| alone, also where |z| underflows
+        ln_z = np.array([-800.0, -20.0, -1.0, 0.0, 0.5, 3.0, 6.5])
+        for k in (KernelSpec.riesz(0.5), KernelSpec.log_riesz(0.5, 1.0, SlowlyVarying.log_power(1.0)),
+                  KernelSpec.truncated(0.5, 2.0, radius=2.0), KernelSpec.bessel(0.3)):
+            got = k.regular_part(ln_z)
+            assert got.shape == ln_z.shape and np.isfinite(got).all()
+            assert got.tolist() == pytest.approx([float(k.regular_part(v)) for v in ln_z], rel=1e-14, abs=0.0)
+        nu = 0.35
+        limit = 2.0 ** (nu - 1.0) * math.gamma(nu)
+        assert KernelSpec.bessel(0.3).regular_part(-800.0) == pytest.approx(limit, rel=1e-14)
 
     def test_parse(self):
         assert parse_kernel_spec("riesz:0.5").variant == "riesz"
@@ -244,11 +261,34 @@ class TestApplyKernel:
     @pytest.mark.parametrize("delta", [1.0, 2.0])
     @pytest.mark.parametrize("power", [0.95, 0.99])
     def test_unresolved_points_raise(self, power, delta):
-        # next to a singularity of power ~1, QUADPACK's nodes reach where the density
-        # overflows: an inf value with a nan error, or an OverflowError from the density
-        # (the potentials are finite: 566.27 for f_delta(0.95,1), 2828429.7 for f_delta(0.99,2))
-        with pytest.raises(ToleranceError, match=r"potential at x=0\.5 "):
-            apply_kernel_report(TestFunction.f_delta(power, delta), 0.5, RIESZ_HALF)
+        # a user density is evaluated in floats: next to its singularity of power ~1 the nodes
+        # reach where |y|^-power overflows or y rounds to 0, and the point raises, naming x
+        f = TestFunction.user(
+            evaluator=lambda y: abs(y) ** -power * abs(math.log(abs(y))) ** delta,
+            support=((0.0, 1.0 / math.e),),
+            singularities=(Singularity(0.0, power, delta),),
+            pieces=(Piece("origin", 0.0, 1.0 / math.e, power=power, log_power=delta),),
+        )
+        with pytest.raises(ToleranceError, match=r"potential at x=0\.5 not resolved: the density overflowed"):
+            apply_kernel_report(f, 0.5, RIESZ_HALF)
+
+    @pytest.mark.parametrize(
+        "power, delta, want",
+        [
+            # int_1^inf e^(-(1-power) w) w^delta (1/2 - e^-w)^(-1/2) dw, y = e^-w, by mpmath at 45 digits
+            (0.95, 1.0, "566.265976597759611863248819239"),
+            (0.95, 2.0, "22629.7068232199814374154914473"),
+            (0.97, 1.0, "1571.97626286109673320078904214"),
+            (0.97, 2.0, "104759.003161109201918397612333"),
+            (0.99, 1.0, "14142.8139767227475379200617849"),
+            (0.99, 2.0, "2828429.73318561654431208423057"),
+        ],
+    )
+    def test_points_next_to_a_singularity_of_power_near_one(self, power, delta, want):
+        # the catalog density is formed in logs at every node, so nothing overflows
+        got = apply_kernel_report(TestFunction.f_delta(power, delta), 0.5, RIESZ_HALF)
+        actual = abs(got.value - float(want))
+        assert actual <= got.error <= 1e-13 * got.value
 
 
 class TestScaledEvaluators:
