@@ -2,12 +2,16 @@
 
 Exit codes: 0 success, 2 validation error (bad arguments, malformed specs,
 unknown config keys), 3 numeric failure (divergence, tolerance, feasibility).
+``potential`` writes every row of its grid even when some points fail (value
+inf where the potential diverges, nan where it missed its tolerance), names
+each failed point on stderr, then exits 3.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -77,13 +81,11 @@ def _emit(lines: list[str], out: str | None) -> None:
 
 
 def _quad_from_args(args) -> QuadratureSpec:
-    return QuadratureSpec(rel_tol=args.rel_tol, abs_tol=args.abs_tol, max_depth=args.max_depth)
+    return QuadratureSpec(rel_tol=args.rel_tol)
 
 
 def _add_quad_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--rel-tol", dest="rel_tol", type=float, default=1e-8)
-    sub.add_argument("--abs-tol", dest="abs_tol", type=float, default=1e-12)
-    sub.add_argument("--max-depth", dest="max_depth", type=int, default=50)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -210,11 +212,18 @@ def _cmd_potential(args) -> int:
     grid = parse_grid_spec(args.grid)
     spec = _quad_from_args(args)
     lines = ["x,value,error_estimate"]
+    failed = 0
     for x in grid.points:
-        res = apply_kernel_report(f, x, kernel, spec)
-        lines.append(f"{format_value(x)},{format_value(res.value)},{format_value(res.error)}")
+        try:
+            value, error = apply_kernel_report(f, x, kernel, spec)
+        except (DivergenceError, ToleranceError) as exc:
+            # the integrand is non-negative, so a divergent potential is +inf; neither has an error estimate
+            value, error = (math.inf if isinstance(exc, DivergenceError) else math.nan), math.nan
+            failed += 1
+            sys.stderr.write(f"numeric failure at x={format_value(x)}: {exc}\n")
+        lines.append(f"{format_value(x)},{format_value(value)},{format_value(error)}")
     _emit(lines, args.out)
-    return 0
+    return 3 if failed else 0
 
 
 def _cmd_verify(args) -> int:

@@ -36,7 +36,7 @@ EXPERIMENT_NAMES = (
     "E8_bessel_sanity",
 )
 
-_COMMON_KEYS = {"name", "output_dir", "seed", "rel_tol", "abs_tol", "max_depth"}
+_COMMON_KEYS = {"name", "output_dir", "seed", "rel_tol"}
 _EXPERIMENT_KEYS = {
     "E1_upper_thm1": {"alpha", "delta", "offsets"},
     "E2_lower_p_to_1": {"alpha", "deltas", "offsets"},
@@ -67,8 +67,6 @@ class ExperimentConfig:
     grid_points: int = 0  # 0: per-experiment default (E6: 200, E8: 33)
     x_large: float = 50.0
     rel_tol: float = 1e-8
-    abs_tol: float = 1e-12
-    max_depth: int = 50
 
     def __post_init__(self):
         if self.name not in EXPERIMENT_NAMES:
@@ -80,7 +78,7 @@ class ExperimentConfig:
 
     @property
     def quad(self) -> QuadratureSpec:
-        return QuadratureSpec(rel_tol=self.rel_tol, abs_tol=self.abs_tol, max_depth=self.max_depth)
+        return QuadratureSpec(rel_tol=self.rel_tol)
 
     @staticmethod
     def from_dict(data: dict) -> "ExperimentConfig":

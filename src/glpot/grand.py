@@ -33,6 +33,10 @@ from .psi import PsiFunction
 from .quadrature import QuadratureSpec, log_piecewise_integral, logsumexp_pair
 
 _LOG_DECAY_MARGIN = 46.0  # e^-46 ~ 1e-20: contribution cut under the peak
+#: PotentialNormEvaluator's first near/far grid ratio and inner point count (each refinement
+#: takes the square root of the ratio and doubles the count)
+_GRID_RATIO = 1.05
+_INNER_POINTS = 96
 
 
 @dataclass(frozen=True)
@@ -156,29 +160,23 @@ class PotentialNormEvaluator:
     Regions: near (|x| <= 1/e, coordinate y = -ln|x|), inner
     (1/e <= |x| <= x0, coordinate x), far (|x| >= x0, coordinate t = ln|x|).
     Tables grow on demand until the transformed integrand of each requested
-    q has dropped `_LOG_DECAY_MARGIN` below its peak.  ``spec`` is not read:
-    the scaled evaluators that fill the tables work to their own fixed
-    accuracy.
+    q has dropped `_LOG_DECAY_MARGIN` below its peak, starting from the
+    grid ratio `_GRID_RATIO` and `_INNER_POINTS` inner points.  ``spec`` is
+    not read: the scaled evaluators that fill the tables work to their own
+    fixed accuracy.
     """
 
-    def __init__(
-        self,
-        f: TestFunction,
-        kernel: KernelSpec,
-        spec: QuadratureSpec | None = None,
-        grid_ratio: float = 1.05,
-        inner_points: int = 96,
-    ):
+    def __init__(self, f: TestFunction, kernel: KernelSpec, spec: QuadratureSpec | None = None):
         self.f = f
         self.kernel = kernel
-        self.ratio = grid_ratio
+        self.ratio = _GRID_RATIO
         radius = kernel.radius or 0.0
         self.x0 = max(math.exp(1.5), 1.5 * (radius + f.support_bound))
         self.t0 = math.log(self.x0)
         self._near: dict[float, tuple[np.ndarray, np.ndarray]] = {}
         self._far: dict[float, tuple[np.ndarray, np.ndarray]] = {}
         self._inner: dict[float, tuple[np.ndarray, np.ndarray]] = {}
-        self._inner_n = inner_points
+        self._inner_n = _INNER_POINTS
 
     # -- tables -------------------------------------------------------------
 

@@ -234,6 +234,8 @@ def lp_norm_closed_form(f: TestFunction, p: float) -> float:
 # ---------------------------------------------------------------------------
 
 _BRENT_TOL = 1e-10
+#: geometric levels of :func:`weak_lp_quasinorm`'s grid
+_WEAK_GRID_SIZE = 1000
 
 
 def _branch_endpoint_values(f: TestFunction, br: MonotoneBranch) -> tuple[float, float]:
@@ -368,12 +370,13 @@ def decreasing_rearrangement(f: TestFunction, t: float) -> float:
     return hi
 
 
-def weak_lp_quasinorm(f: TestFunction, p: float, grid_size: int = 1000) -> float:
+def weak_lp_quasinorm(f: TestFunction, p: float) -> float:
     """sup over a geometric level grid of level * m_f(level)^(1/p).
 
-    The grid spans the essential range of |f| (read off the rearrangement at
-    extreme measure scales) and is refined geometrically below interior
-    plateau edges so suprema approached one-sidedly are captured.
+    The grid of ``_WEAK_GRID_SIZE`` levels spans the essential range of |f|
+    (read off the rearrangement at extreme measure scales) and is refined
+    geometrically below interior plateau edges so suprema approached
+    one-sidedly are captured.
     """
     if p < 1.0:
         raise DomainError(f"p must be >= 1, got {p}")
@@ -386,7 +389,7 @@ def weak_lp_quasinorm(f: TestFunction, p: float, grid_size: int = 1000) -> float
     if not lo > 0.0:
         lo = hi * 1e-12
     lo = min(lo, hi * (1.0 - 1e-9))
-    levels = [lo * (hi / lo) ** (i / (grid_size - 1)) for i in range(grid_size)]
+    levels = [lo * (hi / lo) ** (i / (_WEAK_GRID_SIZE - 1)) for i in range(_WEAK_GRID_SIZE)]
     levels += [hi * (1.0 - 2.0**-k) for k in range(1, 41)]
     levels += [lo * (1.0 + 2.0**-k) for k in range(1, 41)]
     best = 0.0

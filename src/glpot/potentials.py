@@ -41,6 +41,7 @@ from .errors import DivergenceError, DomainError, ToleranceError
 from .psi import SlowlyVarying
 from .quadrature import (
     BATCH_SPEC,
+    MAX_DEPTH,
     MAX_ROW_PANELS,
     IntegralResult,
     QuadratureSpec,
@@ -533,7 +534,7 @@ def _resolved(result: IntegralResult) -> np.ndarray:
     """The values of an integrate_batch result; ToleranceError if a row is unresolved at a cap."""
     if not np.isfinite(result.error).all():
         raise ToleranceError(
-            f"batched quadrature missed its tolerance within {BATCH_SPEC.max_depth} bisections "
+            f"batched quadrature missed its tolerance within {MAX_DEPTH} bisections "
             f"and {MAX_ROW_PANELS} panels per row",
             achieved=math.inf,
         )
@@ -740,22 +741,22 @@ def log_potential_near(f: TestFunction, kernel: KernelSpec, y, side: float):
 # ---------------------------------------------------------------------------
 
 
-def interval_mass(f: TestFunction, lo: float, hi: float, spec: QuadratureSpec | None = None) -> float:
+def interval_mass(f: TestFunction, lo: float, hi: float) -> float:
     """Integral of |f| over (lo, hi); analytic on the catalog pieces where it has a closed form."""
-    return float(_interval_masses(f, np.asarray(lo, dtype=float), np.asarray(hi, dtype=float), spec))
+    return float(_interval_masses(f, np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)))
 
 
-def _interval_masses(f: TestFunction, lo: np.ndarray, hi: np.ndarray, spec: QuadratureSpec | None = None) -> np.ndarray:
+def _interval_masses(f: TestFunction, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Integral of |f| over (lo, hi), elementwise over arrays of bounds.
 
     A plain piece is c (b - a).  A singular piece is e^(-c y) y^d dy in
     y = |ln|x||: an upper-gamma difference for c > 0, a polynomial for
     c = 0.  Growth (c < 0), a non-constant slow factor and user densities
-    go to quadrature, one interval at a time.
+    go to QUADPACK at the default ``QuadratureSpec()``, one interval at a time.
     """
     lo, hi = np.broadcast_arrays(lo, hi)
     if f.evaluator is not None:
-        return _quadrature_masses(f, lo, hi, spec)
+        return _quadrature_masses(f, lo, hi)
     total = np.zeros(lo.shape)
     for piece in f.pieces:
         a, b = np.maximum(lo, piece.lo), np.minimum(hi, piece.hi)
@@ -769,7 +770,7 @@ def _interval_masses(f: TestFunction, lo: np.ndarray, hi: np.ndarray, spec: Quad
             # quadrature, except where e^(-c y) y^d grows along an infinite range
             grows = (c < 0.0) & np.isinf(b - a)
             mass = np.full(a.shape, math.inf)
-            mass[~grows] = _quadrature_masses(f, a[~grows], b[~grows], spec)
+            mass[~grows] = _quadrature_masses(f, a[~grows], b[~grows])
             total[inside] += mass
             continue
         if piece.hi <= 0.0:
@@ -785,13 +786,12 @@ def _interval_masses(f: TestFunction, lo: np.ndarray, hi: np.ndarray, spec: Quad
     return total
 
 
-def _quadrature_masses(f: TestFunction, lo: np.ndarray, hi: np.ndarray, spec: QuadratureSpec | None) -> np.ndarray:
+def _quadrature_masses(f: TestFunction, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Elementwise :func:`_quadrature_mass`."""
-    spec = spec or QuadratureSpec()
-    return np.vectorize(lambda a, b: _quadrature_mass(f, a, b, spec), otypes=[float])(lo, hi)
+    return np.vectorize(lambda a, b: _quadrature_mass(f, a, b), otypes=[float])(lo, hi)
 
 
-def _quadrature_mass(f: TestFunction, lo: float, hi: float, spec: QuadratureSpec) -> float:
+def _quadrature_mass(f: TestFunction, lo: float, hi: float) -> float:
     """Integral of |f| over (lo, hi) by quadrature, split at support ends and singularities."""
     total = 0.0
     for seg_lo, seg_hi in f.support:
@@ -800,11 +800,12 @@ def _quadrature_mass(f: TestFunction, lo: float, hi: float, spec: QuadratureSpec
             continue
         breaks = sorted({a, b} | {s.location for s in f.singularities if a < s.location < b})
         for c1, c2 in zip(breaks[:-1], breaks[1:]):
-            total += _integrate_abs_singular(f, c1, c2, spec).value
+            total += _integrate_abs_singular(f, c1, c2).value
     return total
 
 
-def _integrate_abs_singular(f: TestFunction, lo: float, hi: float, spec: QuadratureSpec) -> IntegralResult:
+def _integrate_abs_singular(f: TestFunction, lo: float, hi: float) -> IntegralResult:
+    spec = QuadratureSpec()
     if math.isinf(hi):
         return integrate_decaying(lambda w: abs(f(math.exp(w))) * math.exp(w), math.log(max(lo, 1e-300)), spec)
     if math.isinf(lo):

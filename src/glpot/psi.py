@@ -141,12 +141,13 @@ class PsiFunction:
             return math.inf
         return vals[-1]
 
-    def check_on_grid(self, n: int = 256, trim: float = 0.15) -> dict:
-        """Positivity and continuity smoke test on an interior uniform grid.
+    def check_on_grid(self) -> dict:
+        """Positivity and continuity smoke test on 256 uniform points of the interval's middle 70%.
 
         Continuity heuristic: adjacent relative jumps must stay below 10x the
         grid spacing (measured relative to the trimmed interval length).
         """
+        n, trim = 256, 0.15
         hi = self.b if self.b != math.inf else self.a + max(2.0, 2.0 * (self.a + 1.0))
         length = hi - self.a
         lo, hi = self.a + trim * length, hi - trim * length

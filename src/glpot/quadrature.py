@@ -33,23 +33,18 @@ class IntegralResult(NamedTuple):
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Tolerances, subdivision depth and tail-truncation policy.
+    """The acceptance tolerance, and the tail rule that goes with it.
 
-    ``max_depth`` caps both QUADPACK subdivisions per panel and the number
-    of doubling panels used on semi-infinite ranges (for the batched rule,
-    its bisections).  The tail rule bounds the discarded mass by
-    ``rel_tol/10`` of the integral's scale.
+    Every public entry point reports ToleranceError for a result whose
+    estimated relative error exceeds ``rel_tol``.  The tail rule bounds the
+    discarded mass by ``rel_tol/10`` of the integral's scale.
     """
 
     rel_tol: float = 1e-8
-    abs_tol: float = 1e-12
-    max_depth: int = 50
 
     def __post_init__(self):
-        if self.rel_tol <= 0.0 or self.abs_tol <= 0.0:
+        if self.rel_tol <= 0.0:
             raise DomainError("tolerances must be positive")
-        if self.max_depth < 10:
-            raise DomainError(f"max_depth must be >= 10, got {self.max_depth}")
 
     def tail_cutoff(self, decay_rate: float, poly_degree: float, start: float) -> float:
         """Truncation point T for integrands bounded by t^m e^(-c t), t >= start.
@@ -77,52 +72,41 @@ class QuadratureSpec:
         return t
 
 
-def _eps_abs(spec: QuadratureSpec) -> float:
-    return min(spec.abs_tol, 1e-12)
+#: QUADPACK's absolute tolerance and subdivision limit per panel
+_EPS_ABS = 1e-12
+_QUAD_LIMIT = 200
+#: most doubling panels :func:`integrate_decaying` takes
+_DOUBLING_PANELS = 50
 
 
 def integrate_panel(fn: Callable[[float], float], a: float, b: float, spec: QuadratureSpec) -> IntegralResult:
     """One adaptive QUADPACK panel on a finite interval."""
     if not b > a:
         return IntegralResult(0.0, 0.0)
-    value, err = _quad(fn, a, b, epsabs=_eps_abs(spec), epsrel=spec.rel_tol / 10.0, limit=spec.max_depth * 4)
+    value, err = _quad(fn, a, b, epsabs=_EPS_ABS, epsrel=spec.rel_tol / 10.0, limit=_QUAD_LIMIT)
     return IntegralResult(value, err)
 
 
-def integrate_decaying(
-    fn: Callable[[float], float],
-    start: float,
-    spec: QuadratureSpec,
-    decay_rate: float | None = None,
-    poly_degree: float = 0.0,
-    first_width: float = 1.0,
-) -> IntegralResult:
+def integrate_decaying(fn: Callable[[float], float], start: float, spec: QuadratureSpec) -> IntegralResult:
     """Integrate fn over (start, infinity) for an eventually-decaying integrand.
 
-    Uses doubling panels: stops once a panel contributes less than
-    ``rel_tol/10`` of the running total and the analytic truncation point
-    (when a decay hint is available) has been passed.
+    Uses doubling panels of width 1, 2, 4, ...: stops at the third panel or
+    later, once a panel contributes less than ``rel_tol/10`` of the running
+    total (or 1e-12), and raises ToleranceError past 50 panels.
     """
     total, err = 0.0, 0.0
-    lo, width = start, first_width
-    horizon = (
-        spec.tail_cutoff(decay_rate, poly_degree, start)
-        if decay_rate is not None and decay_rate > 0.0
-        else None
-    )
-    for panel in range(spec.max_depth):
+    lo, width = start, 1.0
+    for panel in range(_DOUBLING_PANELS):
         hi = lo + width
-        v, e = _quad(fn, lo, hi, epsabs=_eps_abs(spec), epsrel=spec.rel_tol / 10.0, limit=spec.max_depth * 4)
+        v, e = _quad(fn, lo, hi, epsabs=_EPS_ABS, epsrel=spec.rel_tol / 10.0, limit=_QUAD_LIMIT)
         total += v
         err += e
         lo = hi
         width *= 2.0
-        small = abs(v) <= max(spec.abs_tol, spec.rel_tol / 10.0 * abs(total))
-        covered = lo >= horizon if horizon is not None else panel >= 2
-        if small and covered:
+        if abs(v) <= max(_EPS_ABS, spec.rel_tol / 10.0 * abs(total)) and panel >= 2:
             return IntegralResult(total, err)
     raise ToleranceError(
-        f"decaying integral did not settle within {spec.max_depth} doubling panels",
+        f"decaying integral did not settle within {_DOUBLING_PANELS} doubling panels",
         achieved=err / abs(total) if total else math.inf,
     )
 
@@ -154,11 +138,13 @@ def power_endpoint_integral(
 # batched fixed-order rule
 # ---------------------------------------------------------------------------
 
-#: accuracy of :func:`integrate_batch`: relative error per integral and
-#: bisection depth cap; its tail_cutoff is where callers end decaying tails
-BATCH_SPEC = QuadratureSpec(rel_tol=1e-13, max_depth=50)
+#: accuracy of :func:`integrate_batch`: relative error per integral; its
+#: tail_cutoff is where callers end decaying tails
+BATCH_SPEC = QuadratureSpec(rel_tol=1e-13)
 #: the error estimate compares Gauss-Legendre at _GL_N and 2 _GL_N nodes
 _GL_N = 12
+#: most times :func:`integrate_batch` bisects a panel
+MAX_DEPTH = 50
 #: most panels one row of :func:`integrate_batch` may have on one level
 MAX_ROW_PANELS = 1024
 
@@ -179,11 +165,10 @@ def integrate_batch(fn: Callable[[np.ndarray, np.ndarray], np.ndarray], lo: np.n
     returns the integrand of integral ``rows[j]`` at the nodes ``x[j]``.
     Every panel is integrated at n and 2n nodes, and a panel whose two
     values differ by more than BATCH_SPEC.rel_tol of its integral's first
-    estimate is bisected, all such panels together, up to
-    BATCH_SPEC.max_depth times.  A row with a panel still unresolved then,
-    or one whose next level would have more than MAX_ROW_PANELS panels (a
-    noisy integrand), stops there with the error inf; the other rows are
-    unaffected.
+    estimate is bisected, all such panels together, up to MAX_DEPTH times.
+    A row with a panel still unresolved then, or one whose next level would
+    have more than MAX_ROW_PANELS panels (a noisy integrand), stops there
+    with the error inf; the other rows are unaffected.
     Returns the 2n-node values and the summed differences, one per row.
     A row's result depends on that row alone, bit for bit: not on the
     other rows, their number or their order.
@@ -194,7 +179,7 @@ def integrate_batch(fn: Callable[[np.ndarray, np.ndarray], np.ndarray], lo: np.n
     a, b, rows = lo[panel_rows, panel_cols], hi[panel_rows, panel_cols], panel_rows
     levels = []  # per depth: (value, error, bisected) of its panels
     tol = None
-    for depth in range(BATCH_SPEC.max_depth + 1):
+    for depth in range(MAX_DEPTH + 1):
         width = b - a
         f = fn(rows, a[:, None] + width[:, None] * x)
         coarse = (f[:, :_GL_N] * w1).sum(axis=1) * width
@@ -204,10 +189,10 @@ def integrate_batch(fn: Callable[[np.ndarray, np.ndarray], np.ndarray], lo: np.n
             first_sums = _row_sums(value, rows, panel_cols, n_rows, n_panels)
             tol = BATCH_SPEC.rel_tol * np.abs(first_sums)
         bisect = error > tol[rows]
-        if depth == BATCH_SPEC.max_depth or 2 * np.count_nonzero(bisect) > MAX_ROW_PANELS:
+        if depth == MAX_DEPTH or 2 * np.count_nonzero(bisect) > MAX_ROW_PANELS:
             # rows unresolved at the depth cap, or whose next level would pass the panel cap
             stop = bisect
-            if depth < BATCH_SPEC.max_depth:
+            if depth < MAX_DEPTH:
                 stop = bisect & (2 * np.bincount(rows[bisect], minlength=n_rows) > MAX_ROW_PANELS)[rows]
             error[stop] = np.inf
             bisect &= ~stop

@@ -11,10 +11,14 @@ from __future__ import annotations
 
 import math
 
-from .errors import DomainError
+from .errors import DomainError, ToleranceError
 
 _EPS = 1e-15
-_MAX_ITER = 500
+
+
+def _max_iter(s: float) -> int:
+    # near x = s the series needs ~7.4 sqrt(s) terms to reach _EPS, the continued fraction ~0.9 sqrt(s)
+    return 500 + int(16.0 * math.sqrt(s))
 
 
 def _lower_regularized_series(s: float, x: float) -> float:
@@ -22,12 +26,14 @@ def _lower_regularized_series(s: float, x: float) -> float:
     term = 1.0 / s
     total = term
     a = s
-    for _ in range(_MAX_ITER):
+    for _ in range(_max_iter(s)):
         a += 1.0
         term *= x / a
         total += term
         if abs(term) < abs(total) * _EPS:
             break
+    else:
+        raise ToleranceError(f"incomplete gamma series at s={s!r}, x={x!r} did not converge", abs(term / total))
     return total * math.exp(-x + s * math.log(x) - math.lgamma(s))
 
 
@@ -38,7 +44,7 @@ def _upper_cf(s: float, x: float) -> float:
     c = 1.0 / tiny
     d = 1.0 / b
     h = d
-    for i in range(1, _MAX_ITER):
+    for i in range(1, _max_iter(s)):
         an = -i * (i - s)
         b += 2.0
         d = an * d + b
@@ -52,6 +58,8 @@ def _upper_cf(s: float, x: float) -> float:
         h *= delta
         if abs(delta - 1.0) < _EPS:
             break
+    else:
+        raise ToleranceError(f"incomplete gamma fraction at s={s!r}, x={x!r} did not converge", abs(delta - 1.0))
     return h
 
 

@@ -81,7 +81,7 @@ def test_a_noisy_row_stops_at_the_panel_cap():
     alone = integrate_batch(lambda rows, x: x**3, np.zeros((1, 1)), np.ones((1, 1)))
     assert capped.error[0] == math.inf
     assert max(panels) <= quadrature.MAX_ROW_PANELS
-    assert len(panels) <= quadrature.BATCH_SPEC.max_depth  # the panel cap stopped it, not the depth cap
+    assert len(panels) <= quadrature.MAX_DEPTH  # the panel cap stopped it, not the depth cap
     assert (capped.value[1], capped.error[1]) == (alone.value[0], alone.error[0])
 
 

@@ -5,9 +5,18 @@ from pathlib import Path
 
 import pytest
 
+from glpot import cli
 from glpot.cli import main, parse_form_spec, parse_grid_spec
-from glpot.errors import DomainError
-from glpot.experiments import ExperimentConfig, run_experiment
+from glpot.errors import DomainError, ToleranceError
+from glpot.experiments import ExperimentConfig, format_value, run_experiment
+from glpot.potentials import apply_kernel_report, parse_kernel_spec
+
+_QUAD_COMMANDS = [
+    ["lpnorm", "--form", "g_delta:0", "--p", "2"],
+    ["grand", "--form", "g_delta:0", "--psi", "const:a=1.2,b=1.8"],
+    ["vfun", "--form", "g_delta:0", "--alpha", "0.5", "--p", "1.4"],
+    ["potential", "--form", "indicator:0,1", "--kernel", "riesz:0.5", "--grid", "uniform:0:1:3"],
+]
 
 
 class TestSpecParsers:
@@ -97,6 +106,42 @@ class TestCliCommands:
         x0 = rows[1].split(",")
         assert float(x0[1]) == pytest.approx(2.0, rel=1e-9)
 
+    @pytest.mark.parametrize("flag", [["--abs-tol", "0.5"], ["--max-depth", "10"]])
+    @pytest.mark.parametrize("command", _QUAD_COMMANDS, ids=lambda c: c[0])
+    def test_removed_quadrature_flags_are_rejected(self, command, flag, capsys):
+        assert main(command + flag) == 2
+        assert main(command + ["--rel-tol", "1e-8"]) == 0
+
+    def test_potential_writes_every_row_past_a_divergent_point(self, capsys):
+        form, kernel = "f_delta:0.5,1", "bessel:0.5"
+        code = main(["potential", "--form", form, "--kernel", kernel, "--grid", "uniform:-3:6:7"])
+        out, err = capsys.readouterr()
+        assert code == 3
+        rows = [row.split(",") for row in out.strip().splitlines()[1:]]
+        assert [float(x) for x, _, _ in rows] == [-3.0, -1.5, 0.0, 1.5, 3.0, 4.5, 6.0]
+        f, k = parse_form_spec(form), parse_kernel_spec(kernel)
+        for x, value, error in rows:
+            if float(x) == 0.0:
+                assert (value, error) == ("inf", "nan")  # f_delta(0.5,1) * bessel:0.5 diverges at 0
+            else:
+                want = apply_kernel_report(f, float(x), k)
+                assert (value, error) == (format_value(want.value), format_value(want.error))
+        assert err.count("numeric failure") == 1 and "x=0:" in err
+
+    def test_potential_marks_an_unresolved_point_nan(self, capsys, monkeypatch, tmp_path):
+        def fails_at_half(f, x, kernel, spec):
+            if x == 0.5:
+                raise ToleranceError("unresolved", achieved=1e-3)
+            return apply_kernel_report(f, x, kernel, spec)
+
+        monkeypatch.setattr(cli, "apply_kernel_report", fails_at_half)
+        out = tmp_path / "u.csv"
+        args = ["--form", "indicator:0,1", "--kernel", "riesz:0.5", "--grid", "uniform:0:1:3", "--out", str(out)]
+        assert main(["potential", *args]) == 3
+        rows = out.read_text().strip().splitlines()
+        assert len(rows) == 4 and rows[2] == "0.5,nan,nan"
+        assert "x=0.5:" in capsys.readouterr().err
+
     def test_grand_report(self, capsys):
         code = main(["grand", "--form", "g_delta:0", "--psi", "const:a=1.2,b=1.8"])
         assert code == 0
@@ -154,6 +199,14 @@ class TestVerify:
         cfg_path = tmp_path / "bad.json"
         cfg_path.write_text(json.dumps({"name": "E5_orlicz_growth_eq37", "typo_key": 1}))
         assert main(["verify", "E5_orlicz_growth_eq37", "--config", str(cfg_path)]) == 2
+
+    @pytest.mark.parametrize("key,value", [("abs_tol", 0.5), ("max_depth", 10)])
+    def test_removed_quadrature_keys_rejected(self, tmp_path, key, value):
+        cfg_path = tmp_path / "old.json"
+        cfg_path.write_text(json.dumps({"name": "E2_lower_p_to_1", key: value}))
+        assert main(["verify", "E2_lower_p_to_1", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+        with pytest.raises(DomainError):
+            ExperimentConfig.from_dict({"name": "E2_lower_p_to_1", key: value})
 
     def test_config_name_mismatch(self, tmp_path):
         cfg_path = tmp_path / "e5.json"

@@ -216,6 +216,23 @@ class TestLpNormOracles:
         with pytest.raises(ToleranceError, match=r"\|_1\.0000000018626451 quadrature"):
             lp_norm(TestFunction.g_delta(1.0), p, QuadratureSpec(rel_tol=1e-17))
 
+    @pytest.mark.parametrize("knob", [{"abs_tol": 1e-10}, {"max_depth": 10}])
+    def test_the_tolerance_is_the_only_knob(self, knob):
+        assert QuadratureSpec().rel_tol == 1e-8
+        with pytest.raises(TypeError):
+            QuadratureSpec(**knob)
+
+    @pytest.mark.parametrize(
+        "f",
+        [TestFunction.g_delta(1.0), TestFunction.g_delta(2.5), TestFunction.example3(0.5, 1.0)],
+        ids=lambda f: f.label,
+    )
+    def test_closed_form_holds_at_large_p(self, f):
+        # the closed form's upper gamma has order ~ delta p here; its series once stopped short
+        for k in range(1, 21):
+            p = 1.0 + 2.0**k
+            assert lp_norm_closed_form(f, p) == pytest.approx(lp_norm(f, p), rel=1e-13, abs=0.0)
+
 
 class TestNormAsymptotics:
     def test_tail_family_slopes_match_exact_form(self):
@@ -312,7 +329,7 @@ class TestRearrangement:
     def test_rearranged_norm_identity(self):
         # integral of f*(t)^p equals |f|_p^p (p = 1)
         f = TestFunction.f_delta(0.5, 0.0)
-        spec = QuadratureSpec(rel_tol=1e-5, abs_tol=1e-10)
+        spec = QuadratureSpec(rel_tol=1e-5)
         val, _ = integrate_decaying(
             lambda w: decreasing_rearrangement(f, math.exp(-w)) * math.exp(-w), 1.0, spec
         )

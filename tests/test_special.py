@@ -5,7 +5,7 @@ import pytest
 from scipy.special import gamma as sp_gamma
 from scipy.special import gammaincc as sp_gammaincc
 
-from glpot import DomainError, upper_gamma
+from glpot import DomainError, ToleranceError, special, upper_gamma
 from glpot.special import log_upper_gamma
 
 
@@ -50,6 +50,26 @@ def test_log_variant_far_tail_against_mpmath():
         for s, x in ((1.0, 1023.0), (257.0, 255.0), (257.0, 800.0), (3.5, 5000.0)):
             want = float(mp.log(mp.gammainc(s, x)))
             assert log_upper_gamma(s, x) == pytest.approx(want, rel=1e-13)
+
+
+@pytest.mark.parametrize("k", [13, 15, 18, 20])
+def test_log_variant_at_large_order_against_mpmath(k):
+    # near x = s the series needs ~7.4 sqrt(s) terms, past a flat cap of 500 from s ~ 4600 on
+    import mpmath as mp
+
+    s = 2.0**k
+    with mp.workdps(40):
+        for x in (s - 2.0, s + 1.5, 1.01 * s):
+            want = float(mp.log(mp.gammainc(s, x)))
+            assert log_upper_gamma(s, x) == pytest.approx(want, rel=4e-16, abs=0.0)
+
+
+def test_unconverged_sum_raises(monkeypatch):
+    monkeypatch.setattr(special, "_max_iter", lambda s: 10)
+    with pytest.raises(ToleranceError):
+        log_upper_gamma(1000.0, 999.0)  # the series
+    with pytest.raises(ToleranceError):
+        log_upper_gamma(1000.0, 1002.0)  # the continued fraction
 
 
 @pytest.mark.parametrize("s", sorted(set(np.linspace(0.2, 50.0, 50).tolist()) | {0.5, 1.0, 1.5, 2.0}))
