@@ -2,9 +2,9 @@
 
 Exit codes: 0 success, 2 validation error (bad arguments, malformed specs,
 unknown config keys), 3 numeric failure (divergence, tolerance, feasibility).
-``potential`` writes every row of its grid even when some points fail (value
-inf where the potential diverges, nan where it missed its tolerance), names
-each failed point on stderr, then exits 3.
+``lpnorm``, ``vfun`` and ``potential`` write every row even when some
+exponents or points fail (value inf where it diverges, nan where it missed
+its tolerance), name each failure on stderr, then exit 3.
 """
 
 from __future__ import annotations
@@ -19,9 +19,9 @@ from .catalog import TestFunction
 from .errors import DivergenceError, DomainError, FeasibilityError, NoRootError, ToleranceError
 from .exponents import MultiIndex, PotentialParams, sobolev_q
 from .experiments import EXPERIMENT_NAMES, ExperimentConfig, format_value, run_experiment
-from .grand import grand_norm, v_functional
+from .grand import PotentialNormEvaluator, grand_norm, v_functional
 from .norms import lp_norm_report
-from .potentials import EvalGrid, apply_kernel_report, parse_kernel_spec
+from .potentials import EvalGrid, KernelSpec, apply_kernel_report, parse_kernel_spec
 from .psi import SlowlyVarying, bessel_theta, derivative_zeta, parse_psi_spec, riesz_zeta, singular_psi1, zeta_S
 from .quadrature import QuadratureSpec
 
@@ -70,6 +70,12 @@ def parse_grid_spec(text: str) -> EvalGrid:
     if rule == "uniform":
         return EvalGrid.uniform(lo, hi, n)
     raise DomainError(f"unknown grid rule {rule!r}")
+
+
+def _failed_value(exc: Exception, where: str) -> float:
+    """inf for a divergence (every integrand is non-negative), nan for a missed tolerance; named on stderr."""
+    sys.stderr.write(f"numeric failure at {where}: {exc}\n")
+    return math.inf if isinstance(exc, DivergenceError) else math.nan
 
 
 def _emit(lines: list[str], out: str | None) -> None:
@@ -170,11 +176,16 @@ def _cmd_lpnorm(args) -> int:
     f = parse_form_spec(args.form)
     spec = _quad_from_args(args)
     lines = ["form,p,value,error_estimate"]
+    failed = 0
     for p in args.p:
-        res = lp_norm_report(f, p, spec)
-        lines.append(f"{f.label},{format_value(p)},{format_value(res.value)},{format_value(res.rel_error)}")
+        try:
+            value, error = lp_norm_report(f, p, spec)
+        except (DivergenceError, ToleranceError) as exc:
+            value, error = _failed_value(exc, f"p={format_value(p)}"), math.nan
+            failed += 1
+        lines.append(f"{f.label},{format_value(p)},{format_value(value)},{format_value(error)}")
     _emit(lines, args.out)
-    return 0
+    return 3 if failed else 0
 
 
 def _cmd_grand(args) -> int:
@@ -197,13 +208,19 @@ def _cmd_vfun(args) -> int:
     f = parse_form_spec(args.form)
     spec = _quad_from_args(args)
     params = PotentialParams(1, args.alpha)
+    evaluator = PotentialNormEvaluator(f, KernelSpec.riesz(args.alpha), spec)  # its tables serve every p
     lines = ["form,p,q,V"]
+    failed = 0
     for p in args.p:
         q = sobolev_q(p, params)
-        v = v_functional(f, p, args.alpha, spec)
+        try:
+            v = v_functional(f, p, args.alpha, spec, evaluator=evaluator)
+        except (DivergenceError, ToleranceError) as exc:
+            v = _failed_value(exc, f"p={format_value(p)}")
+            failed += 1
         lines.append(f"{f.label},{format_value(p)},{format_value(q)},{format_value(v)}")
     _emit(lines, args.out)
-    return 0
+    return 3 if failed else 0
 
 
 def _cmd_potential(args) -> int:
@@ -217,10 +234,8 @@ def _cmd_potential(args) -> int:
         try:
             value, error = apply_kernel_report(f, x, kernel, spec)
         except (DivergenceError, ToleranceError) as exc:
-            # the integrand is non-negative, so a divergent potential is +inf; neither has an error estimate
-            value, error = (math.inf if isinstance(exc, DivergenceError) else math.nan), math.nan
+            value, error = _failed_value(exc, f"x={format_value(x)}"), math.nan
             failed += 1
-            sys.stderr.write(f"numeric failure at x={format_value(x)}: {exc}\n")
         lines.append(f"{format_value(x)},{format_value(value)},{format_value(error)}")
     _emit(lines, args.out)
     return 3 if failed else 0

@@ -10,10 +10,14 @@ pointwise.  Those are assembled from tables of ln|u| on log-spaced grids
 interpolant exactly in log space, with the grid extended until the
 integrand has fallen ~20 decades below its peak and refined until the norm
 moves by less than 0.5%.  All three tables come from the scaled evaluators
-of potentials.py, the inner one at ln|x|: each table, and each extension of
-one, is a single batched call.  The tables are numpy arrays, and each
-norm's integrand q ln|u| +- coordinate and its integral over a table are
-one array pass (quadrature.log_piecewise_integral).
+of potentials.py, the inner one at ln|x|.  A near or far table's
+coordinates are one geometric sequence, and the stop rule walks the
+lengths a loop adding one doubling at a time would reach; a table that
+must grow is evaluated two doubling lengths past the one asked for, in one
+batched call, and a side's inner table comes with its near and far tables'
+first chunks in one call.  The tables are numpy arrays, and each norm's
+integrand q ln|u| +- coordinate and its integral over a table are one
+array pass (quadrature.log_piecewise_integral).
 """
 
 from __future__ import annotations
@@ -37,6 +41,10 @@ _LOG_DECAY_MARGIN = 46.0  # e^-46 ~ 1e-20: contribution cut under the peak
 #: takes the square root of the ratio and doubles the count)
 _GRID_RATIO = 1.05
 _INNER_POINTS = 96
+#: a near/far table's range cap, in y = -ln|x| or t = ln|x|
+_RANGE_CAP = 5.0e4
+#: doubling lengths past the one its stop rule asks for that a growing table is evaluated to
+_LOOKAHEAD = 2
 
 
 @dataclass(frozen=True)
@@ -154,6 +162,45 @@ def grand_norm(f: TestFunction, psi: PsiFunction, spec: QuadratureSpec | None = 
 # ---------------------------------------------------------------------------
 
 
+class _GrownTable:
+    """One side's near (y = -ln|x|) or far (t = ln|x|) table, its ln u evaluated in chunks.
+
+    The coordinates are one geometric sequence, c_0 = first and
+    c_(k+1) = c_k * ratio.  ``lengths`` are the table lengths of the
+    doubling loop: through the first point >= start, then each time through
+    the first point >= twice the last one, up to the first length whose
+    last point reaches the range cap.  ``grown`` indexes the length the
+    stop rule has reached, and ``vals`` holds ln u at a prefix of the
+    coordinates.  A point's value does not depend on the chunk it was
+    evaluated in, so each length's table is, bit for bit, the one a loop
+    evaluating one doubling per call would build.
+    """
+
+    def __init__(self, first: float, ratio: float, start: float):
+        coords = [first]
+        while coords[-1] < start:
+            coords.append(coords[-1] * ratio)
+        self.lengths = [len(coords)]
+        while coords[-1] < _RANGE_CAP:
+            end = 2.0 * coords[-1]
+            while coords[-1] < end:
+                coords.append(coords[-1] * ratio)
+            self.lengths.append(len(coords))
+        self.coords = np.array(coords)
+        self.vals = np.empty(0)
+        self.grown = 0
+
+    def pending(self) -> np.ndarray:
+        """Coordinates to evaluate before the grown length is usable: through _LOOKAHEAD lengths past it, or none."""
+        have = len(self.vals)
+        if have >= self.lengths[self.grown]:
+            return self.coords[have:have]
+        return self.coords[have : self.lengths[min(self.grown + _LOOKAHEAD, len(self.lengths) - 1)]]
+
+    def append(self, vals: np.ndarray) -> None:
+        self.vals = np.concatenate([self.vals, vals])
+
+
 class PotentialNormEvaluator:
     """L_q norms of kernel*f from log-space tables of the potential.
 
@@ -161,9 +208,12 @@ class PotentialNormEvaluator:
     (1/e <= |x| <= x0, coordinate x), far (|x| >= x0, coordinate t = ln|x|).
     Tables grow on demand until the transformed integrand of each requested
     q has dropped `_LOG_DECAY_MARGIN` below its peak, starting from the
-    grid ratio `_GRID_RATIO` and `_INNER_POINTS` inner points.  ``spec`` is
-    not read: the scaled evaluators that fill the tables work to their own
-    fixed accuracy.
+    grid ratio `_GRID_RATIO` and `_INNER_POINTS` inner points.  A near or
+    far table grows by doublings of its coordinate range (see
+    :class:`_GrownTable`), and a growing table is evaluated `_LOOKAHEAD`
+    doublings ahead, so the tables of several q, or of one q that needs a
+    long table, come from a few scaled calls.  ``spec`` is not read: the
+    scaled evaluators that fill the tables work to their own fixed accuracy.
     """
 
     def __init__(self, f: TestFunction, kernel: KernelSpec, spec: QuadratureSpec | None = None):
@@ -173,69 +223,66 @@ class PotentialNormEvaluator:
         radius = kernel.radius or 0.0
         self.x0 = max(math.exp(1.5), 1.5 * (radius + f.support_bound))
         self.t0 = math.log(self.x0)
-        self._near: dict[float, tuple[np.ndarray, np.ndarray]] = {}
-        self._far: dict[float, tuple[np.ndarray, np.ndarray]] = {}
+        self._near: dict[float, _GrownTable] = {}
+        self._far: dict[float, _GrownTable] = {}
         self._inner: dict[float, tuple[np.ndarray, np.ndarray]] = {}
         self._inner_n = _INNER_POINTS
 
     # -- tables -------------------------------------------------------------
 
-    def _grown_table(self, side: float, near: bool) -> tuple[np.ndarray, np.ndarray]:
-        """The near or far table of one side, (coordinates, ln u), built on first use."""
+    def _table(self, side: float, near: bool) -> _GrownTable:
         tables = self._near if near else self._far
         if side not in tables:
-            self._extend(side, near, 40.0 if near else self.t0 + 30.0)
+            first, start = (1.0, 40.0) if near else (self.t0, self.t0 + 30.0)
+            tables[side] = _GrownTable(first, self.ratio, start)
         return tables[side]
 
-    def _extend(self, side: float, near: bool, target: float) -> None:
-        """Continue the near (y = -ln|x|) or far (t = ln|x|) table by the grid ratio until target."""
-        tables = self._near if near else self._far
-        coords, vals = tables.get(side, (np.empty(0), np.empty(0)))
-        new = np.array(self._geometric_extension(coords, 1.0 if near else self.t0, target))
-        evaluate = log_potential_near if near else log_potential_far
-        new_vals = evaluate(self.f, self.kernel, new, side)
-        tables[side] = (np.concatenate([coords, new]), np.concatenate([vals, new_vals]))
+    def _inner_coords(self) -> np.ndarray:
+        """The inner table's |x|: geometric on (1/e, x0), plus the support's edges (shifted by a truncation radius)."""
+        lo, hi = math.exp(-1.0), self.x0
+        edges = {abs(v) for seg in self.f.support for v in seg if math.isfinite(v) and lo < abs(v) < hi}
+        if self.kernel.radius is not None:
+            for seg in self.f.support:
+                for v in seg:
+                    if math.isfinite(v):
+                        for edge in (abs(v) + self.kernel.radius, abs(v) - self.kernel.radius):
+                            if lo < edge < hi:
+                                edges.add(edge)
+        return np.array(sorted(set(np.geomspace(lo, hi, self._inner_n)) | edges))
 
-    def _geometric_extension(self, coords: np.ndarray, first: float, target: float) -> list[float]:
-        """The coordinates that continue coords (or start at first) by the grid ratio until target is reached."""
-        new: list[float] = []
-        last, c = (coords[-1], coords[-1] * self.ratio) if len(coords) else (0.0, first)
-        while last < target:
-            new.append(c)
-            last, c = c, c * self.ratio
-        return new
-
-    def _inner_table(self, side: float) -> tuple[np.ndarray, np.ndarray]:
-        if side not in self._inner:
-            lo, hi = math.exp(-1.0), self.x0
-            edges = {abs(v) for seg in self.f.support for v in seg if math.isfinite(v) and lo < abs(v) < hi}
-            if self.kernel.radius is not None:
-                for seg in self.f.support:
-                    for v in seg:
-                        if math.isfinite(v):
-                            for edge in (abs(v) + self.kernel.radius, abs(v) - self.kernel.radius):
-                                if lo < edge < hi:
-                                    edges.add(edge)
-            xs = np.array(sorted(set(np.geomspace(lo, hi, self._inner_n)) | edges))
-            self._inner[side] = (xs, log_potential_far(self.f, self.kernel, np.log(xs), side))
-        return self._inner[side]
+    def _evaluate_side(self, side: float) -> None:
+        """One side's inner table, with its near and far tables' pending first chunks, in one scaled call."""
+        if side in self._inner:
+            return
+        near, far = self._table(side, True), self._table(side, False)
+        ys, xs, ts = near.pending(), self._inner_coords(), far.pending()
+        vals = log_potential_far(self.f, self.kernel, np.concatenate([-ys, np.log(xs), ts]), side)
+        near_end, inner_end = len(ys), len(ys) + len(xs)
+        near.append(vals[:near_end])
+        self._inner[side] = (xs, vals[near_end:inner_end])
+        far.append(vals[inner_end:])
 
     # -- assembly -------------------------------------------------------------
 
     def _grown_log_integral(
         self, side: float, q: float, near: bool, stride: int = 1
     ) -> float:
-        """log integral over one near/far table, growing it until covered."""
-        cap = 5.0e4
+        """log integral over one near/far table, walking its doubling lengths until covered."""
+        table = self._table(side, near)
+        evaluate = log_potential_near if near else log_potential_far
         while True:
-            coords, vals = self._grown_table(side, near)
-            g = q * vals + (-coords if near else coords)
+            new = table.pending()
+            if len(new):
+                table.append(evaluate(self.f, self.kernel, new, side))
+            n = table.lengths[table.grown]
+            coords = table.coords[:n]
+            g = q * table.vals[:n] + (-coords if near else coords)
             g_max = g.max()
             if g_max == -math.inf:
                 return -math.inf
             if g[-1] <= g_max - _LOG_DECAY_MARGIN and g[-1] <= g[-2] <= g[-3]:
                 break
-            if coords[-1] >= cap:
+            if coords[-1] >= _RANGE_CAP:
                 if g[-1] >= g_max - 1.0:
                     raise DivergenceError(
                         f"q-norm of the potential of {self.f.label} appears divergent at q={q:.17g}"
@@ -243,16 +290,17 @@ class PotentialNormEvaluator:
                 raise ToleranceError(
                     f"potential table for {self.f.label} exceeded its range cap", achieved=math.inf
                 )
-            self._extend(side, near, coords[-1] * 2.0)
+            table.grown += 1
         return _strided_log_integral(coords, g, stride)
 
     def _inner_log_integral(self, side: float, q: float, stride: int = 1) -> float:
-        xs, vals = self._inner_table(side)
+        xs, vals = self._inner[side]
         return _strided_log_integral(xs, q * vals, stride)
 
     def _log_qnorm_power(self, q: float, stride: int = 1) -> float:
         total = -math.inf
         for side in (1.0, -1.0):
+            self._evaluate_side(side)
             total = logsumexp_pair(total, self._grown_log_integral(side, q, near=True, stride=stride))
             total = logsumexp_pair(total, self._inner_log_integral(side, q, stride=stride))
             total = logsumexp_pair(total, self._grown_log_integral(side, q, near=False, stride=stride))

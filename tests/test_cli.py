@@ -9,6 +9,8 @@ from glpot import cli
 from glpot.cli import main, parse_form_spec, parse_grid_spec
 from glpot.errors import DomainError, ToleranceError
 from glpot.experiments import ExperimentConfig, format_value, run_experiment
+from glpot.grand import v_functional
+from glpot.norms import lp_norm_report
 from glpot.potentials import apply_kernel_report, parse_kernel_spec
 
 _QUAD_COMMANDS = [
@@ -172,6 +174,42 @@ class TestCliCommands:
         rows = capsys.readouterr().out.strip().splitlines()
         assert rows[0] == "form,p,q,V"
         assert float(rows[1].split(",")[3]) > 0.0
+
+    def test_lpnorm_writes_every_row_past_a_divergent_exponent(self, capsys):
+        code = main(["lpnorm", "--form", "f_delta:0.5,0", "--p", "1.5", "--p", "2", "--p", "1.2"])
+        out, err = capsys.readouterr()
+        assert code == 3
+        rows = [row.rsplit(",", 3) for row in out.strip().splitlines()[1:]]  # the label holds a comma
+        f = parse_form_spec("f_delta:0.5,0")
+        assert rows[1] == ["f_delta(0.5,0)", "2", "inf", "nan"]
+        for p, row in ((1.5, rows[0]), (1.2, rows[2])):
+            want = lp_norm_report(f, p)
+            assert row == [f.label, format_value(p), format_value(want.value), format_value(want.rel_error)]
+        assert err.count("numeric failure") == 1 and "p=2:" in err
+
+    def test_lpnorm_marks_an_inaccurate_exponent_nan(self, capsys, monkeypatch):
+        def fails_at_two(f, p, spec):
+            if p == 2.0:
+                raise ToleranceError("too inaccurate", achieved=1e-3)
+            return lp_norm_report(f, p, spec)
+
+        monkeypatch.setattr(cli, "lp_norm_report", fails_at_two)
+        assert main(["lpnorm", "--form", "g_delta:0", "--p", "3", "--p", "2"]) == 3
+        out, err = capsys.readouterr()
+        assert out.strip().splitlines()[2] == "g_delta(0),2,nan,nan" and "p=2:" in err
+
+    def test_vfun_writes_every_row_past_a_failed_exponent(self, capsys):
+        # the table reports a false divergence at p = 1.000001; the rows around it keep their values
+        code = main(["vfun", "--form", "g_delta:0", "--alpha", "0.5", "--p", "1.4", "--p", "1.000001", "--p", "1.2"])
+        out, err = capsys.readouterr()
+        assert code == 3
+        rows = [row.split(",") for row in out.strip().splitlines()[1:]]
+        assert [float(row[1]) for row in rows] == [1.4, 1.000001, 1.2]
+        assert rows[1][3] == "inf"
+        f = parse_form_spec("g_delta:0")
+        for p, row in ((1.4, rows[0]), (1.2, rows[2])):
+            assert float(row[3]) == pytest.approx(v_functional(f, p, 0.5), rel=1e-12)
+        assert err.count("numeric failure") == 1 and "appears divergent" in err
 
     def test_catalog(self, capsys):
         assert main(["catalog"]) == 0

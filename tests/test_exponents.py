@@ -1,7 +1,10 @@
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from glpot import (
     DomainError,
@@ -19,6 +22,7 @@ from glpot import (
 )
 
 P_HALF = PotentialParams(1, 0.5)
+_EPS = sys.float_info.epsilon
 
 
 class TestParams:
@@ -116,6 +120,21 @@ class TestHolderYoung:
             except DomainError:
                 continue
             assert abs(1.0 + 1.0 / r - 1.0 / p - 1.0 / k) <= 1e-12
+
+    @settings(max_examples=200, deadline=None)
+    @given(p=st.floats(-9.0, 6.0).map(lambda e: 1.0 + 10.0**e))
+    def test_conjugate_identity(self, p):
+        assert abs(1.0 / p + 1.0 / holder_conjugate(p) - 1.0) <= 4.0 * _EPS
+
+    @settings(max_examples=200, deadline=None)
+    @given(r=st.floats(0.0, 6.0).map(lambda e: 10.0**e), p=st.floats(-9.0, 6.0).map(lambda e: 1.0 + 10.0**e))
+    def test_young_identity(self, r, p):
+        try:
+            k = young_k(r, p)
+        except DomainError:
+            assume(False)  # the relation admits no k >= 1 here
+        assert k >= 1.0 - 1e-12
+        assert abs(1.0 + 1.0 / r - 1.0 / p - 1.0 / k) <= 4.0 * _EPS
 
     def test_young_rejects_small_k(self):
         with pytest.raises(DomainError):

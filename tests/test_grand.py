@@ -13,13 +13,16 @@ from glpot import (
     PsiFunction,
     QuadratureSpec,
     TestFunction,
+    ToleranceError,
     fit_growth_exponent,
     grand_norm,
     lp_norm,
     parse_psi_spec,
     v_functional,
 )
+from glpot import grand
 from glpot.exponents import PotentialParams, sobolev_q
+from glpot.quadrature import logsumexp_pair
 
 
 class TestFitGrowthExponent:
@@ -218,3 +221,162 @@ class TestVFunctional:
     def test_validates_exponent(self):
         with pytest.raises(DomainError):
             v_functional(TestFunction.g_delta(0.0), 2.5, 0.5)
+
+
+# ---------------------------------------------------------------------------
+# chunked tables against a loop that adds one doubling per scaled call
+# ---------------------------------------------------------------------------
+
+
+class DoublingReference(PotentialNormEvaluator):
+    """Near and far tables built one doubling per scaled call, inner tables one call each.
+
+    Its stop rule, range cap and messages are PotentialNormEvaluator's own; it
+    keeps each table as a (coordinates, ln u) pair in ``_near`` / ``_far``.
+    """
+
+    def _reference_extend(self, side, near, target):
+        tables = self._near if near else self._far
+        coords, vals = tables.get(side, (np.empty(0), np.empty(0)))
+        new = []
+        last, c = (coords[-1], coords[-1] * self.ratio) if len(coords) else (0.0, 1.0 if near else self.t0)
+        while last < target:
+            new.append(c)
+            last, c = c, c * self.ratio
+        evaluate = grand.log_potential_near if near else grand.log_potential_far
+        new_vals = evaluate(self.f, self.kernel, np.array(new), side)
+        tables[side] = (np.concatenate([coords, new]), np.concatenate([vals, new_vals]))
+
+    def _grown_log_integral(self, side, q, near, stride=1):
+        tables = self._near if near else self._far
+        if side not in tables:
+            self._reference_extend(side, near, 40.0 if near else self.t0 + 30.0)
+        while True:
+            coords, vals = tables[side]
+            g = q * vals + (-coords if near else coords)
+            g_max = g.max()
+            if g_max == -math.inf:
+                return -math.inf
+            if g[-1] <= g_max - 46.0 and g[-1] <= g[-2] <= g[-3]:
+                break
+            if coords[-1] >= 5.0e4:
+                if g[-1] >= g_max - 1.0:
+                    raise DivergenceError(f"q-norm of the potential of {self.f.label} appears divergent at q={q:.17g}")
+                raise ToleranceError(f"potential table for {self.f.label} exceeded its range cap", achieved=math.inf)
+            self._reference_extend(side, near, coords[-1] * 2.0)
+        return grand._strided_log_integral(coords, g, stride)
+
+    def _log_qnorm_power(self, q, stride=1):
+        total = -math.inf
+        for side in (1.0, -1.0):
+            if side not in self._inner:
+                xs = self._inner_coords()
+                self._inner[side] = (xs, grand.log_potential_far(self.f, self.kernel, np.log(xs), side))
+            total = logsumexp_pair(total, self._grown_log_integral(side, q, near=True, stride=stride))
+            total = logsumexp_pair(total, self._inner_log_integral(side, q, stride=stride))
+            total = logsumexp_pair(total, self._grown_log_integral(side, q, near=False, stride=stride))
+        return total
+
+
+def _assert_same_tables(ev, ref):
+    """Every table the reference built is, bit for bit, the grown prefix of ev's."""
+    for mine, theirs in ((ev._near, ref._near), (ev._far, ref._far)):
+        assert mine.keys() == theirs.keys()
+        for side, (coords, vals) in theirs.items():
+            n = mine[side].lengths[mine[side].grown]
+            assert np.array_equal(mine[side].coords[:n], coords)
+            assert np.array_equal(mine[side].vals[:n], vals)
+    assert ev._inner.keys() == ref._inner.keys()
+    for side, (xs, vals) in ref._inner.items():
+        assert np.array_equal(ev._inner[side][0], xs) and np.array_equal(ev._inner[side][1], vals)
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except (DivergenceError, ToleranceError) as exc:
+        return type(exc), str(exc)
+
+
+RIESZ_HALF = KernelSpec.riesz(0.5)
+TABLE_QS = (2.05, 2.5, 5.0, 40.0)
+
+
+class TestChunkedTables:
+    @pytest.mark.parametrize(
+        "f", [TestFunction.g_delta(0.0), TestFunction.f_delta(0.5, 1.0), TestFunction.h_delta(0.5, 0.0)], ids=str
+    )
+    @pytest.mark.parametrize("qs", [TABLE_QS, TABLE_QS[::-1]], ids=["ascending", "descending"])
+    def test_log_qnorm_matches_the_doubling_loop(self, f, qs):
+        ev, ref = PotentialNormEvaluator(f, RIESZ_HALF), DoublingReference(f, RIESZ_HALF)
+        for q in qs:
+            assert ev.log_qnorm(q) == ref.log_qnorm(q)
+            _assert_same_tables(ev, ref)
+
+    def test_restricted_norm_matches_the_doubling_loop(self):
+        f, kernel = TestFunction.f_zero(0.5, 1.0), KernelSpec.truncated(0.5, radius=1.0)
+        ev, ref = PotentialNormEvaluator(f, kernel), DoublingReference(f, kernel)
+        for r in (4.0, 64.0, 512.0, 8.0):
+            assert ev.restricted_log_qnorm(r, 1.0) == ref.restricted_log_qnorm(r, 1.0)
+            _assert_same_tables(ev, ref)
+
+    def test_refined_evaluator_matches_the_doubling_loop(self):
+        f = TestFunction.f_delta(0.5, 1.0)
+        ev, ref = PotentialNormEvaluator(f, RIESZ_HALF), DoublingReference(f, RIESZ_HALF)
+        for q in (3.0, 12.0):
+            assert ev.log_qnorm(q) == ref.log_qnorm(q)
+        ev._refine()
+        ref._refine()
+        for q in (12.0, 3.0):
+            assert ev.log_qnorm(q) == ref.log_qnorm(q)
+            _assert_same_tables(ev, ref)
+
+    @pytest.mark.parametrize(
+        "offset,error,message",
+        [
+            (1e-4, ToleranceError, "exceeded its range cap"),
+            (1e-5, DivergenceError, f"q={sobolev_q(1.0 + 1e-5, PotentialParams(1, 0.5)):.17g}$"),
+        ],
+    )
+    def test_cap_paths_match_the_doubling_loop(self, offset, error, message):
+        f = TestFunction.g_delta(0.0)
+        ev, ref = PotentialNormEvaluator(f, RIESZ_HALF), DoublingReference(f, RIESZ_HALF)
+        with pytest.raises(error, match=message):
+            v_functional(f, 1.0 + offset, 0.5, evaluator=ev)
+        assert _outcome(lambda: v_functional(f, 1.0 + offset, 0.5, evaluator=ev)) == _outcome(
+            lambda: v_functional(f, 1.0 + offset, 0.5, evaluator=ref)
+        )
+        _assert_same_tables(ev, ref)
+
+
+class TestScaledCallCount:
+    """A return to one scaled call per table doubling must fail these (22 and 16 calls that way)."""
+
+    @staticmethod
+    def _count_calls(monkeypatch):
+        calls = []
+        for name in ("log_potential_near", "log_potential_far"):
+            original = getattr(grand, name)
+
+            def counted(*args, _original=original, **kwargs):
+                calls.append(1)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(grand, name, counted)
+        return calls
+
+    def test_tail_family_toward_p_one(self, monkeypatch):
+        calls = self._count_calls(monkeypatch)
+        f = TestFunction.g_delta(0.0)
+        ev = PotentialNormEvaluator(f, RIESZ_HALF)
+        for p in (1.1, 1.03, 1.01):
+            v_functional(f, p, 0.5, evaluator=ev)
+        assert len(calls) <= 8
+
+    def test_origin_family_toward_the_upper_end(self, monkeypatch):
+        calls = self._count_calls(monkeypatch)
+        f = TestFunction.f_delta(0.5, 1.0)
+        ev = PotentialNormEvaluator(f, RIESZ_HALF)
+        for p in (1.9, 1.97, 1.99):
+            v_functional(f, p, 0.5, evaluator=ev)
+        assert len(calls) <= 6

@@ -1,9 +1,10 @@
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad as sp_quad
 
@@ -373,6 +374,18 @@ FORMS = st.one_of(
     st.builds(lambda lo, width: TestFunction.indicator(lo, lo + width), st.floats(-5.0, 5.0), st.floats(0.01, 10.0)),
 )
 LEVELS = st.floats(-8.0, 8.0).map(math.exp)
+_EPS = sys.float_info.epsilon
+
+
+def _exponent_interval(f: TestFunction) -> tuple[float, float]:
+    """The interval whose interior holds the exponents of finite norms of f."""
+    a, b = 1.0, math.inf
+    for piece in f.pieces:
+        if piece.role == "origin":
+            b = min(b, 1.0 / piece.power)
+        elif piece.role == "tail":
+            a = 1.0 / piece.power
+    return a, b
 
 
 @settings(max_examples=60, deadline=None)
@@ -403,13 +416,8 @@ def test_rearrangement_is_equimeasurable(f, level):
 @settings(max_examples=25, deadline=None)
 @given(f=FORMS, data=st.data())
 def test_a_norm_is_the_same_alone_and_in_a_grand_norm_grid(f, data):
-    # the exponent interval of finite norms, and the grand-norm grid over it
-    a, b = 1.0, math.inf
-    for piece in f.pieces:
-        if piece.role == "origin":
-            b = min(b, 1.0 / piece.power)
-        elif piece.role == "tail":
-            a = 1.0 / piece.power
+    # the grand-norm grid over the exponent interval of finite norms
+    a, b = _exponent_interval(f)
     psi = PsiFunction.constant(a, b, 2.0)
     report = grand_norm(f, psi)
     assert report.value == lp_norm(f, report.argmax_p) / 2.0
@@ -418,3 +426,21 @@ def test_a_norm_is_the_same_alone_and_in_a_grand_norm_grid(f, data):
     i = data.draw(st.integers(0, len(grid) - 1))
     alone = lp_norm_report(f, grid[i])
     assert (alone.value, alone.rel_error) == (values[i], rels[i])
+
+
+@settings(max_examples=40, deadline=None)
+@given(f=FORMS, us=st.lists(st.floats(0.02, 0.98), min_size=3, max_size=3, unique=True))
+def test_norms_obey_holder_interpolation(f, us):
+    # |f|_r <= |f|_p^theta |f|_s^(1-theta) for p < r < s, 1/r = theta/p + (1-theta)/s
+    a, b = _exponent_interval(f)
+    b = min(b, a + 8.0)
+    p, r, s = sorted(a + (b - a) * u for u in us)
+    assume(p < r < s)
+    theta = (1.0 / r - 1.0 / s) / (1.0 / p - 1.0 / s)
+    at_p, at_r, at_s = (lp_norm_report(f, x) for x in (p, r, s))
+    # each norm moved to the end of its reported error that works against the inequality
+    low_r = math.log(at_r.value) + math.log1p(-at_r.rel_error)
+    high = theta * (math.log(at_p.value) + math.log1p(at_p.rel_error)) + (1.0 - theta) * (
+        math.log(at_s.value) + math.log1p(at_s.rel_error)
+    )
+    assert low_r <= high + 8.0 * _EPS * max(1.0, abs(high))

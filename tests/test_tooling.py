@@ -8,7 +8,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))  # the repository root, home of perfbench
 
-from perfbench.tracer import EVALUATOR_METHODS, SPAN_FUNCTIONS  # noqa: E402
+from perfbench.tracer import EVALUATOR_METHODS, SPAN_FUNCTIONS, Tracer  # noqa: E402
 
 from glpot import KernelSpec, PotentialNormEvaluator, TestFunction, quadrature  # noqa: E402
 
@@ -30,3 +30,15 @@ def test_other_bound_names_exist():
     assert callable(quadrature._quad)
     assert callable(TestFunction.__call__)
     assert PotentialNormEvaluator(TestFunction.g_delta(0.0), KernelSpec.riesz(0.5)).ratio > 1.0
+
+
+def test_tracer_counts_the_table_calls_of_a_potential_norm():
+    # grand.table_points counts the scaled calls made inside an evaluator's norm
+    ev = PotentialNormEvaluator(TestFunction.g_delta(0.0), KernelSpec.riesz(0.5))
+    tracer = Tracer()
+    tracer.install()
+    try:
+        ev.log_qnorm(3.0)
+    finally:
+        tracer.uninstall()
+    assert tracer.metrics()["grand.table_points"] > 0
