@@ -7,7 +7,8 @@ analysis need.  The log-blowup families come in two flavours: tail-supported
 (0, 1/e)); the remaining forms are built from these plus indicators.  Each
 form is described once, by its ``Piece`` tuple with the coefficient and the
 slow factor; evaluation, norms, masses and the scaled potentials all read
-that description.
+that description, and the support, the singularity at 0 and the monotone
+branches are derived from it.
 """
 
 from __future__ import annotations
@@ -27,7 +28,10 @@ INV_E = 1.0 / math.e
 
 @dataclass(frozen=True)
 class Singularity:
-    """Annotation of a non-smooth point: |f| ~ |x-location|^(-power) |ln|x-location||^(log_power)."""
+    """Annotation of a non-smooth finite point: |f| ~ |x-location|^(-power) |ln|x-location||^(log_power).
+
+    An unbounded end is described by its tail ``Piece``, not by a singularity.
+    """
 
     location: float
     power: float = 0.0
@@ -99,7 +103,10 @@ class TestFunction:
 
     ``kind``, ``alpha``, ``delta`` and ``interval`` record how a catalog form
     was built; evaluation reads only ``pieces``, ``coefficient`` and ``slow``
-    (or ``evaluator`` for a user density).
+    (or ``evaluator`` for a user density).  A catalog form's ``support``,
+    ``singularities`` and ``branches`` are derived from its pieces; a user
+    density states them.  ``slow`` is None unless the slow factor varies: a
+    constant one is dropped at construction.
     """
 
     __test__ = False  # not a pytest collection target
@@ -117,68 +124,39 @@ class TestFunction:
     evaluator: Optional[Callable[[float], float]] = None
     branches: tuple[MonotoneBranch, ...] = ()
 
+    def __post_init__(self):
+        if self.slow is not None and self.slow.is_constant:
+            object.__setattr__(self, "slow", None)  # consumers test ``slow is not None`` only
+
     # -- construction ------------------------------------------------------
 
     @staticmethod
     def g_delta(delta: float) -> "TestFunction":
         """x^-1 (ln x)^delta on (e, inf), zero elsewhere; delta >= 0."""
-        if delta < 0.0:
+        if not delta >= 0.0:
             raise DomainError(f"delta must be >= 0, got {delta}")
-        if delta <= 1.0:
-            branches = (MonotoneBranch(E, math.inf, increasing=False),)
-        else:
-            peak = math.exp(delta)
-            branches = (
-                MonotoneBranch(E, peak, increasing=True),
-                MonotoneBranch(peak, math.inf, increasing=False),
-            )
-        return TestFunction(
-            kind="g_delta",
-            label=f"g_delta({delta:g})",
-            support=((E, math.inf),),
-            pieces=(Piece("tail", E, math.inf, power=1.0, log_power=delta),),
-            singularities=(Singularity(math.inf, 1.0, delta),),
-            delta=delta,
-            branches=branches,
-        )
+        pieces = (Piece("tail", E, math.inf, power=1.0, log_power=delta),)
+        return _form("g_delta", f"g_delta({delta:g})", pieces, delta=delta)
 
     @staticmethod
     def f_delta(alpha: float, delta: float) -> "TestFunction":
         """x^-alpha |ln x|^delta on (0, 1/e), zero elsewhere; alpha in (0,1), delta >= 0."""
         _check_alpha_delta(alpha, delta)
-        return TestFunction(
-            kind="f_delta",
-            label=f"f_delta({alpha:g},{delta:g})",
-            support=((0.0, INV_E),),
-            pieces=(Piece("origin", 0.0, INV_E, power=alpha, log_power=delta),),
-            singularities=(Singularity(0.0, alpha, delta),),
-            alpha=alpha,
-            delta=delta,
-            branches=(MonotoneBranch(0.0, INV_E, increasing=False),),
-        )
+        pieces = (Piece("origin", 0.0, INV_E, power=alpha, log_power=delta),)
+        return _form("f_delta", f"f_delta({alpha:g},{delta:g})", pieces, alpha=alpha, delta=delta)
 
     @staticmethod
     def h_delta(alpha: float, delta: float) -> "TestFunction":
         """f_delta + g_delta (disjoint supports)."""
         _check_alpha_delta(alpha, delta)
-        g = TestFunction.g_delta(delta)
-        f = TestFunction.f_delta(alpha, delta)
-        return TestFunction(
-            kind="h_delta",
-            label=f"h_delta({alpha:g},{delta:g})",
-            support=f.support + g.support,
-            pieces=f.pieces + g.pieces,
-            singularities=f.singularities + g.singularities,
-            alpha=alpha,
-            delta=delta,
-            branches=f.branches + g.branches,
-        )
+        pieces = TestFunction.f_delta(alpha, delta).pieces + TestFunction.g_delta(delta).pieces
+        return _form("h_delta", f"h_delta({alpha:g},{delta:g})", pieces, alpha=alpha, delta=delta)
 
     @staticmethod
     def f_zero(alpha: float, gamma: float) -> "TestFunction":
         """The origin-family witness with delta = gamma - alpha (d = 1)."""
         delta = gamma - alpha
-        if delta < 0.0:
+        if not delta >= 0.0:
             raise DomainError(f"f_zero needs gamma >= alpha, got gamma={gamma}, alpha={alpha}")
         fn = TestFunction.f_delta(alpha, delta)
         return replace(fn, label=f"f_zero({alpha:g},{gamma:g})")
@@ -187,56 +165,31 @@ class TestFunction:
     def big_r(alpha: float, delta: float, slow: Optional[SlowlyVarying] = None) -> "TestFunction":
         """|x|^-alpha |ln|x||^delta S(|ln|x||) on 0 < |x| < 1/e (even)."""
         _check_alpha_delta(alpha, delta)
-        return TestFunction(
-            kind="big_r",
-            label=f"big_r({alpha:g},{delta:g})",
-            support=((-INV_E, 0.0), (0.0, INV_E)),
-            pieces=(
-                Piece("origin", -INV_E, 0.0, power=alpha, log_power=delta),
-                Piece("origin", 0.0, INV_E, power=alpha, log_power=delta),
-            ),
-            singularities=(Singularity(0.0, alpha, delta),),
-            alpha=alpha,
-            delta=delta,
-            slow=slow,
-            branches=_big_r_branches(alpha, delta, slow),
+        pieces = (
+            Piece("origin", -INV_E, 0.0, power=alpha, log_power=delta),
+            Piece("origin", 0.0, INV_E, power=alpha, log_power=delta),
         )
+        return _form("big_r", f"big_r({alpha:g},{delta:g})", pieces, alpha=alpha, delta=delta, slow=slow)
 
     @staticmethod
     def example3(alpha: float, gamma: float) -> "TestFunction":
         """|x|^-alpha |ln|x||^(gamma-alpha) on |x| > 1 (even); gamma >= alpha."""
         if not (0.0 < alpha < 1.0):
             raise DomainError(f"alpha must be in (0,1), got {alpha}")
-        if gamma < alpha:
+        if not gamma >= alpha:
             raise DomainError(f"example3 needs gamma >= alpha/d = {alpha}, got {gamma}")
         delta = gamma - alpha
-        return TestFunction(
-            kind="example3",
-            label=f"example3({alpha:g},{gamma:g})",
-            support=((-math.inf, -1.0), (1.0, math.inf)),
-            pieces=(
-                Piece("tail", -math.inf, -1.0, power=alpha, log_power=delta),
-                Piece("tail", 1.0, math.inf, power=alpha, log_power=delta),
-            ),
-            singularities=(
-                Singularity(-math.inf, alpha, delta),
-                Singularity(math.inf, alpha, delta),
-            ),
-            alpha=alpha,
-            delta=delta,
+        pieces = (
+            Piece("tail", -math.inf, -1.0, power=alpha, log_power=delta),
+            Piece("tail", 1.0, math.inf, power=alpha, log_power=delta),
         )
+        return _form("example3", f"example3({alpha:g},{gamma:g})", pieces, alpha=alpha, delta=delta)
 
     @staticmethod
     def indicator(lo: float, hi: float) -> "TestFunction":
         if not hi > lo:
             raise DomainError(f"indicator needs lo < hi, got [{lo}, {hi}]")
-        return TestFunction(
-            kind="indicator",
-            label=f"indicator([{lo:g},{hi:g}])",
-            support=((lo, hi),),
-            pieces=(Piece("plain", lo, hi),),
-            interval=(lo, hi),
-        )
+        return _form("indicator", f"indicator([{lo:g},{hi:g}])", (Piece("plain", lo, hi),), interval=(lo, hi))
 
     @staticmethod
     def user(
@@ -253,6 +206,8 @@ class TestFunction:
         for piece in pieces:
             if piece.role != "plain" and piece.power == 0.0 and piece.log_power == 0.0:
                 raise DomainError("user pieces with singular/unbounded ends need decay hints")
+        if not all(math.isfinite(s.location) for s in singularities):
+            raise DomainError("singularities sit at finite points; an unbounded end is a tail piece")
         return TestFunction(
             kind="user",
             label=label,
@@ -295,38 +250,67 @@ class TestFunction:
 def _check_alpha_delta(alpha: float, delta: float) -> None:
     if not (0.0 < alpha < 1.0):
         raise DomainError(f"alpha must be in (0,1) for d=1 forms, got {alpha}")
-    if delta < 0.0:
+    if not delta >= 0.0:
         raise DomainError(f"delta must be >= 0, got {delta}")
 
 
-def _big_r_branches(alpha: float, delta: float, slow: Optional[SlowlyVarying]) -> tuple[MonotoneBranch, ...]:
-    """Monotone branches of big_r; with a slowly varying factor the split
-    points of ln f(e^-y) = alpha y + delta ln y + ln S(y) are located from the
-    analytic derivative on a sign-scan."""
-    if slow is None or getattr(slow, "kappa", 0.0) == 0.0:
-        return (
-            MonotoneBranch(-INV_E, 0.0, increasing=True),
-            MonotoneBranch(0.0, INV_E, increasing=False),
-        )
-    kappa = slow.kappa
+def _form(kind: str, label: str, pieces: tuple[Piece, ...], slow: Optional[SlowlyVarying] = None,
+          **recorded) -> TestFunction:
+    """A catalog form from its pieces: its support, its singularity at 0 and its monotone branches follow from them."""
+    return TestFunction(
+        kind=kind,
+        label=label,
+        support=tuple((piece.lo, piece.hi) for piece in pieces),
+        pieces=pieces,
+        singularities=tuple(
+            dict.fromkeys(Singularity(0.0, p.power, p.log_power) for p in pieces if p.role == "origin")
+        ),
+        slow=slow,
+        branches=tuple(branch for piece in pieces for branch in _branches(piece, slow)),
+        **recorded,
+    )
+
+
+#: the sign scan for the turning points of a form with a slow factor runs over y in [y0, _SCAN_END]
+_SCAN_END, _SCAN_STEP = 60.0, 0.05
+
+
+def _branches(piece: Piece, slow: Optional[SlowlyVarying]) -> tuple[MonotoneBranch, ...]:
+    """The monotone branches of |f| on one piece, in increasing x; none on a plain piece.
+
+    In y = |ln|x||, ln|f| = -+power y + log_power ln y + kappa ln(1 + ln(1 + y))
+    (- on a tail, + at the origin).  Without a slow factor (kappa = 0) a tail
+    turns at y = log_power/power and an origin piece never; with one, the
+    turning points are located by a sign scan of the derivative over
+    [y0, 60] and brentq.
+    """
+    if piece.role == "plain":
+        return ()
+    outward = 1.0 if piece.role == "tail" else -1.0  # ln|x| = outward y
+    kappa = 0.0 if slow is None else slow.kappa
 
     def dlog(y: float) -> float:
-        return alpha + delta / y + kappa / ((1.0 + math.log1p(y)) * (1.0 + y))
+        return -outward * piece.power + piece.log_power / y + kappa / ((1.0 + math.log1p(y)) * (1.0 + y))
 
-    ys = [1.0 + i * 0.05 for i in range(int((60.0 - 1.0) / 0.05) + 1)]
-    crit: list[float] = []
-    for y1, y2 in zip(ys[:-1], ys[1:]):
-        if dlog(y1) == 0.0:
-            crit.append(y1)
-        elif dlog(y1) * dlog(y2) < 0.0:
-            crit.append(float(brentq(dlog, y1, y2, xtol=1e-12)))
-    # y-points where ln f turns; in x: x = e^-y, increasing y = decreasing x
-    xs = sorted(math.exp(-y) for y in crit)
-    right: list[MonotoneBranch] = []
-    cuts = [0.0, *xs, INV_E]
-    # f(e^-y) increasing in y  <=>  f decreasing in x on that piece
-    for i in range(len(cuts) - 1):
-        mid_y = -math.log(0.5 * (cuts[i] + cuts[i + 1])) if cuts[i] > 0 else -math.log(cuts[i + 1] / 2.0)
-        right.append(MonotoneBranch(cuts[i], cuts[i + 1], increasing=dlog(mid_y) < 0.0))
-    left = tuple(MonotoneBranch(-b.hi, -b.lo, increasing=not b.increasing) for b in reversed(right))
-    return left + tuple(right)
+    y0 = piece.y0
+    if kappa == 0.0:
+        peak = piece.log_power / piece.power if piece.role == "tail" else -math.inf
+        turns = [peak] if peak > y0 else []
+    else:
+        ys = [y0 + i * _SCAN_STEP for i in range(int((_SCAN_END - y0) / _SCAN_STEP) + 1)]
+        turns = []
+        for y1, y2 in zip(ys[:-1], ys[1:]):
+            if dlog(y1) == 0.0:
+                turns.append(y1)
+            elif dlog(y1) * dlog(y2) < 0.0:
+                turns.append(float(brentq(dlog, y1, y2, xtol=1e-12)))
+    side = 1.0 if piece.hi > 0.0 else -1.0
+    along = side * outward > 0.0  # x grows with y
+    finite_end, singular_end = (piece.lo, piece.hi) if along else (piece.hi, piece.lo)
+    cuts = [finite_end, *(side * math.exp(outward * y) for y in turns), singular_end]  # in the order of growing y
+    ys = [y0, *turns, math.inf]
+    branches = []
+    for a, b, ya, yb in zip(cuts[:-1], cuts[1:], ys[:-1], ys[1:]):
+        rising = dlog(ya + 1.0 if yb == math.inf else (ya + yb) / 2.0) > 0.0  # |f| grows with y
+        branches.append(MonotoneBranch(min(a, b), max(a, b), increasing=rising == along))
+    return tuple(branches if along else reversed(branches))

@@ -25,14 +25,20 @@ from .potentials import EvalGrid, KernelSpec, apply_kernel_report, parse_kernel_
 from .psi import SlowlyVarying, bessel_theta, derivative_zeta, parse_psi_spec, riesz_zeta, singular_psi1, zeta_S
 from .quadrature import QuadratureSpec
 
-_CATALOG_FORMS = (
-    ("g_delta:DELTA", "x^-1 (ln x)^DELTA on (e, inf)"),
-    ("f_delta:ALPHA,DELTA", "x^-ALPHA |ln x|^DELTA on (0, 1/e)"),
-    ("h_delta:ALPHA,DELTA", "f_delta + g_delta (disjoint supports)"),
-    ("f_zero:ALPHA,GAMMA", "f_delta with DELTA = GAMMA - ALPHA"),
-    ("big_r:ALPHA,DELTA[,KAPPA]", "|x|^-ALPHA |ln|x||^DELTA (1+ln(1+|ln|x||))^KAPPA on 0<|x|<1/e"),
-    ("example3:ALPHA,GAMMA", "|x|^-ALPHA |ln|x||^(GAMMA-ALPHA) on |x|>1"),
-    ("indicator:LO,HI", "1 on [LO, HI]"),
+
+def _big_r(alpha: float, delta: float, kappa: float | None = None) -> TestFunction:
+    return TestFunction.big_r(alpha, delta, None if kappa is None else SlowlyVarying.log_power(kappa))
+
+
+#: every catalog form: its spec NAME:ARGS (a bracketed argument may be left out), what it is, and its constructor
+_FORMS = (
+    ("g_delta:DELTA", "x^-1 (ln x)^DELTA on (e, inf)", TestFunction.g_delta),
+    ("f_delta:ALPHA,DELTA", "x^-ALPHA |ln x|^DELTA on (0, 1/e)", TestFunction.f_delta),
+    ("h_delta:ALPHA,DELTA", "f_delta + g_delta (disjoint supports)", TestFunction.h_delta),
+    ("f_zero:ALPHA,GAMMA", "f_delta with DELTA = GAMMA - ALPHA", TestFunction.f_zero),
+    ("big_r:ALPHA,DELTA[,KAPPA]", "|x|^-ALPHA |ln|x||^DELTA (1+ln(1+|ln|x||))^KAPPA on 0<|x|<1/e", _big_r),
+    ("example3:ALPHA,GAMMA", "|x|^-ALPHA |ln|x||^(GAMMA-ALPHA) on |x|>1", TestFunction.example3),
+    ("indicator:LO,HI", "1 on [LO, HI]", TestFunction.indicator),
 )
 
 
@@ -42,21 +48,12 @@ def parse_form_spec(text: str) -> TestFunction:
         vals = [float(v) for v in args.split(",")] if args else []
     except ValueError as exc:
         raise DomainError(f"malformed form spec {text!r}") from exc
-    if name == "g_delta" and len(vals) == 1:
-        return TestFunction.g_delta(vals[0])
-    if name == "f_delta" and len(vals) == 2:
-        return TestFunction.f_delta(vals[0], vals[1])
-    if name == "h_delta" and len(vals) == 2:
-        return TestFunction.h_delta(vals[0], vals[1])
-    if name == "f_zero" and len(vals) == 2:
-        return TestFunction.f_zero(vals[0], vals[1])
-    if name == "big_r" and len(vals) in (2, 3):
-        slow = SlowlyVarying.log_power(vals[2]) if len(vals) == 3 else None
-        return TestFunction.big_r(vals[0], vals[1], slow)
-    if name == "example3" and len(vals) == 2:
-        return TestFunction.example3(vals[0], vals[1])
-    if name == "indicator" and len(vals) == 2:
-        return TestFunction.indicator(vals[0], vals[1])
+    for spec, _, build in _FORMS:
+        form, _, signature = spec.partition(":")
+        required, _, optional = signature.partition("[")
+        n_required = required.count(",") + 1
+        if name == form and n_required <= len(vals) <= n_required + optional.count(","):
+            return build(*vals)
     raise DomainError(f"unknown form spec {text!r} (see the 'catalog' subcommand)")
 
 
@@ -64,12 +61,23 @@ def parse_grid_spec(text: str) -> EvalGrid:
     parts = text.split(":")
     if len(parts) != 4:
         raise DomainError(f"grid spec must be RULE:LO:HI:N, got {text!r}")
-    rule, lo, hi, n = parts[0], float(parts[1]), float(parts[2]), int(parts[3])
+    rule = parts[0]
+    try:
+        lo, hi, n = float(parts[1]), float(parts[2]), int(parts[3])
+    except ValueError as exc:
+        raise DomainError(f"malformed grid spec {text!r}") from exc
     if rule == "geometric":
         return EvalGrid.geometric(lo, hi, n)
     if rule == "uniform":
         return EvalGrid.uniform(lo, hi, n)
     raise DomainError(f"unknown grid rule {rule!r}")
+
+
+def _parse_multiindex(text: str) -> MultiIndex:
+    try:
+        return MultiIndex(tuple(int(v) for v in text.split(",")))
+    except ValueError as exc:
+        raise DomainError(f"malformed multi-index {text!r}") from exc
 
 
 def _failed_value(exc: Exception, where: str) -> float:
@@ -154,16 +162,13 @@ def _cmd_transform(args) -> int:
     if args.kind == "riesz_zeta":
         out_psi = riesz_zeta(psi, params)
     elif args.kind == "derivative_zeta":
-        xi = MultiIndex(tuple(int(v) for v in (args.xi or "0").split(",")))
-        out_psi = derivative_zeta(psi, params, xi)
+        out_psi = derivative_zeta(psi, params, _parse_multiindex(args.xi or "0"))
     elif args.kind == "bessel_theta":
-        xi = MultiIndex(tuple(int(v) for v in (args.xi or "1").split(",")))
-        out_psi = bessel_theta(psi, params, xi)
+        out_psi = bessel_theta(psi, params, _parse_multiindex(args.xi or "1"))
     elif args.kind == "singular_psi1":
         out_psi = singular_psi1(psi)
     else:
-        slow = SlowlyVarying.log_power(args.kappa) if args.kappa else SlowlyVarying.constant()
-        out_psi = zeta_S(psi, params, args.beta, slow)
+        out_psi = zeta_S(psi, params, args.beta, SlowlyVarying.log_power(args.kappa))
     grid = parse_grid_spec(args.qgrid)
     lines = ["q,value"]
     for q in grid.points:
@@ -259,7 +264,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_catalog(_args) -> int:
-    for spec, desc in _CATALOG_FORMS:
+    for spec, desc, _ in _FORMS:
         sys.stdout.write(f"{spec:32s} {desc}\n")
     return 0
 

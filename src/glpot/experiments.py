@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -71,10 +72,20 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.name not in EXPERIMENT_NAMES:
             raise DomainError(f"unknown experiment {self.name!r}; choose from {EXPERIMENT_NAMES}")
-        self.deltas = tuple(float(d) for d in self.deltas)
-        self.betas = tuple(float(b) for b in self.betas)
-        self.offsets = tuple(float(o) for o in self.offsets)
-        self.r_values = tuple(float(r) for r in self.r_values)
+        for key in ("seed", "grid_points"):
+            value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
+                raise DomainError(f"config key {key!r} must be a non-negative integer, got {value!r}")
+        for key in ("alpha", "delta", "gamma", "radius", "x_large", "rel_tol"):
+            value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise DomainError(f"config key {key!r} must be a number, got {value!r}")
+        for key in ("deltas", "betas", "offsets", "r_values"):
+            value = getattr(self, key)
+            try:
+                setattr(self, key, tuple(float(v) for v in value))
+            except (TypeError, ValueError) as exc:
+                raise DomainError(f"config key {key!r} must be a list of numbers, got {value!r}") from exc
 
     @property
     def quad(self) -> QuadratureSpec:

@@ -1,15 +1,17 @@
 """L_p norms, distribution functions and rearrangements of catalog functions.
 
-The quadrature route splits |f|^p at every singularity and moves each
-singular piece to the variable y = |ln|x||, where |f|^p dx becomes the
-gamma-type integrand e^(-c y) y^m (times the slow factor).  Every exponent
-of a request is one row of the batched Gauss-Legendre rule
-(:func:`~glpot.quadrature.integrate_batch`): doubling panels outward from
-the integrand's peak, cut where the tail rule of ``BATCH_SPEC`` drops the
-rest, so a single p and a whole grand-norm grid run the same code and get
-the same bits.  A plain catalog piece is exact.  The closed-form route
-expresses every catalog form with a constant slow factor through the upper
-incomplete gamma function and serves as an independent oracle.
+The quadrature route takes |f|^p piece by piece and moves each singular
+piece to the variable y = |ln|x||, where |f|^p dx becomes the gamma-type
+integrand e^(-c y) y^m, times the slow factor when the form has one (``slow``
+is None for a constant one).  Every exponent of a request is one row of the
+batched Gauss-Legendre rule (:func:`~glpot.quadrature.integrate_batch`):
+doubling panels outward from the integrand's peak, cut where
+:func:`~glpot.quadrature.tail_cutoff` drops the rest, so a single p and a
+whole grand-norm grid run the same code and get the same bits.  A plain
+catalog piece is exact.  The closed-form route expresses every catalog form
+without a slow factor through the upper incomplete gamma function and serves
+as an independent oracle.  The distribution function inverts |f| on the
+monotone branches the catalog derives from the pieces.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from scipy.optimize import brentq
 
 from .catalog import MonotoneBranch, Piece, TestFunction
 from .errors import DivergenceError, DomainError, ToleranceError
-from .quadrature import BATCH_SPEC, QuadratureSpec, integrate_batch, logsumexp_pair
+from .quadrature import QuadratureSpec, integrate_batch, logsumexp_pair, tail_cutoff
 from .special import log_upper_gamma
 
 
@@ -65,7 +67,7 @@ def _log_extra(f: TestFunction, piece: Piece):
     its annotation beyond.
     """
     if f.evaluator is None:
-        if f.slow is None or f.slow.is_constant:
+        if f.slow is None:
             return None
         slow = np.vectorize(f.slow, otypes=[float])
         return lambda y: np.log(slow(y))
@@ -102,7 +104,7 @@ def _log_singular_integrals(f: TestFunction, piece: Piece, ps: np.ndarray) -> tu
     y0 = piece.y0
     y_peak = np.where(m > 0.0, np.maximum(y0, m / c), y0)
     ln_peak = np.log(y_peak, out=np.zeros_like(y_peak), where=(m != 0.0))
-    right = np.array([BATCH_SPEC.tail_cutoff(ci, mi, y0) for ci, mi in zip(c, m)]) - y_peak
+    right = np.array([tail_cutoff(ci, mi, y0) for ci, mi in zip(c, m)]) - y_peak
     left = (y0 - y_peak) / 2.0
     # in s: doubling panels outward from the peak, the first min(1, 4/c) wide to resolve it, right
     # to the tail cut and left to halfway down to y0; from there, panels halving toward y0
@@ -216,7 +218,7 @@ def lp_norm_closed_form(f: TestFunction, p: float) -> float:
     if p < 1.0:
         raise DomainError(f"p must be >= 1, got {p}")
     check_lp_convergence(f, p)
-    if f.evaluator is not None or not (f.slow is None or f.slow.is_constant):
+    if f.evaluator is not None or f.slow is not None:
         raise DomainError(f"no closed-form norm for {f.label}")
     log_power = -math.inf
     for piece in f.pieces:

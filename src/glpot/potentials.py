@@ -40,7 +40,6 @@ from .catalog import Piece, TestFunction
 from .errors import DivergenceError, DomainError, ToleranceError
 from .psi import SlowlyVarying
 from .quadrature import (
-    BATCH_SPEC,
     MAX_DEPTH,
     MAX_ROW_PANELS,
     IntegralResult,
@@ -48,6 +47,7 @@ from .quadrature import (
     integrate_batch,
     integrate_decaying,
     integrate_panel,
+    tail_cutoff,
 )
 
 #: beyond this separation the exponentially decaying kernel underflows
@@ -75,7 +75,8 @@ class KernelSpec:
     All variants share the local behaviour |z|^(alpha-1) near z = 0; the log
     variants multiply by |ln|z||^beta S(|ln|z||), the truncated variant
     restricts to |z| < radius, and 'bessel' uses the Macdonald-function
-    kernel with exponential decay.
+    kernel with exponential decay.  ``slow`` is None unless the slow factor
+    varies: a constant one is dropped at construction.
     """
 
     variant: str
@@ -85,6 +86,8 @@ class KernelSpec:
     radius: Optional[float] = None
 
     def __post_init__(self):
+        if self.slow is not None and self.slow.is_constant:
+            object.__setattr__(self, "slow", None)  # consumers test ``slow is not None`` only
         if self.variant not in ("riesz", "log_riesz", "truncated", "bessel"):
             raise DomainError(f"unknown kernel variant {self.variant!r}")
         if not (0.0 < self.alpha < 1.0):
@@ -133,9 +136,7 @@ class KernelSpec:
 
     @property
     def has_log_factor(self) -> bool:
-        return self.variant in ("log_riesz", "truncated") and (
-            self.beta > 0.0 or (self.slow is not None and not self.slow.is_constant)
-        )
+        return self.variant in ("log_riesz", "truncated") and (self.beta > 0.0 or self.slow is not None)
 
     def regular_part(self, ln_abs_z) -> np.ndarray:
         """K(z) |z|^(1-alpha) elementwise, given ln|z|; K is |z|^(alpha-1) times it.
@@ -152,8 +153,7 @@ class KernelSpec:
             return z**nu * kve(nu, z) * np.exp(-z)
         part = np.ones(ln_abs_z.shape)
         if self.has_log_factor:
-            slow = self.slow if self.slow is not None and not self.slow.is_constant else None
-            part = _log_factor(np.abs(ln_abs_z), self.beta, slow)
+            part = _log_factor(np.abs(ln_abs_z), self.beta, self.slow)
         if self.variant == "truncated":
             part = np.where(ln_abs_z <= math.log(self.radius), part, 0.0)
         return part
@@ -219,7 +219,7 @@ def _check_apply_convergence(f: TestFunction, x: float, kernel: KernelSpec) -> N
                     f"potential of {f.label} diverges at the tail: decay {piece.power:g} <= alpha={kernel.alpha:g}"
                 )
     for s in f.singularities:
-        if math.isfinite(s.location) and s.location == x and s.power >= kernel.alpha:
+        if s.location == x and s.power >= kernel.alpha:
             raise DivergenceError(
                 f"potential of {f.label} diverges at x={x:g}: combined exponent "
                 f"{s.power + 1.0 - kernel.alpha:g} >= 1"
@@ -227,9 +227,9 @@ def _check_apply_convergence(f: TestFunction, x: float, kernel: KernelSpec) -> N
 
 
 def _singularity_at(f: TestFunction, location: float) -> tuple[float, float]:
-    """(power, log_power) of the density's singularity at a finite location, (0, 0) if it has none there."""
+    """(power, log_power) of the density's singularity at a location, (0, 0) if it has none there."""
     for s in f.singularities:
-        if math.isfinite(s.location) and s.location == location:
+        if s.location == location:
             return s.power, s.log_power
     return 0.0, 0.0
 
@@ -247,7 +247,7 @@ def _tail_decay_hint(f: TestFunction, left: bool, kernel: KernelSpec) -> tuple[O
 def _subpieces(f: TestFunction, x: float, kernel: KernelSpec):
     """The pieces (lo, hi) of the support within the kernel's reach of x, cut at x, at every density
     singularity and, for a log kernel, at x -+ 1; none touches both x and a density singularity."""
-    sing_locs = [s.location for s in f.singularities if math.isfinite(s.location)]
+    sing_locs = [s.location for s in f.singularities]
     reach = kernel.reach
     for seg_lo, seg_hi in f.support:
         lo = max(seg_lo, x - reach) if reach != math.inf else seg_lo
@@ -342,7 +342,7 @@ def _row(f: TestFunction, x: float, kernel: KernelSpec, lo: float, hi: float) ->
         extra, extra_log = _singularity_at(f, x)  # x may sit on a density singularity
         s = kernel.alpha - extra
         sign, v0, v1, t_lo, base = (1.0 if lo == x else -1.0), math.log(hi - lo), -1.0 / s, 0.0, base - math.log(s)
-        near = [abs(x - p.location) for p in f.singularities if math.isfinite(p.location) and p.location != x]
+        near = [abs(x - p.location) for p in f.singularities if p.location != x]
         rate, degree, start = 1.0, kernel.beta + extra_log, s * max(0.0, v0 - math.log(min([1.0] + near)))
     elif math.isinf(hi - lo):
         # tail: |x - y| = e^t from the finite end on, settled where |x - y| > |x|
@@ -369,7 +369,7 @@ def _row(f: TestFunction, x: float, kernel: KernelSpec, lo: float, hi: float) ->
         t_lo, t_hi = sorted((math.log(abs(lo - x)), math.log(abs(hi - x))))
         width = 1.0 / max(1.0, math.exp(t_lo)) if kernel.variant == "bessel" else 1.0
     if not math.isnan(rate):
-        t_hi, width = BATCH_SPEC.tail_cutoff(rate, degree, start), 1.0 / max(1.0, rate)
+        t_hi, width = tail_cutoff(rate, degree, start), 1.0 / max(1.0, rate)
     # |dy/dt| is |y| on an origin row and |x - y| (over s at a kernel end) on the others
     ky, kd = (1.0 - power, kernel.alpha - 1.0) if origin else (-power, kernel.alpha)
     # the log v does not give, ln|x - y| on an origin row and ln|y| on the others, is taken to full
@@ -377,7 +377,7 @@ def _row(f: TestFunction, x: float, kernel: KernelSpec, lo: float, hi: float) ->
     # log1p(c expm1(v - v_end)), from |x - y| - 1 or |y| - 1 = c expm1(v - v_end); at a kernel end
     # on |y| = 1, v_end is -inf and |y| - 1 = c e^v
     unit, v_end, c = False, 0.0, 0.0
-    density_log = singular and (delta != 0.0 or (f.slow is not None and not f.slow.is_constant))
+    density_log = singular and (delta != 0.0 or f.slow is not None)
     for end in (lo, hi):
         if origin and end != 0.0 and kernel.has_log_factor and abs(x - end) == 1.0:
             unit, v_end, c = True, math.log(abs(end)), -math.copysign(1.0, x - end) * sign * abs(end)
@@ -422,7 +422,7 @@ def apply_kernel_report(
     params = np.array([p for p, _, _ in rows])
     has_origin = any(p.origin for p, _, _ in rows)
     log_factor, has_unit = any(p.delta for p, _, _ in rows), any(p.unit for p, _, _ in rows)
-    slow = f.slow if f.evaluator is None and f.slow is not None and not f.slow.is_constant else None
+    slow = f.slow if f.evaluator is None else None
     need_ln_y = log_factor or slow is not None or any(p.ky for p, _, _ in rows)
     density = None if f.evaluator is None else np.vectorize(f, otypes=[float])
 
@@ -561,7 +561,7 @@ def _log_outward(make, k: float, near: np.ndarray, far: np.ndarray, step: float,
     the end where e^(k w) peaks: the nodes there stay exact at any |w|.
     """
     if np.isinf(far).any():
-        far = np.where(np.isinf(far), near + step * BATCH_SPEC.tail_cutoff(-k * step, degree, 0.0), far)
+        far = np.where(np.isinf(far), near + step * tail_cutoff(-k * step, degree, 0.0), far)
     length = (far - near) * step
     cuts = [0.0, 1.0]
     while cuts[-1] < length.max():
@@ -582,9 +582,7 @@ def _log_piece_integral(f: TestFunction, piece: Piece, kernel: KernelSpec, ln_x:
     """ln of one piece's share c^-1 u at each ln_x, whose range in w = ln z is (w_lo, w_hi)."""
     alpha, power, delta = kernel.alpha, piece.power, piece.log_power
     am1, k_low, k_up = alpha - 1.0, 1.0 - power, alpha - power
-    slow = f.slow if f.slow is not None and not f.slow.is_constant else None
-    dens = piece.role != "plain" and (delta != 0.0 or slow is not None)
-    kernel_slow = kernel.slow if kernel.slow is not None and not kernel.slow.is_constant else None
+    dens = piece.role != "plain" and (delta != 0.0 or f.slow is not None)
     kernel_log = kernel.has_log_factor
     total = np.full(ln_x.shape, -np.inf)
 
@@ -624,7 +622,7 @@ def _log_piece_integral(f: TestFunction, piece: Piece, kernel: KernelSpec, ln_x:
         scale = k_up * ln_x + alpha * top
 
         def density(rows, ln_z):
-            return _log_factor(np.abs(ln_x[rows, None] + ln_z), delta, slow) if dens else 1.0
+            return _log_factor(np.abs(ln_x[rows, None] + ln_z), delta, f.slow) if dens else 1.0
 
         if not kernel_log:
             def at_one(rows, v):
@@ -639,7 +637,7 @@ def _log_piece_integral(f: TestFunction, piece: Piece, kernel: KernelSpec, ln_x:
                 ln_v = -tau / alpha
                 ln_z = np.log1p(dirn * np.exp(top[rows, None] + ln_v))
                 val = np.exp(-tau - power * ln_z) * density(rows, ln_z)
-                return val * _log_factor(np.abs(lx_top[rows, None] + ln_v), kernel.beta, kernel_slow)
+                return val * _log_factor(np.abs(lx_top[rows, None] + ln_v), kernel.beta, kernel.slow)
 
             return at_tau, scale - math.log(alpha)
 
@@ -671,10 +669,10 @@ def _log_piece_integral(f: TestFunction, piece: Piece, kernel: KernelSpec, ln_x:
             q = np.exp(-w) if upper else np.exp(w)
             val = np.exp(k * step) * (1.0 - sigma * q) ** am1
             if dens:
-                val *= _log_factor(np.abs(ln_y), delta, slow)
+                val *= _log_factor(np.abs(ln_y), delta, f.slow)
             if kernel_log:
                 ln_abs = (ln_y if upper else ln_x[rows, None]) + np.log1p(-sigma * q)
-                val *= _log_factor(np.abs(ln_abs), kernel.beta, kernel_slow)
+                val *= _log_factor(np.abs(ln_abs), kernel.beta, kernel.slow)
             return val
 
         return in_w, (0.0 if upper else am1 * ln_x) + k * lx
@@ -766,7 +764,7 @@ def _interval_masses(f: TestFunction, lo: np.ndarray, hi: np.ndarray) -> np.ndar
             total[inside] += f.coefficient * (b - a)
             continue
         c = piece.rate(1.0)
-        if c < 0.0 or not (f.slow is None or f.slow.is_constant):
+        if c < 0.0 or f.slow is not None:
             # quadrature, except where e^(-c y) y^d grows along an infinite range
             grows = (c < 0.0) & np.isinf(b - a)
             mass = np.full(a.shape, math.inf)
@@ -819,7 +817,7 @@ def _integrate_abs_singular(f: TestFunction, lo: float, hi: float) -> IntegralRe
 
 def _check_locally_integrable(f: TestFunction) -> None:
     for s in f.singularities:
-        if math.isfinite(s.location) and s.power >= 1.0:
+        if s.power >= 1.0:
             raise DivergenceError(f"{f.label} is not locally integrable at {s.location:g}")
 
 

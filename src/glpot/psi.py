@@ -55,7 +55,7 @@ class SlowlyVarying:
 
     @staticmethod
     def log_power(kappa: float) -> "SlowlyVarying":
-        if abs(kappa) > 2.0:
+        if not abs(kappa) <= 2.0:
             raise DomainError(f"built-in family restricted to |kappa| <= 2, got {kappa}")
         if kappa == 0.0:
             return SlowlyVarying.constant()

@@ -10,7 +10,10 @@ potential-norm tables, and each pointwise potential, one row per sub-piece)
 go to :func:`integrate_batch`: composite Gauss-Legendre that compares n and
 2n nodes on every panel, the idea behind the Gauss-Kronrod pairs of Piessens
 et al., *QUADPACK* (1983), and bisects, all together, only the panels that
-miss the tolerance.
+miss its tolerance ``BATCH_REL_TOL``.  Its callers end decaying tails where
+:func:`tail_cutoff` says the rest falls below a tenth of that tolerance.
+A :class:`QuadratureSpec` is only the acceptance tolerance the public entry
+points check their results against.
 """
 
 from __future__ import annotations
@@ -33,11 +36,10 @@ class IntegralResult(NamedTuple):
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """The acceptance tolerance, and the tail rule that goes with it.
+    """The acceptance tolerance.
 
     Every public entry point reports ToleranceError for a result whose
-    estimated relative error exceeds ``rel_tol``.  The tail rule bounds the
-    discarded mass by ``rel_tol/10`` of the integral's scale.
+    estimated relative error exceeds ``rel_tol``.
     """
 
     rel_tol: float = 1e-8
@@ -45,31 +47,6 @@ class QuadratureSpec:
     def __post_init__(self):
         if self.rel_tol <= 0.0:
             raise DomainError("tolerances must be positive")
-
-    def tail_cutoff(self, decay_rate: float, poly_degree: float, start: float) -> float:
-        """Truncation point T for integrands bounded by t^m e^(-c t), t >= start.
-
-        Chosen so the analytic tail bound beyond T falls below ``rel_tol/10``
-        of the integrand's peak scale.
-        """
-        if decay_rate <= 0.0:
-            raise DomainError(f"decay rate must be positive, got {decay_rate!r}")
-        c, m = decay_rate, max(poly_degree, 0.0)
-        t_peak = max(m / c, start)
-        log_peak = (m * math.log(t_peak) if t_peak > 0.0 else 0.0) - c * t_peak
-        log_target = log_peak + math.log(self.rel_tol / 10.0)
-        t = max(t_peak, start) + 1.0 / c
-        for _ in range(200):
-            t_new = ((m * math.log(t) if m > 0.0 else 0.0) - log_target) / c
-            t_new = max(t_new, start + 1.0 / c)
-            if abs(t_new - t) <= 1e-9 * t:
-                t = t_new
-                break
-            t = t_new
-        # keep the geometric factor 1/(1 - m/(cT)) of the tail bound below 2
-        while c * t <= 2.0 * m + 2.0:
-            t *= 1.5
-        return t
 
 
 #: QUADPACK's absolute tolerance and subdivision limit per panel
@@ -138,9 +115,9 @@ def power_endpoint_integral(
 # batched fixed-order rule
 # ---------------------------------------------------------------------------
 
-#: accuracy of :func:`integrate_batch`: relative error per integral; its
-#: tail_cutoff is where callers end decaying tails
-BATCH_SPEC = QuadratureSpec(rel_tol=1e-13)
+#: accuracy of :func:`integrate_batch`, relative error per integral; :func:`tail_cutoff`
+#: ends decaying tails at a tenth of it
+BATCH_REL_TOL = 1e-13
 #: the error estimate compares Gauss-Legendre at _GL_N and 2 _GL_N nodes
 _GL_N = 12
 #: most times :func:`integrate_batch` bisects a panel
@@ -164,7 +141,7 @@ def integrate_batch(fn: Callable[[np.ndarray, np.ndarray], np.ndarray], lo: np.n
     integral i; an empty panel (lo == hi) adds nothing.  ``fn(rows, x)``
     returns the integrand of integral ``rows[j]`` at the nodes ``x[j]``.
     Every panel is integrated at n and 2n nodes, and a panel whose two
-    values differ by more than BATCH_SPEC.rel_tol of its integral's first
+    values differ by more than BATCH_REL_TOL of its integral's first
     estimate is bisected, all such panels together, up to MAX_DEPTH times.
     A row with a panel still unresolved then, or one whose next level would
     have more than MAX_ROW_PANELS panels (a noisy integrand), stops there
@@ -187,7 +164,7 @@ def integrate_batch(fn: Callable[[np.ndarray, np.ndarray], np.ndarray], lo: np.n
         error = np.abs(value - coarse)
         if tol is None:
             first_sums = _row_sums(value, rows, panel_cols, n_rows, n_panels)
-            tol = BATCH_SPEC.rel_tol * np.abs(first_sums)
+            tol = BATCH_REL_TOL * np.abs(first_sums)
         bisect = error > tol[rows]
         if depth == MAX_DEPTH or 2 * np.count_nonzero(bisect) > MAX_ROW_PANELS:
             # rows unresolved at the depth cap, or whose next level would pass the panel cap
@@ -215,6 +192,32 @@ def _row_sums(values: np.ndarray, rows: np.ndarray, cols: np.ndarray, n_rows: in
     grid = np.zeros((n_rows, n_panels))
     grid[rows, cols] = values
     return np.cumsum(grid, axis=1)[:, -1]
+
+
+def tail_cutoff(decay_rate: float, poly_degree: float, start: float) -> float:
+    """Truncation point T for integrands bounded by t^m e^(-c t), t >= start.
+
+    Chosen so the analytic tail bound beyond T falls below BATCH_REL_TOL/10
+    of the integrand's peak scale.
+    """
+    if decay_rate <= 0.0:
+        raise DomainError(f"decay rate must be positive, got {decay_rate!r}")
+    c, m = decay_rate, max(poly_degree, 0.0)
+    t_peak = max(m / c, start)
+    log_peak = (m * math.log(t_peak) if t_peak > 0.0 else 0.0) - c * t_peak
+    log_target = log_peak + math.log(BATCH_REL_TOL / 10.0)
+    t = max(t_peak, start) + 1.0 / c
+    for _ in range(200):
+        t_new = ((m * math.log(t) if m > 0.0 else 0.0) - log_target) / c
+        t_new = max(t_new, start + 1.0 / c)
+        if abs(t_new - t) <= 1e-9 * t:
+            t = t_new
+            break
+        t = t_new
+    # keep the geometric factor 1/(1 - m/(cT)) of the tail bound below 2
+    while c * t <= 2.0 * m + 2.0:
+        t *= 1.5
+    return t
 
 
 def logsumexp_pair(a: float, b: float) -> float:

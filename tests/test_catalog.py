@@ -6,6 +6,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import mpmath as mp
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,7 +25,7 @@ from glpot import (
     lp_norm_closed_form,
 )
 from glpot import potentials
-from glpot.catalog import Piece
+from glpot.catalog import MonotoneBranch, Piece
 
 E, INV_E = math.e, 1.0 / math.e
 RIESZ = KernelSpec.riesz(0.5)
@@ -102,6 +103,106 @@ def test_singular_pieces_are_open_and_plain_pieces_closed():
     ind = TestFunction.indicator(-1.0, 2.0)
     assert ind(-1.0) == ind(2.0) == 1.0
     assert ind(math.nextafter(2.0, 3.0)) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# support, singularities and monotone branches follow from the pieces
+# ---------------------------------------------------------------------------
+
+KAPPAS = (-2.0, -1.0, 1.0, 2.0)
+ANNOTATED = [
+    TestFunction.g_delta(0.0),
+    TestFunction.g_delta(1.0),
+    TestFunction.g_delta(2.5),
+    TestFunction.f_delta(0.3, 1.5),
+    TestFunction.f_zero(0.4, 1.1),
+    TestFunction.h_delta(0.5, 2.0),
+    TestFunction.big_r(0.6, 0.5),
+    *(TestFunction.big_r(0.2, 0.0, SlowlyVarying.log_power(kappa)) for kappa in KAPPAS),
+    *(TestFunction.big_r(0.5, 1.0, SlowlyVarying.log_power(kappa)) for kappa in KAPPAS),
+    TestFunction.example3(0.5, 1.25),
+    TestFunction.example3(0.5, 0.5),
+    TestFunction.indicator(-0.5, 2.0),
+]
+
+
+def _annotated_id(f):
+    return f"{f.label}*{f.slow.label}" if f.slow is not None else f.label
+
+
+def _samples(branch: MonotoneBranch) -> np.ndarray:
+    """Increasing x strictly inside a branch, geometric in |x| (|x| in [e^-50, e^50] at a 0 or infinite end)."""
+    side = 1.0 if branch.hi > 0.0 else -1.0
+    inner, outer = sorted((abs(branch.lo), abs(branch.hi)))
+    t = np.linspace(math.log(inner) if inner > 0.0 else -50.0, math.log(outer) if outer < math.inf else 50.0, 42)
+    return np.sort(side * np.exp(t[1:-1]))
+
+
+@pytest.mark.parametrize("f", ANNOTATED, ids=_annotated_id)
+def test_annotations_come_from_the_pieces(f):
+    assert f.support == tuple((piece.lo, piece.hi) for piece in f.pieces)
+    assert all(math.isfinite(s.location) for s in f.singularities)
+    # the branches tile the singular pieces, in order
+    branches = iter(f.branches)
+    for piece in f.pieces:
+        end = piece.lo
+        while piece.role != "plain" and end != piece.hi:
+            branch = next(branches)
+            assert branch.lo == end < branch.hi
+            end = branch.hi
+    assert next(branches, None) is None
+    for branch in f.branches:
+        assert all(math.copysign(1.0, end) == 1.0 for end in (branch.lo, branch.hi) if end == 0.0)
+        values = np.array([f(x) for x in _samples(branch)])
+        rises = values[1:] >= values[:-1] * (1.0 - 1e-14)
+        falls = values[1:] <= values[:-1] * (1.0 + 1e-14)
+        assert (rises if branch.increasing else falls).all(), branch
+
+
+def _branches(ends, increasing):
+    return [MonotoneBranch(lo, hi, up) for lo, hi, up in zip(ends[:-1], ends[1:], increasing)]
+
+
+# closed forms (g_delta's peak at x = e^delta) and sign-scan roots recorded to 17 digits
+BRANCH_ENDS = {
+    "g_delta(1)": (TestFunction.g_delta(1.0), _branches([E, math.inf], [False])),
+    "g_delta(2.5)": (TestFunction.g_delta(2.5), _branches([E, math.exp(2.5), math.inf], [True, False])),
+    "big_r(0.5,1)": (TestFunction.big_r(0.5, 1.0), _branches([-INV_E, 0.0, INV_E], [True, False])),
+    **{
+        f"big_r(0.5,1,{kappa:g})": (
+            TestFunction.big_r(0.5, 1.0, SlowlyVarying.log_power(kappa)),
+            _branches([-INV_E, 0.0, INV_E], [True, False]),
+        )
+        for kappa in (1.0, 2.0)
+    },
+    **{
+        f"big_r({alpha:g},0,{kappa:g})": (
+            TestFunction.big_r(alpha, 0.0, SlowlyVarying.log_power(kappa)),
+            _branches([-INV_E, -turn, 0.0, turn, INV_E], [False, True, False, True]),
+        )
+        for alpha, kappa, turn in (
+            (0.2, -2.0, 0.043558059733971734),
+            (0.2, -1.0, 0.20775130128288044),
+            (0.5, -2.0, 0.2942259971917129),
+        )
+    },
+}
+
+
+@pytest.mark.parametrize("case", list(BRANCH_ENDS))
+def test_branch_ends_to_the_bit(case):
+    f, want = BRANCH_ENDS[case]
+    assert [(b.lo.hex(), b.hi.hex(), b.increasing) for b in f.branches] == [
+        (b.lo.hex(), b.hi.hex(), b.increasing) for b in want
+    ]
+
+
+def test_constant_slow_factors_are_dropped():
+    constant = SlowlyVarying.log_power(0.0)
+    assert TestFunction.big_r(0.5, 1.0, constant).slow is None
+    assert replace(TestFunction.g_delta(1.0), slow=constant).slow is None
+    assert KernelSpec.log_riesz(0.5, 0.0, constant).slow is None
+    assert not KernelSpec.log_riesz(0.5, 0.0, constant).has_log_factor
 
 
 # ---------------------------------------------------------------------------
@@ -284,15 +385,28 @@ def test_mirrored_tail_piece(side):
 # ---------------------------------------------------------------------------
 
 
-def test_no_source_line_compares_kind():
+def _source_lines():
+    """(file name, line number, line) of every line of the imported package."""
     sources = sorted(Path(glpot.__file__).parent.glob("*.py"))
     assert sources
+    for path in sources:
+        for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+            yield path.name, n, line
+
+
+def test_no_source_line_compares_kind():
     pattern = re.compile(r"\.kind\s*(==|!=|in\b)")
     offending = [
-        f"{path.name}:{n}: {line.strip()}"
-        for path in sources
-        for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        f"{name}:{n}: {line.strip()}"
+        for name, n, line in _source_lines()
         # the CLI's 'transform --kind' option names a weight transform, not a catalog form
         if pattern.search(line) and "args.kind" not in line
     ]
     assert offending == []
+
+
+def test_constant_slow_factor_is_decided_at_construction_only():
+    # TestFunction and KernelSpec drop a constant slow factor; everything else tests `slow is not None`
+    reads = [name for name, _, line in _source_lines() if ".is_constant" in line and name != "psi.py"]
+    assert sorted(reads) == ["catalog.py", "potentials.py"]
+    assert [f"{name}:{n}" for name, n, line in _source_lines() if "BATCH_SPEC" in line] == []

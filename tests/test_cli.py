@@ -215,6 +215,21 @@ class TestCliCommands:
         assert main(["catalog"]) == 0
         assert "g_delta" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["potential", "--form", "g_delta:1", "--kernel", "riesz:0.5", "--grid", "geometric:a:2:5"],
+            ["potential", "--form", "g_delta:1", "--kernel", "riesz:0.5", "--grid", "uniform:0:2:2.5"],
+            ["transform", "--psi", "power:a=1,b=2,beta=1,gamma=1", "--kind", "derivative_zeta", "--xi", "a",
+             "--qgrid", "geometric:2.1:1000:4"],
+            *(["lpnorm", "--form", form, "--p", "2"] for form in ("g_delta:nan", "example3:0.5,nan", "big_r:0.5,1,nan")),
+        ],
+        ids=["grid-bound", "grid-count", "xi", "g_delta-nan", "example3-nan", "kappa-nan"],
+    )
+    def test_malformed_argument_is_a_validation_error(self, argv, capsys):
+        assert main(argv) == 2
+        assert "validation error" in capsys.readouterr().err
+
 
 class TestVerify:
     def test_e8_files_and_exit(self, tmp_path, capsys):
@@ -245,6 +260,21 @@ class TestVerify:
         assert main(["verify", "E2_lower_p_to_1", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
         with pytest.raises(DomainError):
             ExperimentConfig.from_dict({"name": "E2_lower_p_to_1", key: value})
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"name": "E1_upper_thm1", "alpha": "x"},
+            {"name": "E1_upper_thm1", "offsets": 5},
+            {"name": "E6_maximal_domination", "grid_points": -4},
+        ],
+        ids=["alpha", "offsets", "grid_points"],
+    )
+    def test_malformed_config_value_is_a_validation_error(self, tmp_path, capsys, config):
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps(config))
+        assert main(["verify", config["name"], "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+        assert "validation error" in capsys.readouterr().err
 
     def test_config_name_mismatch(self, tmp_path):
         cfg_path = tmp_path / "e5.json"

@@ -2,6 +2,7 @@ import dataclasses
 import math
 import sys
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -312,6 +313,27 @@ class TestDistribution:
             mask = vals > lam
             brute = 2.0 * float(np.trapezoid(mask.astype(float) * np.exp(-ys), ys))
             assert got == pytest.approx(brute, rel=1e-3)
+
+    @pytest.mark.parametrize("level", [0.05, 0.2, 0.4, 0.6])
+    def test_example3_against_mpmath_roots(self, level):
+        # |x|^-1/2 |ln|x||^1/2 on |x| > 1 rises to e^-1/2 at |x| = e and falls after:
+        # two crossings per side, each found here by bisection at 40 digits
+        f = TestFunction.example3(0.5, 1.0)
+        with mp.workdps(40):
+            lam = mp.mpf(level)
+
+            def crossing(rising, falling):
+                for _ in range(200):
+                    mid = (rising + falling) / 2
+                    if mp.sqrt(mp.log(mid) / mid) > lam:
+                        rising = mid
+                    else:
+                        falling = mid
+                return rising
+
+            e = mp.e
+            want = float(2 * (crossing(e, mp.mpf(1e6)) - crossing(e, mp.mpf(1))))
+        assert distribution_function(f, level) == pytest.approx(want, rel=1e-12)
 
 
 class TestRearrangement:
