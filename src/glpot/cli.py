@@ -94,6 +94,16 @@ def _emit(lines: list[str], out: str | None) -> None:
         sys.stdout.write(text)
 
 
+#: every weight transform of 'transform --kind': its builder from the weight, (d, alpha) and the parsed arguments
+_TRANSFORMS = {
+    "riesz_zeta": lambda psi, params, args: riesz_zeta(psi, params),
+    "derivative_zeta": lambda psi, params, args: derivative_zeta(psi, params, _parse_multiindex(args.xi or "0")),
+    "bessel_theta": lambda psi, params, args: bessel_theta(psi, params, _parse_multiindex(args.xi or "1")),
+    "singular_psi1": lambda psi, params, args: singular_psi1(psi),
+    "zeta_S": lambda psi, params, args: zeta_S(psi, params, args.beta, SlowlyVarying.log_power(args.kappa)),
+}
+
+
 def _quad_from_args(args) -> QuadratureSpec:
     return QuadratureSpec(rel_tol=args.rel_tol)
 
@@ -108,11 +118,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     tr = subs.add_parser("transform", help="evaluate a weight transform over a grid")
     tr.add_argument("--psi", required=True, help="weight spec, e.g. power:a=1,b=2,beta=1,gamma=1")
-    tr.add_argument(
-        "--kind",
-        required=True,
-        choices=["riesz_zeta", "derivative_zeta", "bessel_theta", "singular_psi1", "zeta_S"],
-    )
+    tr.add_argument("--kind", required=True, choices=list(_TRANSFORMS))
     tr.add_argument("--alpha", type=float, default=0.5)
     tr.add_argument("--d", type=int, default=1)
     tr.add_argument("--xi", default=None, help="comma-separated multi-index, e.g. 1,0")
@@ -159,16 +165,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_transform(args) -> int:
     psi = parse_psi_spec(args.psi)
     params = PotentialParams(args.d, args.alpha)
-    if args.kind == "riesz_zeta":
-        out_psi = riesz_zeta(psi, params)
-    elif args.kind == "derivative_zeta":
-        out_psi = derivative_zeta(psi, params, _parse_multiindex(args.xi or "0"))
-    elif args.kind == "bessel_theta":
-        out_psi = bessel_theta(psi, params, _parse_multiindex(args.xi or "1"))
-    elif args.kind == "singular_psi1":
-        out_psi = singular_psi1(psi)
-    else:
-        out_psi = zeta_S(psi, params, args.beta, SlowlyVarying.log_power(args.kappa))
+    out_psi = _TRANSFORMS[args.kind](psi, params, args)
     grid = parse_grid_spec(args.qgrid)
     lines = ["q,value"]
     for q in grid.points:

@@ -26,66 +26,29 @@ from .potentials import KernelSpec, fractional_maximal, log_potential_far, macdo
 from .psi import PsiFunction, power_psi, riesz_zeta, truncated_nu
 from .quadrature import QuadratureSpec
 
-EXPERIMENT_NAMES = (
-    "E1_upper_thm1",
-    "E2_lower_p_to_1",
-    "E3_lower_p_to_inv_alpha",
-    "E4_truncated_thm6",
-    "E5_orlicz_growth_eq37",
-    "E6_maximal_domination",
-    "E7_logkernel_lemma2",
-    "E8_bessel_sanity",
-)
 
-_COMMON_KEYS = {"name", "output_dir", "seed", "rel_tol"}
-_EXPERIMENT_KEYS = {
-    "E1_upper_thm1": {"alpha", "delta", "offsets"},
-    "E2_lower_p_to_1": {"alpha", "deltas", "offsets"},
-    "E3_lower_p_to_inv_alpha": {"alpha", "deltas", "offsets"},
-    "E4_truncated_thm6": {"alpha", "gamma", "radius", "r_values"},
-    "E5_orlicz_growth_eq37": {"alpha", "gamma", "r_values"},
-    "E6_maximal_domination": {"alpha", "delta", "grid_points"},
-    "E7_logkernel_lemma2": {"alpha", "betas", "offsets"},
-    "E8_bessel_sanity": {"grid_points", "x_large"},
-}
-
-
-@dataclass
 class ExperimentConfig:
-    """Validated experiment parameters; unknown keys are rejected."""
+    """Validated experiment parameters.
 
-    name: str
-    output_dir: str = "."
-    seed: int = 0
-    alpha: float = 0.5
-    delta: float = 0.0
-    deltas: tuple[float, ...] = (0.0, 1.0)
-    betas: tuple[float, ...] = (0.0, 1.0)
-    gamma: float = 1.0
-    radius: float = 1.0
-    offsets: tuple[float, ...] = ()
-    r_values: tuple[float, ...] = ()
-    grid_points: int = 0  # 0: per-experiment default (E6: 200, E8: 33)
-    x_large: float = 50.0
-    rel_tol: float = 1e-8
+    Besides the common keys, an experiment takes exactly the keys of its
+    ``_EXPERIMENTS`` entry; each one left unset takes its default there, and
+    each one set must have its default's type: a number, a positive count,
+    or a non-empty list of numbers.  Any other key is rejected.
+    """
 
-    def __post_init__(self):
-        if self.name not in EXPERIMENT_NAMES:
-            raise DomainError(f"unknown experiment {self.name!r}; choose from {EXPERIMENT_NAMES}")
-        for key in ("seed", "grid_points"):
-            value = getattr(self, key)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
-                raise DomainError(f"config key {key!r} must be a non-negative integer, got {value!r}")
-        for key in ("alpha", "delta", "gamma", "radius", "x_large", "rel_tol"):
-            value = getattr(self, key)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise DomainError(f"config key {key!r} must be a number, got {value!r}")
-        for key in ("deltas", "betas", "offsets", "r_values"):
-            value = getattr(self, key)
-            try:
-                setattr(self, key, tuple(float(v) for v in value))
-            except (TypeError, ValueError) as exc:
-                raise DomainError(f"config key {key!r} must be a list of numbers, got {value!r}") from exc
+    def __init__(self, name: str, output_dir: str = ".", seed: int = 0, rel_tol: float = 1e-8, **keys):
+        if name not in EXPERIMENT_NAMES:
+            raise DomainError(f"unknown experiment {name!r}; choose from {EXPERIMENT_NAMES}")
+        defaults = _EXPERIMENTS[name][1]
+        unknown = set(keys) - set(defaults)
+        if unknown:
+            raise DomainError(f"unknown config keys for {name}: {sorted(unknown)}")
+        if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+            raise DomainError(f"config key 'seed' must be a non-negative integer, got {seed!r}")
+        self.name, self.output_dir, self.seed = name, output_dir, seed
+        self.rel_tol = _checked("rel_tol", rel_tol, float)
+        for key, default in defaults.items():
+            setattr(self, key, _checked(key, keys.get(key, default), type(default)))
 
     @property
     def quad(self) -> QuadratureSpec:
@@ -95,13 +58,6 @@ class ExperimentConfig:
     def from_dict(data: dict) -> "ExperimentConfig":
         if "name" not in data:
             raise DomainError("config needs a 'name' key")
-        name = data["name"]
-        if name not in EXPERIMENT_NAMES:
-            raise DomainError(f"unknown experiment {name!r}; choose from {EXPERIMENT_NAMES}")
-        allowed = _COMMON_KEYS | _EXPERIMENT_KEYS[name]
-        unknown = set(data) - allowed
-        if unknown:
-            raise DomainError(f"unknown config keys for {name}: {sorted(unknown)}")
         return ExperimentConfig(**data)
 
     @staticmethod
@@ -135,9 +91,23 @@ def format_value(value) -> str:
     return str(value)
 
 
-def _half_decade_offsets(top: float, bottom: float) -> tuple[float, ...]:
-    n = int(round(2.0 * math.log10(top / bottom)))
-    return tuple(top * 10.0 ** (-k / 2.0) for k in range(n + 1))
+def _checked(key: str, value, kind: type):
+    """value as a float, a positive int or a non-empty tuple of floats (as kind says); DomainError if it is none."""
+
+    def number(v) -> bool:
+        return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+    if kind is tuple:
+        if not isinstance(value, (list, tuple)) or not value or not all(number(v) for v in value):
+            raise DomainError(f"config key {key!r} must be a non-empty list of numbers, got {value!r}")
+        return tuple(float(v) for v in value)
+    if kind is int:
+        if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < 1:
+            raise DomainError(f"config key {key!r} must be a positive integer, got {value!r}")
+        return value
+    if not number(value):
+        raise DomainError(f"config key {key!r} must be a number, got {value!r}")
+    return float(value)
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +119,6 @@ def _run_e1(cfg: ExperimentConfig) -> ExperimentResult:
     """Image-weight consistency: |I f|_q / zeta(q) stays bounded toward both endpoints."""
     alpha, delta = cfg.alpha, cfg.delta
     params = PotentialParams(1, alpha)
-    offsets = cfg.offsets or _half_decade_offsets(1.0, 1e-2)
     f = TestFunction.h_delta(alpha, delta)
     fd = TestFunction.f_delta(alpha, delta)
     gd = TestFunction.g_delta(delta)
@@ -162,13 +131,13 @@ def _run_e1(cfg: ExperimentConfig) -> ExperimentResult:
     evaluator = PotentialNormEvaluator(f, KernelSpec.riesz(alpha), cfg.quad)
     rows = []
     sides = {"low": [], "high": []}
-    for off in offsets:
+    for off in cfg.offsets:
         q = params.q_lower + off
         ratio = evaluator.qnorm(q) / zeta(q)
         sides["low"].append(ratio)
         rows.append(("low", off, q, ratio))
     p_span = 0.9 * (params.p_upper - 1.0)
-    for off in offsets:
+    for off in cfg.offsets:
         p = params.p_upper - min(off, 1.0) * p_span
         q = sobolev_q(p, params)
         ratio = evaluator.qnorm(q) / zeta(q)
@@ -197,7 +166,6 @@ def _run_e1(cfg: ExperimentConfig) -> ExperimentResult:
 def _run_v_side(cfg: ExperimentConfig, low_end: bool) -> ExperimentResult:
     """Sharpness of the norm-shape at an endpoint: max/min of V over offsets <= 3."""
     alpha = cfg.alpha
-    offsets = cfg.offsets or (1e-1, 3e-2, 1e-2)
     rows = []
     summary: dict = {"ALPHA": alpha, "THRESHOLD": 3.0}
     passed = True
@@ -205,7 +173,7 @@ def _run_v_side(cfg: ExperimentConfig, low_end: bool) -> ExperimentResult:
         f = TestFunction.g_delta(delta) if low_end else TestFunction.f_delta(alpha, delta)
         evaluator = PotentialNormEvaluator(f, KernelSpec.riesz(alpha), cfg.quad)
         vals = []
-        for off in offsets:
+        for off in cfg.offsets:
             p = 1.0 + off if low_end else 1.0 / alpha - off
             v = v_functional(f, p, alpha, cfg.quad, evaluator=evaluator)
             vals.append(v)
@@ -224,22 +192,21 @@ def _run_v_side(cfg: ExperimentConfig, low_end: bool) -> ExperimentResult:
 def _run_e4(cfg: ExperimentConfig) -> ExperimentResult:
     """Truncated-potential norm growth: ln|v0|_r vs ln r slope near 1+gamma-alpha."""
     alpha, gamma = cfg.alpha, cfg.gamma
-    r_values = cfg.r_values or (4.0, 8.0, 16.0, 32.0)
     f0 = TestFunction.f_zero(alpha, gamma)
     kernel = KernelSpec.truncated(alpha, radius=cfg.radius)
     evaluator = PotentialNormEvaluator(f0, kernel, cfg.quad)
     rows = []
     norms = []
-    for r in r_values:
+    for r in cfg.r_values:
         val = math.exp(evaluator.restricted_log_qnorm(r, 1.0))
         norms.append(val)
         rows.append((r, val))
-    fit = fit_growth_exponent(r_values, norms)
+    fit = fit_growth_exponent(cfg.r_values, norms)
     target = 1.0 + gamma - alpha
     passed = abs(fit.slope - target) <= 0.15
     # diagnostic: the same fit over a 16x larger range, where the growth law
     # has shed most of its pre-asymptotic corrections
-    diag_r = tuple(16.0 * r for r in r_values)
+    diag_r = tuple(16.0 * r for r in cfg.r_values)
     diag_fit = fit_growth_exponent(
         diag_r, [math.exp(evaluator.restricted_log_qnorm(r, 1.0)) for r in diag_r]
     )
@@ -265,15 +232,14 @@ def _run_e5(cfg: ExperimentConfig) -> ExperimentResult:
     """Truncation-weight growth: ln nu(r) vs ln r slope within 0.05 of 1+gamma-alpha/d."""
     alpha, gamma = cfg.alpha, cfg.gamma
     params = PotentialParams(1, alpha)
-    r_values = cfg.r_values or (10.0, 1e2, 1e3, 1e4)
     psi = power_psi(1.0, params.p_upper, 0.0, gamma)
     rows = []
     vals = []
-    for r in r_values:
+    for r in cfg.r_values:
         res = truncated_nu(psi, params, r)
         vals.append(res.value)
         rows.append((r, res.value, res.argmin_p))
-    fit = fit_growth_exponent(r_values, vals)
+    fit = fit_growth_exponent(cfg.r_values, vals)
     target = 1.0 + gamma - alpha
     passed = abs(fit.slope - target) <= 0.05
     summary = {
@@ -301,14 +267,13 @@ def _run_e6(cfg: ExperimentConfig) -> ExperimentResult:
     call), as the inner table of the potential norms is built.
     """
     alpha, delta = cfg.alpha, cfg.delta
-    n = cfg.grid_points or 200
     rng = np.random.default_rng(cfg.seed)
     kernel = KernelSpec.riesz(alpha)
     rows = []
     passed = True
     for f, xs in (
-        (TestFunction.indicator(0.0, 1.0), _e6_grid(rng, -3.0, 4.0, n)),
-        (TestFunction.f_delta(alpha, delta), _e6_grid(rng, -1.0, 1.5, n, origin_refined=True)),
+        (TestFunction.indicator(0.0, 1.0), _e6_grid(rng, -3.0, 4.0, cfg.grid_points)),
+        (TestFunction.f_delta(alpha, delta), _e6_grid(rng, -1.0, 1.5, cfg.grid_points, origin_refined=True)),
     ):
         for x, m, pot in zip(xs, fractional_maximal(f, xs, alpha), _e6_potentials(f, kernel, xs)):
             ok = m <= pot
@@ -316,7 +281,7 @@ def _run_e6(cfg: ExperimentConfig) -> ExperimentResult:
             rows.append((f.label, x, m, pot, ok))
     summary = {
         "PASS": passed,
-        "POINTS_PER_FUNCTION": n,
+        "POINTS_PER_FUNCTION": cfg.grid_points,
         "ALPHA": alpha,
         "DELTA": delta,
     }
@@ -353,7 +318,6 @@ def _e6_grid(rng: np.random.Generator, lo: float, hi: float, n: int, origin_refi
 def _run_e7(cfg: ExperimentConfig) -> ExperimentResult:
     """Ball-restricted kernel norms: slope of ln|phi_beta 1_B|_p vs ln(d/(d-alpha)-p)."""
     alpha = cfg.alpha
-    offsets = cfg.offsets or (1e-2, 10.0**-2.5, 1e-3)
     p_edge = 1.0 / (1.0 - alpha)
     rows = []
     passed = True
@@ -361,12 +325,12 @@ def _run_e7(cfg: ExperimentConfig) -> ExperimentResult:
     for beta in cfg.betas:
         phi = TestFunction.big_r(1.0 - alpha, beta)
         norms = []
-        for off in offsets:
+        for off in cfg.offsets:
             p = p_edge - off
             val = lp_norm(phi, p, cfg.quad)
             norms.append(val)
             rows.append((beta, off, p, val))
-        fit = fit_growth_exponent(offsets, norms)
+        fit = fit_growth_exponent(cfg.offsets, norms)
         target = -(beta + 1.0 - alpha)
         summary[f"SLOPE_BETA_{beta:g}"] = fit.slope
         summary[f"TARGET_BETA_{beta:g}"] = target
@@ -381,8 +345,7 @@ def _run_e7(cfg: ExperimentConfig) -> ExperimentResult:
 
 def _run_e8(cfg: ExperimentConfig) -> ExperimentResult:
     """Macdonald-function sanity: half-integer closed form and large-x asymptotics."""
-    n = cfg.grid_points or 33
-    xs = np.geomspace(0.1, 10.0, n)
+    xs = np.geomspace(0.1, 10.0, cfg.grid_points)
     rows = []
     worst = 0.0
     for x in xs:
@@ -414,21 +377,29 @@ def _run_e8(cfg: ExperimentConfig) -> ExperimentResult:
     return ExperimentResult(cfg.name, passed, summary, rows, ("x", "value", "closed_form", "rel_err"), plot)
 
 
-_RUNNERS: dict[str, Callable[[ExperimentConfig], ExperimentResult]] = {
-    "E1_upper_thm1": _run_e1,
-    "E2_lower_p_to_1": lambda cfg: _run_v_side(cfg, low_end=True),
-    "E3_lower_p_to_inv_alpha": lambda cfg: _run_v_side(cfg, low_end=False),
-    "E4_truncated_thm6": _run_e4,
-    "E5_orlicz_growth_eq37": _run_e5,
-    "E6_maximal_domination": _run_e6,
-    "E7_logkernel_lemma2": _run_e7,
-    "E8_bessel_sanity": _run_e8,
+#: each experiment: its runner, and every config key it reads with that key's default
+_EXPERIMENTS: dict[str, tuple[Callable[[ExperimentConfig], ExperimentResult], dict]] = {
+    "E1_upper_thm1": (_run_e1, {"alpha": 0.5, "delta": 0.0, "offsets": (1.0, 10.0**-0.5, 0.1, 10.0**-1.5, 0.01)}),
+    "E2_lower_p_to_1": (
+        lambda cfg: _run_v_side(cfg, low_end=True),
+        {"alpha": 0.5, "deltas": (0.0, 1.0), "offsets": (1e-1, 3e-2, 1e-2)},
+    ),
+    "E3_lower_p_to_inv_alpha": (
+        lambda cfg: _run_v_side(cfg, low_end=False),
+        {"alpha": 0.5, "deltas": (0.0, 1.0), "offsets": (1e-1, 3e-2, 1e-2)},
+    ),
+    "E4_truncated_thm6": (_run_e4, {"alpha": 0.5, "gamma": 1.0, "radius": 1.0, "r_values": (4.0, 8.0, 16.0, 32.0)}),
+    "E5_orlicz_growth_eq37": (_run_e5, {"alpha": 0.5, "gamma": 1.0, "r_values": (10.0, 1e2, 1e3, 1e4)}),
+    "E6_maximal_domination": (_run_e6, {"alpha": 0.5, "delta": 0.0, "grid_points": 200}),
+    "E7_logkernel_lemma2": (_run_e7, {"alpha": 0.5, "betas": (0.0, 1.0), "offsets": (1e-2, 10.0**-2.5, 1e-3)}),
+    "E8_bessel_sanity": (_run_e8, {"grid_points": 33, "x_large": 50.0}),
 }
+EXPERIMENT_NAMES = tuple(_EXPERIMENTS)
 
 
 def run_experiment(cfg: ExperimentConfig, write_files: bool = True) -> ExperimentResult:
     """Run one named experiment; optionally write <name>.csv/.summary.txt/.plot."""
-    runner = _RUNNERS[cfg.name]
+    runner = _EXPERIMENTS[cfg.name][0]
     out_dir = Path(cfg.output_dir)
     try:
         result = runner(cfg)

@@ -399,8 +399,7 @@ def test_no_source_line_compares_kind():
     offending = [
         f"{name}:{n}: {line.strip()}"
         for name, n, line in _source_lines()
-        # the CLI's 'transform --kind' option names a weight transform, not a catalog form
-        if pattern.search(line) and "args.kind" not in line
+        if pattern.search(line)
     ]
     assert offending == []
 

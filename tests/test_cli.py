@@ -8,7 +8,7 @@ import pytest
 from glpot import cli
 from glpot.cli import main, parse_form_spec, parse_grid_spec
 from glpot.errors import DomainError, ToleranceError
-from glpot.experiments import ExperimentConfig, format_value, run_experiment
+from glpot.experiments import _EXPERIMENTS, EXPERIMENT_NAMES, ExperimentConfig, format_value, run_experiment
 from glpot.grand import v_functional
 from glpot.norms import lp_norm_report
 from glpot.potentials import apply_kernel_report, parse_kernel_spec
@@ -267,14 +267,28 @@ class TestVerify:
             {"name": "E1_upper_thm1", "alpha": "x"},
             {"name": "E1_upper_thm1", "offsets": 5},
             {"name": "E6_maximal_domination", "grid_points": -4},
+            {"name": "E1_upper_thm1", "offsets": []},
+            {"name": "E4_truncated_thm6", "r_values": []},
+            {"name": "E2_lower_p_to_1", "deltas": []},
+            {"name": "E8_bessel_sanity", "grid_points": 0},
         ],
-        ids=["alpha", "offsets", "grid_points"],
+        ids=["alpha", "offsets", "grid_points", "empty_offsets", "empty_r_values", "empty_deltas", "zero_grid_points"],
     )
     def test_malformed_config_value_is_a_validation_error(self, tmp_path, capsys, config):
         cfg_path = tmp_path / "bad.json"
         cfg_path.write_text(json.dumps(config))
         assert main(["verify", config["name"], "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
         assert "validation error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", EXPERIMENT_NAMES)
+    def test_stating_every_default_moves_no_byte(self, tmp_path, name):
+        cfg_path = tmp_path / "defaults.json"
+        cfg_path.write_text(json.dumps({"name": name, **_EXPERIMENTS[name][1]}))
+        bare, stated = tmp_path / "bare", tmp_path / "stated"
+        assert main(["verify", name, "--out", str(bare)]) == 0
+        assert main(["verify", name, "--config", str(cfg_path), "--out", str(stated)]) == 0
+        for suffix in (".csv", ".summary.txt", ".plot"):
+            assert (stated / f"{name}{suffix}").read_bytes() == (bare / f"{name}{suffix}").read_bytes()
 
     def test_config_name_mismatch(self, tmp_path):
         cfg_path = tmp_path / "e5.json"
@@ -298,6 +312,8 @@ class TestExperimentConfig:
     def test_from_dict_strict(self):
         with pytest.raises(DomainError):
             ExperimentConfig.from_dict({"name": "E8_bessel_sanity", "alpha": 0.5})
+        with pytest.raises(DomainError):
+            ExperimentConfig(name="E8_bessel_sanity", alpha=0.5)
         cfg = ExperimentConfig.from_dict({"name": "E6_maximal_domination", "alpha": 0.4, "seed": 3})
         assert cfg.alpha == 0.4 and cfg.seed == 3
         with pytest.raises(DomainError):
