@@ -266,8 +266,8 @@ def _subpieces(f: TestFunction, x: float, kernel: KernelSpec):
                     cuts.add(edge)
         ordered = sorted(cuts)
         for c1, c2 in zip(ordered[:-1], ordered[1:]):
-            # keep the kernel-singular piece finite and short, and never let a
-            # single piece touch both the kernel and a density singularity
+            # keep the kernel-singular piece finite, and never let a single
+            # piece touch both the kernel and a density singularity
             if c1 == x and c2 == math.inf:
                 w = max(1.0, 2.0 * abs(x))
                 yield from ((x, x + w), (x + w, math.inf))
@@ -277,10 +277,6 @@ def _subpieces(f: TestFunction, x: float, kernel: KernelSpec):
             elif (c1 == x and c2 in sing_locs) or (c2 == x and c1 in sing_locs):
                 mid = c1 + 0.5 * (c2 - c1)
                 yield from ((c1, mid), (mid, c2))
-            elif c1 == x and math.isfinite(c2) and c2 - c1 > 1.0:
-                yield from ((c1, c1 + 0.5 * (c2 - c1)), (c1 + 0.5 * (c2 - c1), c2))
-            elif c2 == x and math.isfinite(c1) and c2 - c1 > 1.0:
-                yield from ((c1, c2 - 0.5 * (c2 - c1)), (c2 - 0.5 * (c2 - c1), c2))
             elif (c1 in sing_locs or c2 in sing_locs) and abs(x - (c2 if c1 in sing_locs else c1)) < c2 - c1 < math.inf:
                 # x just past the end away from a density singularity: the kernel gets its own piece
                 mid = c1 + 0.5 * (c2 - c1)
@@ -554,11 +550,13 @@ def _log_outward(make, k: float, near: np.ndarray, far: np.ndarray, step: float,
                  kink: Optional[np.ndarray] = None) -> np.ndarray:
     """ln of the integral over w from near (next to z = 1) outward to far, in direction step.
 
-    Panels of width 1, 8, 64, ... from near, and one more edge at kink
-    where it lies inside the range (nan: nowhere); an infinite far is cut
-    at the decaying-tail rule's truncation point.  make(anchor, sign) is the
-    integrand in s = sign (w - anchor) >= 0 with its log scale, anchored at
-    the end where e^(k w) peaks: the nodes there stay exact at any |w|.
+    Panels of width 1, 8, 64, ... from near and, where e^(k w) peaks at
+    far, from far as well, so that the peak never falls in a wide panel;
+    one more edge at kink where it lies inside the range (nan: nowhere).
+    An infinite far is cut at the decaying-tail rule's truncation point.
+    make(anchor, sign) is the integrand in s = sign (w - anchor) >= 0 with
+    its log scale, anchored at the end where e^(k w) peaks: the nodes there
+    stay exact at any |w|.
     """
     if np.isinf(far).any():
         far = np.where(np.isinf(far), near + step * tail_cutoff(-k * step, degree, 0.0), far)
@@ -566,12 +564,14 @@ def _log_outward(make, k: float, near: np.ndarray, far: np.ndarray, step: float,
     cuts = [0.0, 1.0]
     while cuts[-1] < length.max():
         cuts.append(8.0 * cuts[-1] + 1.0)
+    flip = k * far > k * near
     edges = np.minimum(np.array(cuts), length[:, None])
+    edges = np.column_stack([edges, np.where(flip[:, None], length[:, None] - edges, 0.0)])
     if kink is not None:
         at = np.clip(np.nan_to_num((kink - near) * step, nan=0.0), 0.0, length)
-        edges = np.sort(np.column_stack([edges, at]), axis=1)
+        edges = np.column_stack([edges, at])
+    edges = np.sort(edges, axis=1)
     lo, hi = edges[:, :-1], edges[:, 1:]
-    flip = k * far > k * near
     lo, hi = np.where(flip[:, None], length[:, None] - hi, lo), np.where(flip[:, None], length[:, None] - lo, hi)
     fn, scale = make(np.where(flip, far, near), np.where(flip, -step, step))
     return scale + _log(_resolved(integrate_batch(fn, lo, hi)))

@@ -183,6 +183,27 @@ def test_user_slow_factors_are_evaluated_elementwise():
         assert called.tobytes() == builtin.tobytes()
 
 
+# ln u(0): the integral of f(y) |y|^-1/2 over f's support within the kernel's reach
+NEXT_TO_ZERO = {
+    "indicator(0,1) riesz": (TestFunction.indicator(0.0, 1.0), RIESZ, math.log(2.0)),
+    "indicator(0,1) truncated": (TestFunction.indicator(0.0, 1.0), TRUNCATED, math.log(2.0)),
+    "indicator(-0.5,2) riesz": (TestFunction.indicator(-0.5, 2.0), RIESZ, math.log(3.0 * math.sqrt(2.0))),
+    "indicator(-0.5,2) truncated": (TestFunction.indicator(-0.5, 2.0), TRUNCATED, math.log(2.0 + math.sqrt(2.0))),
+}
+
+
+@pytest.mark.parametrize("case", list(NEXT_TO_ZERO))
+@pytest.mark.parametrize("side", [1.0, -1.0])
+def test_plain_pieces_at_x_next_to_zero(case, side):
+    # in w = ln|y/x| the region past |y| = |x| peaks at its far end, which must not fall in a wide panel
+    f, kernel, want = NEXT_TO_ZERO[case]
+    ts = np.concatenate([[-35290.714419906115], np.random.default_rng(3).uniform(-5e4, -1e3, 20)])
+    assert np.abs(log_potential_far(f, kernel, ts, side) - want).max() <= 1e-12
+    deep = np.array([-1.4e5, -(2.0**17), -(2.0**19)])
+    got = log_potential_far(f, kernel, deep, side)
+    assert (np.abs(got - want) <= np.finfo(float).eps * np.abs(deep)).all()
+
+
 # ---------------------------------------------------------------------------
 # potential-norm tables and L_p norms make no QUADPACK call
 # ---------------------------------------------------------------------------
