@@ -271,7 +271,8 @@ def _form(kind: str, label: str, pieces: tuple[Piece, ...], slow: Optional[Slowl
     )
 
 
-#: the sign scan for the turning points of a form with a slow factor runs over y in [y0, _SCAN_END]
+#: the sign scan for the turning points of a form with a slow factor steps by _SCAN_STEP over y in
+#: [y0, _SCAN_END], then grows y by the factor 1 + _SCAN_STEP/_SCAN_END up to the last y a turn can have
 _SCAN_END, _SCAN_STEP = 60.0, 0.05
 
 
@@ -281,13 +282,15 @@ def _branches(piece: Piece, slow: Optional[SlowlyVarying]) -> tuple[MonotoneBran
     In y = |ln|x||, ln|f| = -+power y + log_power ln y + kappa ln(1 + ln(1 + y))
     (- on a tail, + at the origin).  Without a slow factor (kappa = 0) a tail
     turns at y = log_power/power and an origin piece never; with one, the
-    turning points are located by a sign scan of the derivative over
-    [y0, 60] and brentq.
+    turning points are located by a sign scan of the derivative and brentq.
+    The scan stops at y = (|log_power| + |kappa|)/power, past which the power
+    term alone sets the derivative's sign.  A slow factor given as a callable
+    has no kappa, and its piece no branches.
     """
-    if piece.role == "plain":
+    kappa = 0.0 if slow is None else slow.kappa
+    if piece.role == "plain" or kappa is None:
         return ()
     outward = 1.0 if piece.role == "tail" else -1.0  # ln|x| = outward y
-    kappa = 0.0 if slow is None else slow.kappa
 
     def dlog(y: float) -> float:
         return -outward * piece.power + piece.log_power / y + kappa / ((1.0 + math.log1p(y)) * (1.0 + y))
@@ -298,11 +301,14 @@ def _branches(piece: Piece, slow: Optional[SlowlyVarying]) -> tuple[MonotoneBran
         turns = [peak] if peak > y0 else []
     else:
         ys = [y0 + i * _SCAN_STEP for i in range(int((_SCAN_END - y0) / _SCAN_STEP) + 1)]
+        while ys[-1] < (abs(piece.log_power) + abs(kappa)) / piece.power:
+            ys.append(ys[-1] * (1.0 + _SCAN_STEP / _SCAN_END))
+        ds = [dlog(y) for y in ys]
         turns = []
-        for y1, y2 in zip(ys[:-1], ys[1:]):
-            if dlog(y1) == 0.0:
+        for y1, y2, d1, d2 in zip(ys[:-1], ys[1:], ds[:-1], ds[1:]):
+            if d1 == 0.0:
                 turns.append(y1)
-            elif dlog(y1) * dlog(y2) < 0.0:
+            elif d1 * d2 < 0.0:
                 turns.append(float(brentq(dlog, y1, y2, xtol=1e-12)))
     side = 1.0 if piece.hi > 0.0 else -1.0
     along = side * outward > 0.0  # x grows with y

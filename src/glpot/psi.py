@@ -39,7 +39,7 @@ class SlowlyVarying:
     def __init__(self, fn: Callable[[float], float], label: str, kappa: Optional[float] = None):
         self._fn = fn
         self.label = label
-        self.kappa = kappa if kappa is not None else 0.0
+        self.kappa = kappa  # None: not of the built-in family
 
     def __call__(self, z: float) -> float:
         if z < 0.0:

@@ -14,6 +14,7 @@ from glpot import (
     DomainError,
     PsiFunction,
     QuadratureSpec,
+    SlowlyVarying,
     TestFunction,
     ToleranceError,
     decreasing_rearrangement,
@@ -302,8 +303,6 @@ class TestDistribution:
         # kappa = -2 makes the profile dip before the power blow-up takes over,
         # so the monotone branches are located numerically; check the measure
         # against a brute grid
-        from glpot import SlowlyVarying
-
         f = TestFunction.big_r(0.5, 0.0, SlowlyVarying.log_power(-2.0))
         assert len(f.branches) >= 4  # at least one interior split per side
         for lam in (1.0, 2.0, 5.0):
@@ -313,6 +312,25 @@ class TestDistribution:
             mask = vals > lam
             brute = 2.0 * float(np.trapezoid(mask.astype(float) * np.exp(-ys), ys))
             assert got == pytest.approx(brute, rel=1e-3)
+
+    def test_turning_point_past_y_60(self):
+        # in y = -ln|x| this profile falls to y = 74.19 and rises after; level 0.2 crosses it twice
+        f = TestFunction.big_r(0.005, 0.0, SlowlyVarying.log_power(-2.0))
+        with mp.workdps(40):
+
+            def excess(y):
+                return mp.exp(mp.mpf(0.005) * y) * (1 + mp.log1p(y)) ** -2 - mp.mpf(0.2)
+
+            falls, rises = (mp.findroot(excess, bracket, solver="anderson") for bracket in ((1, 74), (75, 1000)))
+            want = float(2 * (mp.exp(-1) - mp.exp(-falls) + mp.exp(-rises)))
+        assert distribution_function(f, 0.2) == pytest.approx(want, rel=1e-12)
+
+    def test_callable_slow_factor_has_no_branches(self):
+        # the log_power(-2) factor as a callable: it turns, but states no kappa to find its turns by
+        f = TestFunction.big_r(0.5, 0.0, SlowlyVarying.from_callable(lambda z: (1.0 + math.log1p(z)) ** -2.0))
+        assert f.branches == ()
+        with pytest.raises(DomainError, match="no monotone-branch annotation"):
+            distribution_function(f, 0.5705)
 
     @pytest.mark.parametrize("level", [0.05, 0.2, 0.4, 0.6])
     def test_example3_against_mpmath_roots(self, level):
