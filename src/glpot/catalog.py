@@ -1,20 +1,22 @@
-"""Catalog of 1-D extremal test functions with singularity annotations.
+"""Catalog of 1-D extremal test functions, each described by its pieces.
 
-Every function here is non-negative, supported on explicit intervals, and
-annotated with the local power/log exponents its quadrature and convergence
-analysis need.  The log-blowup families come in two flavours: tail-supported
-(x^-1 log-power on (e, inf)) and origin-supported (x^-alpha log-power on
-(0, 1/e)); the remaining forms are built from these plus indicators.  Each
-form is described once, by its ``Piece`` tuple with the coefficient and the
-slow factor; evaluation, norms, masses and the scaled potentials all read
-that description, and the support, the singularity at 0 and the monotone
-branches are derived from it.
+Every function here is non-negative, supported on the ranges of its pieces,
+and annotated piece by piece with the local power/log exponents its
+quadrature and convergence analysis need.  The log-blowup families come in
+two flavours: tail-supported (x^-1 log-power on (e, inf)) and
+origin-supported (x^-alpha log-power on (0, 1/e)); the remaining forms are
+built from these plus indicators.  Each form is described once, by its
+``Piece`` tuple with the coefficient and the slow factor; evaluation, norms,
+masses and the scaled potentials all read that description, and the
+support, the singular point at 0 and the monotone branches are derived from
+it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable, Optional
 
 from scipy.optimize import brentq
@@ -24,18 +26,6 @@ from .psi import SlowlyVarying
 
 E = math.e
 INV_E = 1.0 / math.e
-
-
-@dataclass(frozen=True)
-class Singularity:
-    """Annotation of a non-smooth finite point: |f| ~ |x-location|^(-power) |ln|x-location||^(log_power).
-
-    An unbounded end is described by its tail ``Piece``, not by a singularity.
-    """
-
-    location: float
-    power: float = 0.0
-    log_power: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -103,19 +93,18 @@ class TestFunction:
 
     ``kind``, ``alpha``, ``delta`` and ``interval`` record how a catalog form
     was built; evaluation reads only ``pieces``, ``coefficient`` and ``slow``
-    (or ``evaluator`` for a user density).  A catalog form's ``support``,
-    ``singularities`` and ``branches`` are derived from its pieces; a user
-    density states them.  ``slow`` is None unless the slow factor varies: a
-    constant one is dropped at construction.
+    (or ``evaluator`` for a user density).  The pieces are the whole
+    annotation: the support is their ranges and the one singular point is 0,
+    the shared end of the origin pieces.  A catalog form's ``branches`` are
+    derived from its pieces; a user density states them.  ``slow`` is None
+    unless the slow factor varies: a constant one is dropped at construction.
     """
 
     __test__ = False  # not a pytest collection target
 
     kind: str
     label: str
-    support: tuple[tuple[float, float], ...]
     pieces: tuple[Piece, ...]
-    singularities: tuple[Singularity, ...] = ()
     alpha: float = 0.0
     delta: float = 0.0
     coefficient: float = 1.0
@@ -194,29 +183,20 @@ class TestFunction:
     @staticmethod
     def user(
         evaluator: Callable[[float], float],
-        support: tuple[tuple[float, float], ...],
-        singularities: tuple[Singularity, ...] = (),
-        pieces: tuple[Piece, ...] = (),
+        pieces: tuple[Piece, ...],
         branches: tuple[MonotoneBranch, ...] = (),
         label: str = "user",
     ) -> "TestFunction":
-        """User-supplied function; singular/unbounded pieces need explicit decay hints."""
+        """User-supplied function on its pieces: plain where it is bounded, origin pieces at a
+        singularity at 0 and tail pieces at an unbounded end, each with its decay hints."""
         if not pieces:
-            pieces = tuple(Piece("plain", lo, hi) for lo, hi in support)
+            raise DomainError("a user density needs the pieces of its support")
         for piece in pieces:
             if piece.role != "plain" and piece.power == 0.0 and piece.log_power == 0.0:
                 raise DomainError("user pieces with singular/unbounded ends need decay hints")
-        if not all(math.isfinite(s.location) for s in singularities):
-            raise DomainError("singularities sit at finite points; an unbounded end is a tail piece")
-        return TestFunction(
-            kind="user",
-            label=label,
-            support=tuple(support),
-            pieces=pieces,
-            singularities=tuple(singularities),
-            evaluator=evaluator,
-            branches=branches,
-        )
+        f = TestFunction(kind="user", label=label, pieces=tuple(pieces), evaluator=evaluator, branches=branches)
+        f.origin_exponents  # origin pieces that disagree raise DomainError here, not at first use
+        return f
 
     # -- evaluation --------------------------------------------------------
 
@@ -242,9 +222,17 @@ class TestFunction:
 
     @property
     def support_bound(self) -> float:
-        """Largest finite |x| among support endpoints (1.0 if none)."""
-        vals = [abs(v) for seg in self.support for v in seg if math.isfinite(v)]
+        """Largest finite |x| among piece ends (1.0 if none)."""
+        vals = [abs(v) for piece in self.pieces for v in (piece.lo, piece.hi) if math.isfinite(v)]
         return max(vals) if vals else 1.0
+
+    @cached_property
+    def origin_exponents(self) -> tuple[float, float]:
+        """(power, log_power) of the singularity at 0 that the origin pieces share; (0, 0) without one."""
+        exponents = {(piece.power, piece.log_power) for piece in self.pieces if piece.role == "origin"}
+        if len(exponents) > 1:
+            raise DomainError(f"the origin pieces of {self.label} disagree at 0: (power, log_power) {sorted(exponents)}")
+        return exponents.pop() if exponents else (0.0, 0.0)
 
 
 def _check_alpha_delta(alpha: float, delta: float) -> None:
@@ -256,15 +244,11 @@ def _check_alpha_delta(alpha: float, delta: float) -> None:
 
 def _form(kind: str, label: str, pieces: tuple[Piece, ...], slow: Optional[SlowlyVarying] = None,
           **recorded) -> TestFunction:
-    """A catalog form from its pieces: its support, its singularity at 0 and its monotone branches follow from them."""
+    """A catalog form from its pieces: its monotone branches follow from them."""
     return TestFunction(
         kind=kind,
         label=label,
-        support=tuple((piece.lo, piece.hi) for piece in pieces),
         pieces=pieces,
-        singularities=tuple(
-            dict.fromkeys(Singularity(0.0, p.power, p.log_power) for p in pieces if p.role == "origin")
-        ),
         slow=slow,
         branches=tuple(branch for piece in pieces for branch in _branches(piece, slow)),
         **recorded,

@@ -240,14 +240,14 @@ class PotentialNormEvaluator:
     def _inner_coords(self) -> np.ndarray:
         """The inner table's |x|: geometric on (1/e, x0), plus the support's edges (shifted by a truncation radius)."""
         lo, hi = math.exp(-1.0), self.x0
-        edges = {abs(v) for seg in self.f.support for v in seg if math.isfinite(v) and lo < abs(v) < hi}
-        if self.kernel.radius is not None:
-            for seg in self.f.support:
-                for v in seg:
-                    if math.isfinite(v):
-                        for edge in (abs(v) + self.kernel.radius, abs(v) - self.kernel.radius):
-                            if lo < edge < hi:
-                                edges.add(edge)
+        shifts = (0.0,) if self.kernel.radius is None else (0.0, self.kernel.radius, -self.kernel.radius)
+        edges = {
+            abs(v) + shift
+            for piece in self.f.pieces
+            for v in (piece.lo, piece.hi)
+            for shift in shifts
+            if math.isfinite(v) and lo < abs(v) + shift < hi
+        }
         return np.array(sorted(set(np.geomspace(lo, hi, self._inner_n)) | edges))
 
     def _evaluate_side(self, side: float) -> None:

@@ -246,9 +246,8 @@ def _branch_endpoint_values(f: TestFunction, br: MonotoneBranch) -> tuple[float,
     def val_near(point: float, inward: float) -> float:
         if math.isinf(point):
             return 0.0  # catalog tails decay to zero
-        for s in f.singularities:
-            if s.location == point and s.power > 0.0:
-                return math.inf
+        if point == 0.0 and f.origin_exponents[0] > 0.0:
+            return math.inf
         x = point + inward * 1e-13 * max(1.0, abs(point))
         v = abs(f(x))
         if v == 0.0:

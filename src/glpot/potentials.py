@@ -4,8 +4,8 @@ Covers the fractional-integral kernel |z|^(alpha-1), its log and slowly
 varying generalisations, the ball-truncated variants, the exponentially
 decaying smoothed kernel built from the Macdonald function, and the
 Hardy-Littlewood / fractional maximal operators.  Pointwise evaluation
-splits the integration domain at the kernel singularity and at every
-singularity of the density, and integrates every sub-piece as one row of a
+splits the integration domain at the kernel singularity and at the
+density's singularity at 0, and integrates every sub-piece as one row of a
 single call of the batched Gauss-Legendre rule, its integrand evaluated on
 arrays: an exponential substitution at the kernel end, |x - y| = W e^(-t/s),
 ln|y| on a piece ending at (or cut just short of) a density singularity at
@@ -218,20 +218,11 @@ def _check_apply_convergence(f: TestFunction, x: float, kernel: KernelSpec) -> N
                 raise DivergenceError(
                     f"potential of {f.label} diverges at the tail: decay {piece.power:g} <= alpha={kernel.alpha:g}"
                 )
-    for s in f.singularities:
-        if s.location == x and s.power >= kernel.alpha:
-            raise DivergenceError(
-                f"potential of {f.label} diverges at x={x:g}: combined exponent "
-                f"{s.power + 1.0 - kernel.alpha:g} >= 1"
-            )
-
-
-def _singularity_at(f: TestFunction, location: float) -> tuple[float, float]:
-    """(power, log_power) of the density's singularity at a location, (0, 0) if it has none there."""
-    for s in f.singularities:
-        if s.location == location:
-            return s.power, s.log_power
-    return 0.0, 0.0
+    power0 = f.origin_exponents[0]
+    if x == 0.0 and power0 >= kernel.alpha:
+        raise DivergenceError(
+            f"potential of {f.label} diverges at x={x:g}: combined exponent {power0 + 1.0 - kernel.alpha:g} >= 1"
+        )
 
 
 def _tail_decay_hint(f: TestFunction, left: bool, kernel: KernelSpec) -> tuple[Optional[float], float]:
@@ -245,11 +236,11 @@ def _tail_decay_hint(f: TestFunction, left: bool, kernel: KernelSpec) -> tuple[O
 
 
 def _subpieces(f: TestFunction, x: float, kernel: KernelSpec):
-    """The pieces (lo, hi) of the support within the kernel's reach of x, cut at x, at every density
-    singularity and, for a log kernel, at x -+ 1; none touches both x and a density singularity."""
-    sing_locs = [s.location for s in f.singularities]
+    """The pieces (lo, hi) of the support within the kernel's reach of x, cut at x, at the density's
+    singularity at 0 and, for a log kernel, at x -+ 1; none touches both x and the density singularity."""
+    sing_locs = [0.0] if f.origin_exponents != (0.0, 0.0) else []
     reach = kernel.reach
-    for seg_lo, seg_hi in f.support:
+    for seg_lo, seg_hi in ((piece.lo, piece.hi) for piece in f.pieces):
         lo = max(seg_lo, x - reach) if reach != math.inf else seg_lo
         hi = min(seg_hi, x + reach) if reach != math.inf else seg_hi
         if not hi > lo:
@@ -334,11 +325,11 @@ def _row(f: TestFunction, x: float, kernel: KernelSpec, lo: float, hi: float) ->
     # start: where the integrand has settled into the decay the tail rule cuts
     if lo == x or hi == x:
         # kernel end: |x - y| = u = W e^(-t/s), so u^(s-1) du = W^s e^-t dt / s over t > 0; the rest of the
-        # integrand is settled where u is below 1 and below the distance to any other density singularity
-        extra, extra_log = _singularity_at(f, x)  # x may sit on a density singularity
+        # integrand is settled where u is below 1 and below the distance to the density's singularity at 0
+        extra, extra_log = f.origin_exponents if x == 0.0 else (0.0, 0.0)  # x may sit on it
         s = kernel.alpha - extra
         sign, v0, v1, t_lo, base = (1.0 if lo == x else -1.0), math.log(hi - lo), -1.0 / s, 0.0, base - math.log(s)
-        near = [abs(x - p.location) for p in f.singularities if p.location != x]
+        near = [abs(x)] if x != 0.0 and f.origin_exponents != (0.0, 0.0) else []
         rate, degree, start = 1.0, kernel.beta + extra_log, s * max(0.0, v0 - math.log(min([1.0] + near)))
     elif math.isinf(hi - lo):
         # tail: |x - y| = e^t from the finite end on, settled where |x - y| > |x|
@@ -348,12 +339,12 @@ def _row(f: TestFunction, x: float, kernel: KernelSpec, lo: float, hi: float) ->
         sign = 1.0 if hi == math.inf else -1.0
         t_lo = math.log(lo - x if sign > 0.0 else x - hi)
         start = max(t_lo, math.log(abs(x))) if x != 0.0 else t_lo
-    elif (lo == 0.0 or hi == 0.0) and _singularity_at(f, 0.0)[0] > 0.0:
+    elif (lo == 0.0 or hi == 0.0) and f.origin_exponents[0] > 0.0:
         # density origin end: y = -+e^-t, t from -ln of the far end on, settled where |y| < |x|
-        power0, degree = _singularity_at(f, 0.0)
+        power0, degree = f.origin_exponents
         origin, sign, v1, t_lo, rate = True, (1.0 if lo == 0.0 else -1.0), -1.0, -math.log(max(-lo, hi)), 1.0 - power0
         start = max(t_lo, -math.log(abs(x)))
-    elif lo * hi > 0.0 and _singularity_at(f, 0.0)[0] > 0.0 and min(abs(lo), abs(hi)) < min(abs(lo - x), abs(hi - x)):
+    elif lo * hi > 0.0 and f.origin_exponents[0] > 0.0 and min(abs(lo), abs(hi)) < min(abs(lo - x), abs(hi - x)):
         # a piece cut short of the density's singularity at 0 (by a kernel's window or kink), nearer 0 than x:
         # y = -+e^-t between its ends, graded toward 0 as the origin end is
         origin, sign, v1, width = True, math.copysign(1.0, hi), -1.0, 1.0
@@ -790,15 +781,12 @@ def _quadrature_masses(f: TestFunction, lo: np.ndarray, hi: np.ndarray) -> np.nd
 
 
 def _quadrature_mass(f: TestFunction, lo: float, hi: float) -> float:
-    """Integral of |f| over (lo, hi) by quadrature, split at support ends and singularities."""
+    """Integral of |f| over (lo, hi) by quadrature, piece by piece (a singularity is a piece end)."""
     total = 0.0
-    for seg_lo, seg_hi in f.support:
-        a, b = max(seg_lo, lo), min(seg_hi, hi)
-        if b <= a:
-            continue
-        breaks = sorted({a, b} | {s.location for s in f.singularities if a < s.location < b})
-        for c1, c2 in zip(breaks[:-1], breaks[1:]):
-            total += _integrate_abs_singular(f, c1, c2).value
+    for piece in f.pieces:
+        a, b = max(piece.lo, lo), min(piece.hi, hi)
+        if b > a:
+            total += _integrate_abs_singular(f, a, b).value
     return total
 
 
@@ -816,9 +804,8 @@ def _integrate_abs_singular(f: TestFunction, lo: float, hi: float) -> IntegralRe
 
 
 def _check_locally_integrable(f: TestFunction) -> None:
-    for s in f.singularities:
-        if s.power >= 1.0:
-            raise DivergenceError(f"{f.label} is not locally integrable at {s.location:g}")
+    if f.origin_exponents[0] >= 1.0:
+        raise DivergenceError(f"{f.label} is not locally integrable at 0")
 
 
 def _maximal_sup(f: TestFunction, xs, weight_exp: float, n_grid: int):

@@ -69,7 +69,7 @@ FORMS = [
     (TestFunction.indicator(-0.5, 2.0), lambda x: 1.0 if -0.5 <= x <= 2.0 else 0.0),
     (TestFunction.h_delta(0.5, 1.0).scaled(2.5), lambda x: 2.5 * (_f(x, 0.5, 1.0) + _g(x, 1.0))),
     (TestFunction.indicator(0.0, 1.0).scaled(3.0), lambda x: 3.0 if 0.0 <= x <= 1.0 else 0.0),
-    (TestFunction.user(lambda x: math.exp(-x * x), ((-math.inf, math.inf),)), lambda x: math.exp(-x * x)),
+    (TestFunction.user(lambda x: math.exp(-x * x), (Piece("plain", -math.inf, math.inf),)), lambda x: math.exp(-x * x)),
 ]
 FORM_IDS = [f.label for f, _ in FORMS]
 
@@ -90,7 +90,7 @@ def test_value_matches_formula(f, formula, x):
 
 @pytest.mark.parametrize("f,formula", FORMS, ids=FORM_IDS)
 def test_value_at_support_endpoints_and_outside(f, formula):
-    ends = {v for seg in f.support for v in seg if math.isfinite(v)}
+    ends = {v for piece in f.pieces for v in (piece.lo, piece.hi) if math.isfinite(v)}
     for x in sorted(ends | {-1e300, -3.0, -1.0, 0.0, 1.0, 3.0, 1e300}):
         assert f(x) == pytest.approx(formula(x), rel=1e-13, abs=0.0), x
 
@@ -106,7 +106,7 @@ def test_singular_pieces_are_open_and_plain_pieces_closed():
 
 
 # ---------------------------------------------------------------------------
-# support, singularities and monotone branches follow from the pieces
+# monotone branches follow from the pieces
 # ---------------------------------------------------------------------------
 
 KAPPAS = (-2.0, -1.0, 1.0, 2.0)
@@ -140,8 +140,6 @@ def _samples(branch: MonotoneBranch) -> np.ndarray:
 
 @pytest.mark.parametrize("f", ANNOTATED, ids=_annotated_id)
 def test_annotations_come_from_the_pieces(f):
-    assert f.support == tuple((piece.lo, piece.hi) for piece in f.pieces)
-    assert all(math.isfinite(s.location) for s in f.singularities)
     # the branches tile the singular pieces, in order
     branches = iter(f.branches)
     for piece in f.pieces:
@@ -252,7 +250,7 @@ def test_indicator_norm(p):
 
 
 def test_closed_form_refuses_user_and_varying_slow_factor():
-    user = TestFunction.user(lambda x: 1.0, ((0.0, 1.0),))
+    user = TestFunction.user(lambda x: 1.0, (Piece("plain", 0.0, 1.0),))
     with pytest.raises(DomainError):
         lp_norm_closed_form(user, 2.0)
     with pytest.raises(DomainError):
@@ -312,7 +310,7 @@ def test_closed_form_masses_need_no_quadrature(monkeypatch):
     "f, error",
     [
         (TestFunction.example3(0.5, 1.25), DivergenceError),  # tail power 0.5 <= alpha: u is infinite
-        (TestFunction.user(lambda x: 1.0, ((0.0, 1.0),)), DomainError),
+        (TestFunction.user(lambda x: 1.0, (Piece("plain", 0.0, 1.0),)), DomainError),
     ],
     ids=["example3", "user"],
 )
@@ -364,9 +362,7 @@ def _mirrored_g(delta: float) -> TestFunction:
     return replace(
         g,
         label=f"g_delta({delta:g})(-x)",
-        support=((-math.inf, -E),),
         pieces=(Piece("tail", -math.inf, -E, power=1.0, log_power=delta),),
-        singularities=(),
         branches=(),
     )
 

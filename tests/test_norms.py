@@ -27,7 +27,7 @@ from glpot import (
     weak_lp_quasinorm,
 )
 from glpot import norms
-from glpot.catalog import MonotoneBranch, Piece, Singularity
+from glpot.catalog import MonotoneBranch, Piece
 from glpot.quadrature import integrate_decaying
 
 E = math.e
@@ -37,8 +37,6 @@ def _phi_user():
     """|x|^(-1/2) on the whole line, with explicit branch annotations."""
     return TestFunction.user(
         evaluator=lambda x: abs(x) ** -0.5,
-        support=((-math.inf, 0.0), (0.0, math.inf)),
-        singularities=(Singularity(0.0, 0.5),),
         pieces=(
             Piece("origin", -1.0, 0.0, power=0.5),
             Piece("origin", 0.0, 1.0, power=0.5),
@@ -64,7 +62,7 @@ class TestCatalog:
 
     def test_h_disjoint_supports(self):
         h = TestFunction.h_delta(0.5, 1.0)
-        (lo1, hi1), (lo2, hi2) = h.support
+        (lo1, hi1), (lo2, hi2) = ((piece.lo, piece.hi) for piece in h.pieces)
         assert hi1 <= lo2  # (0, 1/e) then (e, inf)
         assert h(0.1) == TestFunction.f_delta(0.5, 1.0)(0.1)
         assert h(10.0) == TestFunction.g_delta(1.0)(10.0)
@@ -101,9 +99,14 @@ class TestCatalog:
         with pytest.raises(DomainError):
             TestFunction.user(
                 evaluator=lambda x: x,
-                support=((0.0, 1.0),),
                 pieces=(Piece("origin", 0.0, 1.0),),
             )
+
+    @pytest.mark.parametrize("right", [Piece("origin", 0.0, 1.0, power=0.3), Piece("origin", 0.0, 1.0, 0.5, 1.0)])
+    def test_user_origin_pieces_must_agree(self, right):
+        # the singular point 0 has one (power, log_power), shared by the origin pieces on both sides
+        with pytest.raises(DomainError, match="disagree at 0"):
+            TestFunction.user(lambda x: abs(x) ** -0.5, (Piece("origin", -1.0, 0.0, power=0.5), right))
 
 
 class TestLpNormOracles:

@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from glpot import TestFunction, apply_kernel_report, log_potential_far, log_potential_near, lp_norm_report, parse_kernel_spec
-from glpot.catalog import Piece, Singularity
+from glpot.catalog import Piece
 from glpot.errors import ToleranceError
 from glpot.cli import parse_form_spec
 
@@ -268,7 +268,7 @@ def test_apply_kernel_against_mpmath(form, kernel, x):
 
 def _window_edge_near_a_support_edge(f, k, x) -> bool:
     """Whether a truncated kernel's window edge x -+ radius falls within 1e-3 of an end of the support."""
-    ends = [end for segment in f.support for end in segment if math.isfinite(end)]
+    ends = [end for piece in f.pieces for end in (piece.lo, piece.hi) if math.isfinite(end)]
     return k.radius is not None and any(abs(x + d - end) < 1e-3 for d in (-k.radius, k.radius) for end in ends)
 
 
@@ -322,8 +322,6 @@ def test_user_density_potential_against_mpmath(x):
     # int_0^1 y^(-1/2) (a -+ y)^(-1/2) dy = 2 asin(a^(-1/2)) and 2 asinh(a^(-1/2))
     f = TestFunction.user(
         evaluator=lambda y: abs(y) ** -0.5,
-        support=((-1.0, 0.0), (0.0, 1.0)),
-        singularities=(Singularity(0.0, 0.5),),
         pieces=(Piece("origin", -1.0, 0.0, power=0.5), Piece("origin", 0.0, 1.0, power=0.5)),
     )
     got = apply_kernel_report(f, x, parse_kernel_spec(RIESZ))

@@ -28,7 +28,7 @@ from glpot import (
     maximal_over_grid,
     parse_kernel_spec,
 )
-from glpot.catalog import Piece, Singularity
+from glpot.catalog import Piece
 from glpot.potentials import _interval_masses
 from glpot.special import upper_gamma
 
@@ -67,8 +67,8 @@ def _mp_mass(f, density, lo, hi):
     """Integral of the density over (lo, hi) within the support of f, at 30 digits."""
     total = mp.mpf(0)
     with mp.workdps(30):
-        for seg_lo, seg_hi in f.support:
-            a, b = max(seg_lo, lo), min(seg_hi, hi)
+        for piece in f.pieces:
+            a, b = max(piece.lo, lo), min(piece.hi, hi)
             if b > a:
                 total += mp.quad(density, [a, b])
     return float(total)
@@ -265,8 +265,6 @@ class TestApplyKernel:
         # reach where |y|^-power overflows or y rounds to 0, and the point raises, naming x
         f = TestFunction.user(
             evaluator=lambda y: abs(y) ** -power * abs(math.log(abs(y))) ** delta,
-            support=((0.0, 1.0 / math.e),),
-            singularities=(Singularity(0.0, power, delta),),
             pieces=(Piece("origin", 0.0, 1.0 / math.e, power=power, log_power=delta),),
         )
         with pytest.raises(ToleranceError, match=r"potential at x=0\.5 not resolved: the density overflowed"):
@@ -501,7 +499,7 @@ class TestIntervalMass:
         # a decaying tail with a varying slow factor goes to quadrature, also over (3, inf)
         S = SlowlyVarying.log_power(1.0)
         piece = Piece("tail", math.e, math.inf, power=2.0)
-        tail = TestFunction("custom", "x^-2 S(ln x)", ((math.e, math.inf),), (piece,), slow=S)
+        tail = TestFunction("custom", "x^-2 S(ln x)", (piece,), slow=S)
         got = _interval_masses(tail, np.array([3.0, 0.0]), np.array([math.inf, 10.0]))
         with mp.workdps(30):
             want = [mp.quad(lambda x: (1 + mp.log(1 + mp.log(x))) / x**2, [a, b]) for a, b in ((3, mp.inf), (mp.e, 10))]
@@ -511,8 +509,6 @@ class TestIntervalMass:
         # |x|^(-1/2) on (-1, 1): the mass over (a, b) is 2 (sqrt|b| -+ sqrt|a|)
         f = TestFunction.user(
             evaluator=lambda x: abs(x) ** -0.5,
-            support=((-1.0, 0.0), (0.0, 1.0)),
-            singularities=(Singularity(0.0, 0.5),),
             pieces=(Piece("origin", -1.0, 0.0, power=0.5), Piece("origin", 0.0, 1.0, power=0.5)),
         )
 
@@ -572,8 +568,6 @@ class TestMaximalOperators:
     def test_not_locally_integrable(self):
         bad = TestFunction.user(
             evaluator=lambda x: abs(x) ** -1.5,
-            support=((0.0, 1.0),),
-            singularities=(Singularity(0.0, 1.5),),
             pieces=(Piece("origin", 0.0, 1.0, power=1.5),),
         )
         with pytest.raises(DivergenceError):
