@@ -231,7 +231,7 @@ class TestFunction:
         """(power, log_power) of the singularity at 0 that the origin pieces share; (0, 0) without one."""
         exponents = {(piece.power, piece.log_power) for piece in self.pieces if piece.role == "origin"}
         if len(exponents) > 1:
-            raise DomainError(f"the origin pieces of {self.label} disagree at 0: (power, log_power) {sorted(exponents)}")
+            raise DomainError(f"origin pieces of {self.label} disagree at 0: (power, log_power) in {sorted(exponents)}")
         return exponents.pop() if exponents else (0.0, 0.0)
 
 

@@ -94,13 +94,17 @@ def _emit(lines: list[str], out: str | None) -> None:
         sys.stdout.write(text)
 
 
-#: every weight transform of 'transform --kind': its builder from the weight, (d, alpha) and the parsed arguments
+#: every weight transform of 'transform --kind': the optional flags it reads, each with its default, and its
+#: builder from the weight, (d, alpha) and those flags
 _TRANSFORMS = {
-    "riesz_zeta": lambda psi, params, args: riesz_zeta(psi, params),
-    "derivative_zeta": lambda psi, params, args: derivative_zeta(psi, params, _parse_multiindex(args.xi or "0")),
-    "bessel_theta": lambda psi, params, args: bessel_theta(psi, params, _parse_multiindex(args.xi or "1")),
-    "singular_psi1": lambda psi, params, args: singular_psi1(psi),
-    "zeta_S": lambda psi, params, args: zeta_S(psi, params, args.beta, SlowlyVarying.log_power(args.kappa)),
+    "riesz_zeta": ({}, lambda psi, params: riesz_zeta(psi, params)),
+    "derivative_zeta": ({"xi": "0"}, lambda psi, params, xi: derivative_zeta(psi, params, _parse_multiindex(xi))),
+    "bessel_theta": ({"xi": "1"}, lambda psi, params, xi: bessel_theta(psi, params, _parse_multiindex(xi))),
+    "singular_psi1": ({}, lambda psi, params: singular_psi1(psi)),
+    "zeta_S": (
+        {"beta": 0.0, "kappa": 0.0},
+        lambda psi, params, beta, kappa: zeta_S(psi, params, beta, SlowlyVarying.log_power(kappa)),
+    ),
 }
 
 
@@ -121,9 +125,9 @@ def _build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--kind", required=True, choices=list(_TRANSFORMS))
     tr.add_argument("--alpha", type=float, default=0.5)
     tr.add_argument("--d", type=int, default=1)
-    tr.add_argument("--xi", default=None, help="comma-separated multi-index, e.g. 1,0")
-    tr.add_argument("--beta", type=float, default=0.0)
-    tr.add_argument("--kappa", type=float, default=0.0)
+    tr.add_argument("--xi", default=None, help="comma-separated multi-index, e.g. 1,0 (derivative_zeta, bessel_theta)")
+    tr.add_argument("--beta", type=float, default=None, help="zeta_S only")
+    tr.add_argument("--kappa", type=float, default=None, help="zeta_S only")
     tr.add_argument("--qgrid", required=True, help="RULE:LO:HI:N")
     tr.add_argument("--out", default=None)
 
@@ -165,7 +169,12 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_transform(args) -> int:
     psi = parse_psi_spec(args.psi)
     params = PotentialParams(args.d, args.alpha)
-    out_psi = _TRANSFORMS[args.kind](psi, params, args)
+    reads, build = _TRANSFORMS[args.kind]
+    given = {flag: getattr(args, flag) for flag in ("xi", "beta", "kappa") if getattr(args, flag) is not None}
+    unread = sorted(set(given) - set(reads))
+    if unread:
+        raise DomainError(f"--kind {args.kind} does not read --{', --'.join(unread)}")
+    out_psi = build(psi, params, **{**reads, **given})
     grid = parse_grid_spec(args.qgrid)
     lines = ["q,value"]
     for q in grid.points:

@@ -33,10 +33,12 @@ class ExperimentConfig:
     Besides the common keys, an experiment takes exactly the keys of its
     ``_EXPERIMENTS`` entry; each one left unset takes its default there, and
     each one set must have its default's type: a number, a positive count,
-    or a non-empty list of numbers.  Any other key is rejected.
+    or a non-empty list of numbers.  Any other key is rejected.  An entry
+    with ``rel_tol`` (E2, E3, E7, whose norms check a tolerance) also gets
+    ``quad``, the QuadratureSpec of that tolerance.
     """
 
-    def __init__(self, name: str, output_dir: str = ".", seed: int = 0, rel_tol: float = 1e-8, **keys):
+    def __init__(self, name: str, output_dir: str = ".", seed: int = 0, **keys):
         if name not in EXPERIMENT_NAMES:
             raise DomainError(f"unknown experiment {name!r}; choose from {EXPERIMENT_NAMES}")
         defaults = _EXPERIMENTS[name][1]
@@ -46,13 +48,10 @@ class ExperimentConfig:
         if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
             raise DomainError(f"config key 'seed' must be a non-negative integer, got {seed!r}")
         self.name, self.output_dir, self.seed = name, output_dir, seed
-        self.rel_tol = _checked("rel_tol", rel_tol, float)
         for key, default in defaults.items():
             setattr(self, key, _checked(key, keys.get(key, default), type(default)))
-
-    @property
-    def quad(self) -> QuadratureSpec:
-        return QuadratureSpec(rel_tol=self.rel_tol)
+        if "rel_tol" in defaults:
+            self.quad = QuadratureSpec(rel_tol=self.rel_tol)  # a non-positive tolerance is refused here, before a run
 
     @staticmethod
     def from_dict(data: dict) -> "ExperimentConfig":
@@ -128,7 +127,7 @@ def _run_e1(cfg: ExperimentConfig) -> ExperimentResult:
 
     psi_h = PsiFunction.from_callable(1.0, params.p_upper, h_norm, "h-norm weight")
     zeta = riesz_zeta(psi_h, params)
-    evaluator = PotentialNormEvaluator(f, KernelSpec.riesz(alpha), cfg.quad)
+    evaluator = PotentialNormEvaluator(f, KernelSpec.riesz(alpha))
     rows = []
     sides = {"low": [], "high": []}
     for off in cfg.offsets:
@@ -171,7 +170,7 @@ def _run_v_side(cfg: ExperimentConfig, low_end: bool) -> ExperimentResult:
     passed = True
     for delta in cfg.deltas:
         f = TestFunction.g_delta(delta) if low_end else TestFunction.f_delta(alpha, delta)
-        evaluator = PotentialNormEvaluator(f, KernelSpec.riesz(alpha), cfg.quad)
+        evaluator = PotentialNormEvaluator(f, KernelSpec.riesz(alpha))
         vals = []
         for off in cfg.offsets:
             p = 1.0 + off if low_end else 1.0 / alpha - off
@@ -194,7 +193,7 @@ def _run_e4(cfg: ExperimentConfig) -> ExperimentResult:
     alpha, gamma = cfg.alpha, cfg.gamma
     f0 = TestFunction.f_zero(alpha, gamma)
     kernel = KernelSpec.truncated(alpha, radius=cfg.radius)
-    evaluator = PotentialNormEvaluator(f0, kernel, cfg.quad)
+    evaluator = PotentialNormEvaluator(f0, kernel)
     rows = []
     norms = []
     for r in cfg.r_values:
@@ -382,16 +381,19 @@ _EXPERIMENTS: dict[str, tuple[Callable[[ExperimentConfig], ExperimentResult], di
     "E1_upper_thm1": (_run_e1, {"alpha": 0.5, "delta": 0.0, "offsets": (1.0, 10.0**-0.5, 0.1, 10.0**-1.5, 0.01)}),
     "E2_lower_p_to_1": (
         lambda cfg: _run_v_side(cfg, low_end=True),
-        {"alpha": 0.5, "deltas": (0.0, 1.0), "offsets": (1e-1, 3e-2, 1e-2)},
+        {"alpha": 0.5, "deltas": (0.0, 1.0), "offsets": (1e-1, 3e-2, 1e-2), "rel_tol": 1e-8},
     ),
     "E3_lower_p_to_inv_alpha": (
         lambda cfg: _run_v_side(cfg, low_end=False),
-        {"alpha": 0.5, "deltas": (0.0, 1.0), "offsets": (1e-1, 3e-2, 1e-2)},
+        {"alpha": 0.5, "deltas": (0.0, 1.0), "offsets": (1e-1, 3e-2, 1e-2), "rel_tol": 1e-8},
     ),
     "E4_truncated_thm6": (_run_e4, {"alpha": 0.5, "gamma": 1.0, "radius": 1.0, "r_values": (4.0, 8.0, 16.0, 32.0)}),
     "E5_orlicz_growth_eq37": (_run_e5, {"alpha": 0.5, "gamma": 1.0, "r_values": (10.0, 1e2, 1e3, 1e4)}),
     "E6_maximal_domination": (_run_e6, {"alpha": 0.5, "delta": 0.0, "grid_points": 200}),
-    "E7_logkernel_lemma2": (_run_e7, {"alpha": 0.5, "betas": (0.0, 1.0), "offsets": (1e-2, 10.0**-2.5, 1e-3)}),
+    "E7_logkernel_lemma2": (
+        _run_e7,
+        {"alpha": 0.5, "betas": (0.0, 1.0), "offsets": (1e-2, 10.0**-2.5, 1e-3), "rel_tol": 1e-8},
+    ),
     "E8_bessel_sanity": (_run_e8, {"grid_points": 33, "x_large": 50.0}),
 }
 EXPERIMENT_NAMES = tuple(_EXPERIMENTS)

@@ -781,12 +781,23 @@ def _quadrature_masses(f: TestFunction, lo: np.ndarray, hi: np.ndarray) -> np.nd
 
 
 def _quadrature_mass(f: TestFunction, lo: float, hi: float) -> float:
-    """Integral of |f| over (lo, hi) by quadrature, piece by piece (a singularity is a piece end)."""
+    """Integral of |f| over (lo, hi) by quadrature, piece by piece (a singularity is a piece end).
+
+    A density that raises ZeroDivisionError or OverflowError where it is
+    evaluated (in floats, next to a pole) raises ToleranceError naming the interval.
+    """
     total = 0.0
     for piece in f.pieces:
         a, b = max(piece.lo, lo), min(piece.hi, hi)
         if b > a:
-            total += _integrate_abs_singular(f, a, b).value
+            try:
+                total += _integrate_abs_singular(f, a, b).value
+            except (OverflowError, ZeroDivisionError) as exc:
+                raise ToleranceError(
+                    f"mass of {f.label} over ({a:.17g}, {b:.17g}) not resolved: "
+                    f"the density raised {type(exc).__name__}: {exc}",
+                    achieved=math.inf,
+                ) from exc
     return total
 
 

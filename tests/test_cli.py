@@ -230,6 +230,29 @@ class TestCliCommands:
         assert main(argv) == 2
         assert "validation error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "kind, flags, unread",
+        [
+            ("riesz_zeta", ["--xi", "5,5", "--kappa", "7", "--beta", "3"], "--beta, --kappa, --xi"),
+            ("singular_psi1", ["--xi", "1"], "--xi"),
+            ("derivative_zeta", ["--beta", "1"], "--beta"),
+            ("zeta_S", ["--xi", "0"], "--xi"),
+        ],
+    )
+    def test_transform_flag_its_kind_does_not_read(self, kind, flags, unread, capsys):
+        argv = ["transform", "--psi", "power:a=1,b=2,beta=1,gamma=1", "--kind", kind, "--qgrid", "uniform:1.2:1.8:3"]
+        assert main(argv + flags) == 2
+        assert f"validation error: --kind {kind} does not read {unread}\n" == capsys.readouterr().err
+
+    def test_transform_flags_stated_at_their_defaults(self, capsys):
+        argv = ["transform", "--psi", "power:a=1,b=2,beta=1,gamma=1", "--kind", "zeta_S", "--qgrid", "uniform:2.2:3:3"]
+        assert main(argv) == 0
+        bare = capsys.readouterr().out
+        assert main(argv + ["--beta", "0", "--kappa", "0"]) == 0
+        assert capsys.readouterr().out == bare
+        assert main(argv + ["--kappa", "1"]) == 0
+        assert capsys.readouterr().out != bare
+
 
 class TestVerify:
     def test_e8_files_and_exit(self, tmp_path, capsys):
@@ -290,6 +313,23 @@ class TestVerify:
         for suffix in (".csv", ".summary.txt", ".plot"):
             assert (stated / f"{name}{suffix}").read_bytes() == (bare / f"{name}{suffix}").read_bytes()
 
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"name": "E1_upper_thm1", "rel_tol": 1e-30},
+            {"name": "E5_orlicz_growth_eq37", "rel_tol": -1},
+            {"name": "E7_logkernel_lemma2", "rel_tol": 0},
+        ],
+        ids=["unread_E1", "unread_E5", "zero_E7"],
+    )
+    def test_rel_tol_is_refused_before_a_run(self, tmp_path, capsys, config):
+        # rel_tol is a key of E2, E3 and E7 only, and must be positive: no run starts, no .partial is left
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps(config))
+        assert main(["verify", config["name"], "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+        assert "validation error" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.partial"))
+
     def test_config_name_mismatch(self, tmp_path):
         cfg_path = tmp_path / "e5.json"
         cfg_path.write_text(json.dumps({"name": "E5_orlicz_growth_eq37"}))
@@ -306,7 +346,7 @@ class TestVerify:
 
 class TestExperimentConfig:
     def test_defaults(self):
-        cfg = ExperimentConfig(name="E8_bessel_sanity")
+        cfg = ExperimentConfig(name="E7_logkernel_lemma2")
         assert cfg.quad.rel_tol == 1e-8
 
     def test_from_dict_strict(self):

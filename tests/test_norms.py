@@ -116,6 +116,14 @@ class TestLpNormOracles:
     def test_f0_one_norm(self):
         assert lp_norm(TestFunction.f_delta(0.5, 0.0), 1.0) == pytest.approx(2.0 * math.exp(-0.5), rel=1e-9)
 
+    def test_density_that_raises_is_a_tolerance_error(self):
+        # |y - 1/2|^-0.3 on (0, 1), stated as bounded: the peak sample of the plain piece lands on the pole
+        f = TestFunction.user(lambda y: abs(y - 0.5) ** -0.3, (Piece("plain", 0.0, 1.0),))
+        with pytest.raises(ToleranceError, match=r"\|user\|_p at p = 1\.5 not resolved: the density raised ZeroDiv"):
+            lp_norm_report(f, 1.5)
+        with pytest.raises(ToleranceError, match=r"at p = 1\.2\d* to 1\.7\d* not resolved"):
+            grand_norm(f, PsiFunction.constant(1.2, 1.8, 1.0))
+
     def test_closed_form_unit_cases(self):
         # Gamma_up(1, x) = e^-x makes both families elementary at delta = 0
         assert lp_norm_closed_form(TestFunction.g_delta(0.0), 2.0) == pytest.approx(

@@ -573,6 +573,17 @@ class TestMaximalOperators:
         with pytest.raises(DivergenceError):
             hl_maximal(bad, 0.5)
 
+    # QUADPACK warns of the pole on (0, 1/2) before a node lands on it in (1/2, 1)
+    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+    def test_density_that_raises_is_a_tolerance_error(self):
+        # |y - 1/2|^-1 on (0, 1/2) and (1/2, 1), stated as bounded: quadrature evaluates it at its pole
+        f = TestFunction.user(lambda y: abs(y - 0.5) ** -1.0, (Piece("plain", 0.0, 0.5), Piece("plain", 0.5, 1.0)))
+        with pytest.raises(ToleranceError, match=r"mass of user over \(0\.5, 1\) not resolved: the density raised"):
+            interval_mass(f, 0.0, 1.0)
+        for maximal in (lambda: hl_maximal(f, 0.5), lambda: fractional_maximal(f, np.array([0.25, 0.5]), 0.5)):
+            with pytest.raises(ToleranceError, match=r"mass of user over \(.*\) not resolved"):
+                maximal()
+
     @pytest.mark.parametrize("name", ["indicator", "f_delta", "h_delta", "big_r", "example3"])
     def test_lockstep_search_matches_scalar_loop(self, name):
         f = MASS_FORMS[name][0]

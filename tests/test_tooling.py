@@ -1,7 +1,9 @@
-"""The benchmark's tracer binds glpot functions by name; every name must still exist."""
+"""Names other code binds: the benchmark's tracer binds glpot functions by name, and ``glpot.__all__``
+lists the package's exports; every such name must exist."""
 
 import importlib
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -10,7 +12,16 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1]))  # the repository r
 
 from perfbench.tracer import EVALUATOR_METHODS, SPAN_FUNCTIONS, Tracer  # noqa: E402
 
+import glpot  # noqa: E402
 from glpot import KernelSpec, PotentialNormEvaluator, TestFunction, quadrature  # noqa: E402
+
+
+def test_all_lists_exactly_the_public_names():
+    # every name in __all__ exists, and every public name __init__ binds, modules aside, is in __all__
+    public = {name for name, value in vars(glpot).items() if not name.startswith("_")}
+    assert [name for name in glpot.__all__ if name not in public] == []
+    unlisted = public - set(glpot.__all__)
+    assert sorted(name for name in unlisted if not isinstance(getattr(glpot, name), types.ModuleType)) == []
 
 
 @pytest.mark.parametrize(
