@@ -1,15 +1,14 @@
 """Catalog of 1-D extremal test functions, each described by its pieces.
 
 Every function here is non-negative, supported on the ranges of its pieces,
-and annotated piece by piece with the local power/log exponents its
-quadrature and convergence analysis need.  The log-blowup families come in
-two flavours: tail-supported (x^-1 log-power on (e, inf)) and
-origin-supported (x^-alpha log-power on (0, 1/e)); the remaining forms are
-built from these plus indicators.  Each form is described once, by its
-``Piece`` tuple with the coefficient and the slow factor; evaluation, norms,
-masses and the scaled potentials all read that description, and the
-support, the singular point at 0 and the monotone branches are derived from
-it.
+and annotated piece by piece with the power/log exponents its quadrature
+and convergence analysis need.  The log-blowup families come in two
+flavours: tail-supported (x^-1 log-power on (e, inf)) and origin-supported
+(x^-alpha log-power on (0, 1/e)); the remaining forms are built from these
+plus indicators.  Each form is described once, by its ``Piece`` tuple with
+the coefficient and the slow factor; evaluation, norms, masses and the
+scaled potentials all read that description, and the support, the singular
+point at 0 and the monotone branches are derived from it.
 """
 
 from __future__ import annotations

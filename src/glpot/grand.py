@@ -241,13 +241,8 @@ class PotentialNormEvaluator:
         """The inner table's |x|: geometric on (1/e, x0), plus the support's edges (shifted by a truncation radius)."""
         lo, hi = math.exp(-1.0), self.x0
         shifts = (0.0,) if self.kernel.radius is None else (0.0, self.kernel.radius, -self.kernel.radius)
-        edges = {
-            abs(v) + shift
-            for piece in self.f.pieces
-            for v in (piece.lo, piece.hi)
-            for shift in shifts
-            if math.isfinite(v) and lo < abs(v) + shift < hi
-        }
+        ends = [abs(v) for piece in self.f.pieces for v in (piece.lo, piece.hi) if math.isfinite(v)]
+        edges = {end + shift for end in ends for shift in shifts if lo < end + shift < hi}
         return np.array(sorted(set(np.geomspace(lo, hi, self._inner_n)) | edges))
 
     def _evaluate_side(self, side: float) -> None:

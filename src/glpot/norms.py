@@ -174,14 +174,10 @@ def _log_lp_integrals(f: TestFunction, ps: np.ndarray) -> tuple[np.ndarray, np.n
 
 
 def _lp_norms(f: TestFunction, ps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(|f|_p, its relative error) for every p of a request, each p on its own column.
-
-    A user density that raises ZeroDivisionError or OverflowError where it is
-    evaluated (in floats, next to a pole) raises ToleranceError naming the p.
-    """
+    """(|f|_p, its relative error) for every p of a request, each p on its own column."""
     try:
         logs, rels = _log_lp_integrals(f, ps)
-    except (OverflowError, ZeroDivisionError) as exc:
+    except (OverflowError, ZeroDivisionError) as exc:  # a user density evaluated in floats, at a pole
         where = f"{ps[0]:.17g}" if len(ps) == 1 else f"{ps.min():.17g} to {ps.max():.17g}"
         raise ToleranceError(
             f"|{f.label}|_p at p = {where} not resolved: the density raised {type(exc).__name__}: {exc}",

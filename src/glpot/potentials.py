@@ -218,10 +218,10 @@ def _check_apply_convergence(f: TestFunction, x: float, kernel: KernelSpec) -> N
                 raise DivergenceError(
                     f"potential of {f.label} diverges at the tail: decay {piece.power:g} <= alpha={kernel.alpha:g}"
                 )
-    power0 = f.origin_exponents[0]
-    if x == 0.0 and power0 >= kernel.alpha:
+    if x == 0.0 and f.origin_exponents[0] >= kernel.alpha:
         raise DivergenceError(
-            f"potential of {f.label} diverges at x={x:g}: combined exponent {power0 + 1.0 - kernel.alpha:g} >= 1"
+            f"potential of {f.label} diverges at x=0: combined exponent "
+            f"{f.origin_exponents[0] + 1.0 - kernel.alpha:g} >= 1"
         )
 
 
@@ -240,9 +240,9 @@ def _subpieces(f: TestFunction, x: float, kernel: KernelSpec):
     singularity at 0 and, for a log kernel, at x -+ 1; none touches both x and the density singularity."""
     sing_locs = [0.0] if f.origin_exponents != (0.0, 0.0) else []
     reach = kernel.reach
-    for seg_lo, seg_hi in ((piece.lo, piece.hi) for piece in f.pieces):
-        lo = max(seg_lo, x - reach) if reach != math.inf else seg_lo
-        hi = min(seg_hi, x + reach) if reach != math.inf else seg_hi
+    for piece in f.pieces:
+        lo = max(piece.lo, x - reach) if reach != math.inf else piece.lo
+        hi = min(piece.hi, x + reach) if reach != math.inf else piece.hi
         if not hi > lo:
             continue
         cuts = {lo, hi}
@@ -781,18 +781,14 @@ def _quadrature_masses(f: TestFunction, lo: np.ndarray, hi: np.ndarray) -> np.nd
 
 
 def _quadrature_mass(f: TestFunction, lo: float, hi: float) -> float:
-    """Integral of |f| over (lo, hi) by quadrature, piece by piece (a singularity is a piece end).
-
-    A density that raises ZeroDivisionError or OverflowError where it is
-    evaluated (in floats, next to a pole) raises ToleranceError naming the interval.
-    """
+    """Integral of |f| over (lo, hi) by quadrature, piece by piece (a singularity is a piece end)."""
     total = 0.0
     for piece in f.pieces:
         a, b = max(piece.lo, lo), min(piece.hi, hi)
         if b > a:
             try:
                 total += _integrate_abs_singular(f, a, b).value
-            except (OverflowError, ZeroDivisionError) as exc:
+            except (OverflowError, ZeroDivisionError) as exc:  # a density evaluated in floats, at a pole
                 raise ToleranceError(
                     f"mass of {f.label} over ({a:.17g}, {b:.17g}) not resolved: "
                     f"the density raised {type(exc).__name__}: {exc}",
