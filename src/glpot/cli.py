@@ -97,7 +97,7 @@ def _emit(lines: list[str], out: str | None) -> None:
 #: every weight transform of 'transform --kind': the optional flags it reads, each with its default, and its
 #: builder from the weight, (d, alpha) and those flags
 _TRANSFORMS = {
-    "riesz_zeta": ({}, lambda psi, params: riesz_zeta(psi, params)),
+    "riesz_zeta": ({}, riesz_zeta),
     "derivative_zeta": ({"xi": "0"}, lambda psi, params, xi: derivative_zeta(psi, params, _parse_multiindex(xi))),
     "bessel_theta": ({"xi": "1"}, lambda psi, params, xi: bessel_theta(psi, params, _parse_multiindex(xi))),
     "singular_psi1": ({}, lambda psi, params: singular_psi1(psi)),
