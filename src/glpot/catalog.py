@@ -193,6 +193,10 @@ class TestFunction:
         for piece in pieces:
             if piece.role != "plain" and piece.power == 0.0 and piece.log_power == 0.0:
                 raise DomainError("user pieces with singular/unbounded ends need decay hints")
+            if piece.role == "origin" and 0.0 not in (piece.lo, piece.hi):
+                raise DomainError(f"an origin piece must end at 0, got ({piece.lo:g}, {piece.hi:g})")
+            if piece.role == "tail" and not math.isinf(piece.lo) and not math.isinf(piece.hi):
+                raise DomainError(f"a tail piece must end at infinity, got ({piece.lo:g}, {piece.hi:g})")
         f = TestFunction(kind="user", label=label, pieces=tuple(pieces), evaluator=evaluator, branches=branches)
         f.origin_exponents  # origin pieces that disagree raise DomainError here, not at first use
         return f

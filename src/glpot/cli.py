@@ -95,15 +95,22 @@ def _emit(lines: list[str], out: str | None) -> None:
 
 
 #: every weight transform of 'transform --kind': the optional flags it reads, each with its default, and its
-#: builder from the weight, (d, alpha) and those flags
+#: builder from the weight and those flags.  bessel_theta needs 1 <= |xi| < alpha < d, so its defaults are the
+#: first derivative in two dimensions.
 _TRANSFORMS = {
-    "riesz_zeta": ({}, riesz_zeta),
-    "derivative_zeta": ({"xi": "0"}, lambda psi, params, xi: derivative_zeta(psi, params, _parse_multiindex(xi))),
-    "bessel_theta": ({"xi": "1"}, lambda psi, params, xi: bessel_theta(psi, params, _parse_multiindex(xi))),
-    "singular_psi1": ({}, lambda psi, params: singular_psi1(psi)),
+    "riesz_zeta": ({"d": 1, "alpha": 0.5}, lambda psi, d, alpha: riesz_zeta(psi, PotentialParams(d, alpha))),
+    "derivative_zeta": (
+        {"d": 1, "alpha": 0.5, "xi": "0"},
+        lambda psi, d, alpha, xi: derivative_zeta(psi, PotentialParams(d, alpha), _parse_multiindex(xi)),
+    ),
+    "bessel_theta": (
+        {"d": 2, "alpha": 1.5, "xi": "1,0"},
+        lambda psi, d, alpha, xi: bessel_theta(psi, PotentialParams(d, alpha), _parse_multiindex(xi)),
+    ),
+    "singular_psi1": ({}, singular_psi1),
     "zeta_S": (
-        {"beta": 0.0, "kappa": 0.0},
-        lambda psi, params, beta, kappa: zeta_S(psi, params, beta, SlowlyVarying.log_power(kappa)),
+        {"d": 1, "alpha": 0.5, "beta": 0.0, "kappa": 0.0},
+        lambda psi, d, alpha, beta, kappa: zeta_S(psi, PotentialParams(d, alpha), beta, SlowlyVarying.log_power(kappa)),
     ),
 }
 
@@ -123,8 +130,8 @@ def _build_parser() -> argparse.ArgumentParser:
     tr = subs.add_parser("transform", help="evaluate a weight transform over a grid")
     tr.add_argument("--psi", required=True, help="weight spec, e.g. power:a=1,b=2,beta=1,gamma=1")
     tr.add_argument("--kind", required=True, choices=list(_TRANSFORMS))
-    tr.add_argument("--alpha", type=float, default=0.5)
-    tr.add_argument("--d", type=int, default=1)
+    tr.add_argument("--alpha", type=float, default=None, help="all kinds but singular_psi1")
+    tr.add_argument("--d", type=int, default=None, help="all kinds but singular_psi1")
     tr.add_argument("--xi", default=None, help="comma-separated multi-index, e.g. 1,0 (derivative_zeta, bessel_theta)")
     tr.add_argument("--beta", type=float, default=None, help="zeta_S only")
     tr.add_argument("--kappa", type=float, default=None, help="zeta_S only")
@@ -168,13 +175,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_transform(args) -> int:
     psi = parse_psi_spec(args.psi)
-    params = PotentialParams(args.d, args.alpha)
     reads, build = _TRANSFORMS[args.kind]
-    given = {flag: getattr(args, flag) for flag in ("xi", "beta", "kappa") if getattr(args, flag) is not None}
+    given = {flag: getattr(args, flag) for flag in ("d", "alpha", "xi", "beta", "kappa") if getattr(args, flag) is not None}
     unread = sorted(set(given) - set(reads))
     if unread:
         raise DomainError(f"--kind {args.kind} does not read --{', --'.join(unread)}")
-    out_psi = build(psi, params, **{**reads, **given})
+    out_psi = build(psi, **{**reads, **given})
     grid = parse_grid_spec(args.qgrid)
     lines = ["q,value"]
     for q in grid.points:

@@ -4,7 +4,7 @@ The quadrature route takes |f|^p piece by piece and moves each singular
 piece to the variable y = |ln|x||, where |f|^p dx becomes the gamma-type
 integrand e^(-c y) y^m, times the slow factor when the form has one (``slow``
 is None for a constant one).  Every exponent of a request is one row of the
-batched Gauss-Legendre rule (:func:`~glpot.quadrature.integrate_batch`):
+batched Gauss-Kronrod rule (:func:`~glpot.quadrature.integrate_batch`):
 doubling panels outward from the integrand's peak, cut where
 :func:`~glpot.quadrature.tail_cutoff` drops the rest, so a single p and a
 whole grand-norm grid run the same code and get the same bits.  A plain
@@ -187,7 +187,7 @@ def _lp_norms(f: TestFunction, ps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     with np.errstate(invalid="ignore"):  # nan where every piece is 0, dropped below
         # each piece's relative error, weighted by its share of the total
         rel = sum(r * np.exp(lv - log_total) for lv, r in zip(logs, rels))
-    # the n-against-2n estimate misses rounding: a few ulps of ln|f|_p^p, then of the last exp
+    # the G20/K41 estimate misses rounding: a few ulps of ln|f|_p^p, then of the last exp
     rel = (rel + _EPS * (8.0 + np.abs(log_total))) / ps + _EPS  # of the norm, not of its p-th power
     return np.exp(log_total / ps), np.where(log_total == -np.inf, 0.0, rel)
 
@@ -197,7 +197,7 @@ def lp_norm_report(f: TestFunction, p: float, spec: QuadratureSpec | None = None
 
     Pieces are accumulated in log space, so norms stay accurate even when
     the p-th power integral itself would under- or overflow.  The reported
-    error is the batched rule's n-against-2n estimate plus a rounding floor;
+    error is the batched rule's G20/K41 estimate plus a rounding floor;
     past ``spec.rel_tol`` it raises ToleranceError.
     """
     if p < 1.0:

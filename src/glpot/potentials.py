@@ -6,7 +6,7 @@ decaying smoothed kernel built from the Macdonald function, and the
 Hardy-Littlewood / fractional maximal operators.  Pointwise evaluation
 splits the integration domain at the kernel singularity and at the
 density's singularity at 0, and integrates every sub-piece as one row of a
-single call of the batched Gauss-Legendre rule, its integrand evaluated on
+single call of the batched Gauss-Kronrod rule, its integrand evaluated on
 arrays: an exponential substitution at the kernel end, |x - y| = W e^(-t/s),
 ln|y| on a piece ending at (or cut just short of) a density singularity at
 the origin and ln|x - y| elsewhere, tails included, with the density and
@@ -19,7 +19,7 @@ family.  One region table per piece serves both sides and both regions, and
 every region is summed in logs, so no intermediate quantity under- or
 overflows.  A tail whose potential diverges raises DivergenceError.  They
 take a whole array of t or y: each region is one call of the batched
-Gauss-Legendre rule (:func:`~glpot.quadrature.integrate_batch`) over every
+Gauss-Kronrod rule (:func:`~glpot.quadrature.integrate_batch`) over every
 point it covers, and a point's value does not depend, to the bit, on the
 other points of the call.
 """
@@ -383,7 +383,7 @@ def apply_kernel_report(
     Every sub-piece of the support (see :func:`_row`) is one row of one
     :func:`~glpot.quadrature.integrate_batch` call, its integrand evaluated
     on arrays and formed in logs up to its bounded factors.  The reported
-    error is the rows' n-against-2n estimates, the bound of each cut tail,
+    error is the rows' G20/K41 estimates, the bound of each cut tail,
     what the rounding of each row end can move, a rounding floor and the
     kernel's own evaluation error; past ``spec.rel_tol`` of the value it
     raises ToleranceError.

@@ -7,10 +7,11 @@ of growing pieces and of user densities), go to QUADPACK via
 :func:`scipy.integrate.quad`.  Integrands evaluated on arrays (the L_p norms
 of every exponent of a request, the scaled potentials behind the
 potential-norm tables, and each pointwise potential, one row per sub-piece)
-go to :func:`integrate_batch`: composite Gauss-Legendre that compares n and
-2n nodes on every panel, the idea behind the Gauss-Kronrod pairs of Piessens
-et al., *QUADPACK* (1983), and bisects, all together, only the panels that
-miss its tolerance ``BATCH_REL_TOL``.  Its callers end decaying tails where
+go to :func:`integrate_batch`: composite Gauss-Kronrod that evaluates every
+panel once, at the 41 nodes of the nested 20-point Gauss / 41-point Kronrod
+pair (G20/K41, the ``qk41`` rule of Piessens et al., *QUADPACK*, 1983), takes
+the K41 sum against the G20 sum as the panel's error, and bisects, all
+together, only the panels that miss its tolerance ``BATCH_REL_TOL``.  Its callers end decaying tails where
 :func:`tail_cutoff` says the rest falls below a tenth of that tolerance.
 A :class:`QuadratureSpec` is only the acceptance tolerance the public entry
 points check their results against.
@@ -45,7 +46,7 @@ class QuadratureSpec:
     rel_tol: float = 1e-8
 
     def __post_init__(self):
-        if self.rel_tol <= 0.0:
+        if not self.rel_tol > 0.0:  # NaN too
             raise DomainError("tolerances must be positive")
 
 
@@ -118,40 +119,71 @@ def power_endpoint_integral(
 #: accuracy of :func:`integrate_batch`, relative error per integral; :func:`tail_cutoff`
 #: ends decaying tails at a tenth of it
 BATCH_REL_TOL = 1e-13
-#: the error estimate compares Gauss-Legendre at _GL_N and 2 _GL_N nodes
-_GL_N = 12
 #: most times :func:`integrate_batch` bisects a panel
 MAX_DEPTH = 50
 #: most panels one row of :func:`integrate_batch` may have on one level
 MAX_ROW_PANELS = 1024
 
+# The nested 20-point Gauss / 41-point Kronrod pair on (-1, 1), QUADPACK's qk41: the
+# Kronrod nodes x >= 0 from the outside in, their weights, and the weights of the Gauss
+# nodes among them (every second one, from the first).  Computed in 60-digit mpmath as the
+# 20 Gauss-Legendre nodes and the 21 roots of the Stieltjes polynomial that interlace them,
+# with the weights that make the rule exact for Legendre polynomials of degree 0 to 40,
+# then rounded once; cf. Laurie, Math. Comp. 66 (1997) 1133-1145.
+_XK = (
+    0.9988590315882777, 0.9931285991850949, 0.9815078774502503,
+    0.9639719272779138, 0.9408226338317548, 0.912234428251326,
+    0.878276811252282, 0.8391169718222188, 0.7950414288375512,
+    0.7463319064601508, 0.6932376563347514, 0.636053680726515,
+    0.5751404468197103, 0.5108670019508271, 0.4435931752387251,
+    0.37370608871541955, 0.301627868114913, 0.22778585114164507,
+    0.15260546524092267, 0.07652652113349734, 0.0,
+)
+_WK = (
+    0.0030735837185205317, 0.008600269855642943, 0.014626169256971253,
+    0.020388373461266523, 0.02588213360495116, 0.0312873067770328,
+    0.036600169758200796, 0.041668873327973685, 0.04643482186749767,
+    0.05094457392372869, 0.05519510534828599, 0.05911140088063957,
+    0.06265323755478117, 0.06583459713361842, 0.06864867292852161,
+    0.07105442355344407, 0.07303069033278667, 0.07458287540049918,
+    0.07570449768455667, 0.07637786767208074, 0.07660071191799965,
+)
+_WG = (
+    0.017614007139152118, 0.04060142980038694, 0.06267204833410907,
+    0.08327674157670475, 0.10193011981724044, 0.11819453196151841,
+    0.13168863844917664, 0.14209610931838204, 0.14917298647260374,
+    0.15275338713072584,
+)
+
 
 @functools.cache
-def _gauss_legendre_pair() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Nodes on (0, 1) of the n- and 2n-point rules, side by side, and their weights."""
-    x1, w1 = np.polynomial.legendre.leggauss(_GL_N)
-    x2, w2 = np.polynomial.legendre.leggauss(2 * _GL_N)
-    return (np.concatenate([x1, x2]) + 1.0) / 2.0, w1 / 2.0, w2 / 2.0
+def _kronrod_rule() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The 41 nodes on (0, 1), ascending, their K41 weights, and the G20 weights of the nodes at odd positions."""
+    xk, wk, wg = np.array(_XK), np.array(_WK), np.array(_WG)
+    x = np.concatenate([-xk, xk[-2::-1]])
+    return (x + 1.0) / 2.0, np.concatenate([wk, wk[-2::-1]]) / 2.0, np.concatenate([wg, wg[::-1]]) / 2.0
 
 
 def integrate_batch(fn: Callable[[np.ndarray, np.ndarray], np.ndarray], lo: np.ndarray, hi: np.ndarray) -> IntegralResult:
-    """Composite Gauss-Legendre for many integrals at once.
+    """Composite Gauss-Kronrod for many integrals at once.
 
     Row i of the (rows, panels) arrays ``lo`` and ``hi`` holds the panels of
     integral i; an empty panel (lo == hi) adds nothing.  ``fn(rows, x)``
     returns the integrand of integral ``rows[j]`` at the nodes ``x[j]``.
-    Every panel is integrated at n and 2n nodes, and a panel whose two
-    values differ by more than BATCH_REL_TOL of its integral's first
-    estimate is bisected, all such panels together, up to MAX_DEPTH times.
+    Every panel is evaluated once, at the 41 nodes of the nested G20/K41
+    pair: its value is the K41 sum, its error the K41 sum's distance from
+    the G20 sum over every second node.  A panel whose error exceeds
+    BATCH_REL_TOL of its integral's first estimate is bisected, all such
+    panels together, up to MAX_DEPTH times.
     A row with a panel still unresolved then, or one whose next level would
     have more than MAX_ROW_PANELS panels (a noisy integrand), stops there
     with the error inf; the other rows are unaffected.
-    Returns the 2n-node values and the summed differences, one per row.
+    Returns the values and the summed errors, one per row.
     A row's result depends on that row alone, bit for bit: not on the
     other rows, their number or their order.
     """
-    x, w1, w2 = _gauss_legendre_pair()
-    n_rows, n_panels = lo.shape
+    x, wk, wg = _kronrod_rule()
+    n_rows = lo.shape[0]
     panel_rows, panel_cols = np.nonzero(hi != lo)
     a, b, rows = lo[panel_rows, panel_cols], hi[panel_rows, panel_cols], panel_rows
     levels = []  # per depth: (value, error, bisected) of its panels
@@ -159,11 +191,13 @@ def integrate_batch(fn: Callable[[np.ndarray, np.ndarray], np.ndarray], lo: np.n
     for depth in range(MAX_DEPTH + 1):
         width = b - a
         f = fn(rows, a[:, None] + width[:, None] * x)
-        coarse = (f[:, :_GL_N] * w1).sum(axis=1) * width
-        value = (f[:, _GL_N:] * w2).sum(axis=1) * width
+        # (f * w).sum, not f @ w: a matrix product's blocking can vary with the
+        # batch, and a row's bits must not
+        coarse = (f[:, 1::2] * wg).sum(axis=1) * width
+        value = (f * wk).sum(axis=1) * width
         error = np.abs(value - coarse)
         if tol is None:
-            first_sums = _row_sums(value, rows, panel_cols, n_rows, n_panels)
+            first_sums = _row_sums(value, rows, n_rows)
             tol = BATCH_REL_TOL * np.abs(first_sums)
         bisect = error > tol[rows]
         if depth == MAX_DEPTH or 2 * np.count_nonzero(bisect) > MAX_ROW_PANELS:
@@ -183,15 +217,13 @@ def integrate_batch(fn: Callable[[np.ndarray, np.ndarray], np.ndarray], lo: np.n
         value[bisect] = child_value[0::2] + child_value[1::2]
         error[bisect] = child_error[0::2] + child_error[1::2]
     value, error, _ = levels[0]
-    total = first_sums if len(levels) == 1 else _row_sums(value, panel_rows, panel_cols, n_rows, n_panels)
-    return IntegralResult(total, _row_sums(error, panel_rows, panel_cols, n_rows, n_panels))
+    total = first_sums if len(levels) == 1 else _row_sums(value, panel_rows, n_rows)
+    return IntegralResult(total, _row_sums(error, panel_rows, n_rows))
 
 
-def _row_sums(values: np.ndarray, rows: np.ndarray, cols: np.ndarray, n_rows: int, n_panels: int) -> np.ndarray:
-    """Per-row sums of panel values, added panel by panel in column order."""
-    grid = np.zeros((n_rows, n_panels))
-    grid[rows, cols] = values
-    return np.cumsum(grid, axis=1)[:, -1]
+def _row_sums(values: np.ndarray, rows: np.ndarray, n_rows: int) -> np.ndarray:
+    """Per-row sums of panel values; ``rows`` is sorted, so each row adds its panels in column order."""
+    return np.bincount(rows, weights=values, minlength=n_rows)
 
 
 def tail_cutoff(decay_rate: float, poly_degree: float, start: float) -> float:

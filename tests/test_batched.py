@@ -1,7 +1,8 @@
-"""The batched Gauss-Legendre rule and the scaled evaluators built on it."""
+"""The batched Gauss-Kronrod rule and the scaled evaluators built on it."""
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -29,6 +30,84 @@ from glpot.quadrature import integrate_batch, log_piecewise_integral
 # ---------------------------------------------------------------------------
 # the rule
 # ---------------------------------------------------------------------------
+
+
+def _legendre_errors(x: np.ndarray, w: np.ndarray, degrees) -> list[float]:
+    """|rule - integral| over (0, 1) of each shifted Legendre polynomial, summed in 40-digit mpmath.
+
+    Monomials cannot show where exactness ends in double precision (the K41 rule
+    misses x^62 on (-1, 1) by 8e-22); Legendre polynomials of that degree are
+    ~1e17 times larger there.
+    """
+    with mp.workdps(40):
+        nodes = [2 * mp.mpf(float(v)) - 1 for v in x]
+        weights = [mp.mpf(float(v)) for v in w]
+        return [
+            float(abs(mp.fsum(wi * mp.legendre(k, t) for t, wi in zip(nodes, weights)) - (k == 0)))
+            for k in degrees
+        ]
+
+
+def test_k41_is_exact_through_degree_61_and_not_at_62():
+    x, wk, _ = quadrature._kronrod_rule()
+    errors = _legendre_errors(x, wk, range(63))
+    assert max(errors[:62]) < 1e-15
+    assert errors[62] > 1e-5
+
+
+def test_g20_is_gauss_legendre_on_the_odd_position_nodes():
+    x, _, wg = quadrature._kronrod_rule()
+    gauss_nodes, _ = np.polynomial.legendre.leggauss(20)
+    np.testing.assert_allclose(x[1::2], (gauss_nodes + 1.0) / 2.0, rtol=0.0, atol=2e-16)
+    errors = _legendre_errors(x[1::2], wg, range(41))
+    assert max(errors[:40]) < 1e-15
+    assert errors[40] > 1e-5
+
+
+def test_every_rule_weight_is_positive_and_the_nodes_symmetric():
+    x, wk, wg = quadrature._kronrod_rule()
+    assert x.shape == wk.shape == (41,) and wg.shape == (20,)
+    assert np.all(wk > 0.0) and np.all(wg > 0.0)
+    assert np.all(np.diff(x) > 0.0) and 0.0 < x[0] and x[-1] < 1.0
+    np.testing.assert_array_equal(x + x[::-1], 1.0)
+    np.testing.assert_array_equal(wk, wk[::-1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n_rows=st.integers(1, 6),
+    n_panels=st.integers(1, 6),
+    data=st.data(),
+)
+def test_row_sums_match_a_dense_column_order_cumsum(n_rows, n_panels, data):
+    # the panels of each row are added in column order, whichever rows are empty
+    mask = np.array(data.draw(st.lists(st.booleans(), min_size=n_rows * n_panels, max_size=n_rows * n_panels)))
+    rows, cols = np.nonzero(mask.reshape(n_rows, n_panels))
+    values = np.array(
+        data.draw(st.lists(st.floats(allow_nan=False), min_size=rows.size, max_size=rows.size)), dtype=float
+    )
+    grid = np.zeros((n_rows, n_panels))
+    grid[rows, cols] = values
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = np.cumsum(grid, axis=1)[:, -1]
+        got = quadrature._row_sums(values, rows, n_rows)
+    np.testing.assert_array_equal(got, want)
+
+
+def test_node_values_of_one_e1_table_call(monkeypatch):
+    # h_delta(0.5, 0) x riesz(0.5) is E1's table; G12 against G24 took 43,488 node values here
+    nodes = []
+
+    def counting(fn, lo, hi):
+        def fn_counted(rows, x):
+            nodes.append(x.size)
+            return fn(rows, x)
+
+        return integrate_batch(fn_counted, lo, hi)
+
+    monkeypatch.setattr(potentials, "integrate_batch", counting)
+    log_potential_far(TestFunction.h_delta(0.5, 0.0), KernelSpec.riesz(0.5), np.linspace(-150.0, 150.0, 61), 1.0)
+    assert sum(nodes) <= 24_000
 
 
 def test_rows_of_panels_against_closed_forms():

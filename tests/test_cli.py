@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from glpot import cli
-from glpot.cli import main, parse_form_spec, parse_grid_spec
+from glpot.cli import _TRANSFORMS, main, parse_form_spec, parse_grid_spec
 from glpot.errors import DomainError, ToleranceError
 from glpot.experiments import _EXPERIMENTS, EXPERIMENT_NAMES, ExperimentConfig, format_value, run_experiment
 from glpot.grand import v_functional
@@ -223,8 +223,9 @@ class TestCliCommands:
             ["transform", "--psi", "power:a=1,b=2,beta=1,gamma=1", "--kind", "derivative_zeta", "--xi", "a",
              "--qgrid", "geometric:2.1:1000:4"],
             *(["lpnorm", "--form", form, "--p", "2"] for form in ("g_delta:nan", "example3:0.5,nan", "big_r:0.5,1,nan")),
+            ["lpnorm", "--form", "g_delta:1", "--p", "2", "--rel-tol", "nan"],
         ],
-        ids=["grid-bound", "grid-count", "xi", "g_delta-nan", "example3-nan", "kappa-nan"],
+        ids=["grid-bound", "grid-count", "xi", "g_delta-nan", "example3-nan", "kappa-nan", "rel-tol-nan"],
     )
     def test_malformed_argument_is_a_validation_error(self, argv, capsys):
         assert main(argv) == 2
@@ -234,7 +235,7 @@ class TestCliCommands:
         "kind, flags, unread",
         [
             ("riesz_zeta", ["--xi", "5,5", "--kappa", "7", "--beta", "3"], "--beta, --kappa, --xi"),
-            ("singular_psi1", ["--xi", "1"], "--xi"),
+            ("singular_psi1", ["--xi", "1", "--alpha", "0.5"], "--alpha, --xi"),
             ("derivative_zeta", ["--beta", "1"], "--beta"),
             ("zeta_S", ["--xi", "0"], "--xi"),
         ],
@@ -243,6 +244,22 @@ class TestCliCommands:
         argv = ["transform", "--psi", "power:a=1,b=2,beta=1,gamma=1", "--kind", kind, "--qgrid", "uniform:1.2:1.8:3"]
         assert main(argv + flags) == 2
         assert f"validation error: --kind {kind} does not read {unread}\n" == capsys.readouterr().err
+
+    #: a weight and a grid inside each kind's domain
+    _DOMAINS = {
+        "riesz_zeta": ("power:a=1,b=2,beta=1,gamma=1", "geometric:2.1:1000:4"),
+        "derivative_zeta": ("power:a=1,b=2,beta=1,gamma=1", "geometric:2.1:1000:4"),
+        "bessel_theta": ("power:a=1,b=inf,beta=1,gamma=-0.5", "geometric:3.5:1000:4"),
+        "singular_psi1": ("power:a=1,b=2,beta=1,gamma=1", "uniform:1.2:1.8:4"),
+        "zeta_S": ("power:a=1,b=2,beta=1,gamma=1", "geometric:2.1:1000:4"),
+    }
+
+    @pytest.mark.parametrize("kind", list(_TRANSFORMS))
+    def test_every_transform_runs_at_its_defaults(self, kind, capsys):
+        # bessel_theta once exited 2 at its defaults: |xi| = 1 is not below alpha = 0.5
+        psi, qgrid = self._DOMAINS[kind]
+        assert main(["transform", "--psi", psi, "--kind", kind, "--qgrid", qgrid]) == 0
+        assert len(capsys.readouterr().out.strip().splitlines()) == 5
 
     def test_transform_flags_stated_at_their_defaults(self, capsys):
         argv = ["transform", "--psi", "power:a=1,b=2,beta=1,gamma=1", "--kind", "zeta_S", "--qgrid", "uniform:2.2:3:3"]
@@ -319,8 +336,9 @@ class TestVerify:
             {"name": "E1_upper_thm1", "rel_tol": 1e-30},
             {"name": "E5_orlicz_growth_eq37", "rel_tol": -1},
             {"name": "E7_logkernel_lemma2", "rel_tol": 0},
+            {"name": "E7_logkernel_lemma2", "rel_tol": math.nan},
         ],
-        ids=["unread_E1", "unread_E5", "zero_E7"],
+        ids=["unread_E1", "unread_E5", "zero_E7", "nan_E7"],
     )
     def test_rel_tol_is_refused_before_a_run(self, tmp_path, capsys, config):
         # rel_tol is a key of E2, E3 and E7 only, and must be positive: no run starts, no .partial is left

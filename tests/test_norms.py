@@ -108,6 +108,20 @@ class TestCatalog:
         with pytest.raises(DomainError, match="disagree at 0"):
             TestFunction.user(lambda x: abs(x) ** -0.5, (Piece("origin", -1.0, 0.0, power=0.5), right))
 
+    @pytest.mark.parametrize(
+        "piece, match",
+        [
+            (Piece("origin", 0.5, 1.0, power=0.5), "origin piece must end at 0"),
+            (Piece("origin", -1.0, 1.0, power=0.5), "origin piece must end at 0"),
+            (Piece("tail", 1.0, 2.0, power=2.0), "tail piece must end at infinity"),
+        ],
+    )
+    def test_user_singular_pieces_must_reach_their_singular_end(self, piece, match):
+        # the norms integrate an origin piece from 0 and a tail piece to infinity, whatever its
+        # bounds: (0.5, 1) once gave the L_1 norm 2.0, the mass over (0, 1), for a true 0.5858
+        with pytest.raises(DomainError, match=match):
+            TestFunction.user(lambda x: abs(x) ** -0.5, (piece,))
+
 
 class TestLpNormOracles:
     def test_g0_two_norm(self):
