@@ -176,7 +176,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_transform(args) -> int:
     psi = parse_psi_spec(args.psi)
     reads, build = _TRANSFORMS[args.kind]
-    given = {flag: getattr(args, flag) for flag in ("d", "alpha", "xi", "beta", "kappa") if getattr(args, flag) is not None}
+    flags = ("d", "alpha", "xi", "beta", "kappa")
+    given = {flag: getattr(args, flag) for flag in flags if getattr(args, flag) is not None}
     unread = sorted(set(given) - set(reads))
     if unread:
         raise DomainError(f"--kind {args.kind} does not read --{', --'.join(unread)}")

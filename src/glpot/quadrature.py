@@ -11,8 +11,9 @@ go to :func:`integrate_batch`: composite Gauss-Kronrod that evaluates every
 panel once, at the 41 nodes of the nested 20-point Gauss / 41-point Kronrod
 pair (G20/K41, the ``qk41`` rule of Piessens et al., *QUADPACK*, 1983), takes
 the K41 sum against the G20 sum as the panel's error, and bisects, all
-together, only the panels that miss its tolerance ``BATCH_REL_TOL``.  Its callers end decaying tails where
-:func:`tail_cutoff` says the rest falls below a tenth of that tolerance.
+together, only the panels that miss its tolerance ``BATCH_REL_TOL``.  Its
+callers end decaying tails where :func:`tail_cutoff` says the rest falls
+below a tenth of that tolerance.
 A :class:`QuadratureSpec` is only the acceptance tolerance the public entry
 points check their results against.
 """
@@ -158,7 +159,7 @@ _WG = (
 
 @functools.cache
 def _kronrod_rule() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The 41 nodes on (0, 1), ascending, their K41 weights, and the G20 weights of the nodes at odd positions."""
+    """The 41 nodes on (0, 1), ascending, their K41 weights, and the G20 weights of the odd-position nodes."""
     xk, wk, wg = np.array(_XK), np.array(_WK), np.array(_WG)
     x = np.concatenate([-xk, xk[-2::-1]])
     return (x + 1.0) / 2.0, np.concatenate([wk, wk[-2::-1]]) / 2.0, np.concatenate([wg, wg[::-1]]) / 2.0

@@ -94,22 +94,6 @@ def test_row_sums_match_a_dense_column_order_cumsum(n_rows, n_panels, data):
     np.testing.assert_array_equal(got, want)
 
 
-def test_node_values_of_one_e1_table_call(monkeypatch):
-    # h_delta(0.5, 0) x riesz(0.5) is E1's table; G12 against G24 took 43,488 node values here
-    nodes = []
-
-    def counting(fn, lo, hi):
-        def fn_counted(rows, x):
-            nodes.append(x.size)
-            return fn(rows, x)
-
-        return integrate_batch(fn_counted, lo, hi)
-
-    monkeypatch.setattr(potentials, "integrate_batch", counting)
-    log_potential_far(TestFunction.h_delta(0.5, 0.0), KernelSpec.riesz(0.5), np.linspace(-150.0, 150.0, 61), 1.0)
-    assert sum(nodes) <= 24_000
-
-
 def test_rows_of_panels_against_closed_forms():
     powers = np.array([0.0, 3.0, 7.5])
 
@@ -170,33 +154,40 @@ def test_a_noisy_row_stops_at_the_panel_cap():
 
 
 def _levels_per_call(monkeypatch) -> list:
-    """Bisection levels of every integrate_batch call made by the potentials module."""
-    depths = []
+    """Node values on each level of every integrate_batch call made by the potentials module."""
+    levels = []
 
     def counting(fn, lo, hi):
-        calls = 0
+        nodes = []
 
         def fn_counted(rows, x):
-            nonlocal calls
-            calls += 1  # once per level
+            nodes.append(x.size)  # once per level
             return fn(rows, x)
 
         result = integrate_batch(fn_counted, lo, hi)
-        depths.append(calls - 1)
+        levels.append(nodes)
         return result
 
     monkeypatch.setattr(potentials, "integrate_batch", counting)
-    return depths
+    return levels
 
 
 def test_the_default_tables_never_bisect_deep(monkeypatch):
     # a log factor at a power-substituted end once took up to 35 bisection levels
     # there; in log coordinates no region of E1-E4's tables needs more than a few
-    depths = _levels_per_call(monkeypatch)
+    levels = _levels_per_call(monkeypatch)
     for name in ("E1_upper_thm1", "E2_lower_p_to_1", "E3_lower_p_to_inv_alpha", "E4_truncated_thm6"):
         run_experiment(ExperimentConfig(name=name), write_files=False)
-    assert len(depths) > 100
-    assert max(depths) <= 12
+    assert len(levels) > 100
+    assert max(len(nodes) for nodes in levels) <= 13
+
+
+def test_node_values_of_one_e1_table_call(monkeypatch):
+    # h_delta(0.5, 0) x riesz(0.5) is E1's table; the 12 + 24-node Gauss-Legendre pair took 43,488 node values
+    levels = _levels_per_call(monkeypatch)
+    log_potential_far(TestFunction.h_delta(0.5, 0.0), KernelSpec.riesz(0.5), np.linspace(-150.0, 150.0, 61), 1.0)
+    assert sum(map(sum, levels)) <= 24_000
+
 
 RIESZ, LOG_RIESZ, TRUNCATED = KernelSpec.riesz(0.5), KernelSpec.log_riesz(0.5, 1.0), KernelSpec.truncated(0.5, radius=1.0)
 CASES = {
@@ -354,9 +345,9 @@ def test_pointwise_potentials_never_reach_quadpack(monkeypatch):
 )
 def test_points_next_to_a_support_edge_bisect_shallow(monkeypatch, form, kernel, x):
     # the kernel's near singularity is graded in ln|x - y|, so a few levels resolve it
-    depths = _levels_per_call(monkeypatch)
+    levels = _levels_per_call(monkeypatch)
     apply_kernel_report(parse_form_spec(form), x, potentials.parse_kernel_spec(kernel))
-    assert len(depths) == 1 and depths[0] <= 6
+    assert len(levels) == 1 and len(levels[0]) <= 7
 
 
 # ---------------------------------------------------------------------------

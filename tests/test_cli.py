@@ -235,9 +235,10 @@ class TestCliCommands:
         "kind, flags, unread",
         [
             ("riesz_zeta", ["--xi", "5,5", "--kappa", "7", "--beta", "3"], "--beta, --kappa, --xi"),
-            ("singular_psi1", ["--xi", "1", "--alpha", "0.5"], "--alpha, --xi"),
+            ("singular_psi1", ["--xi", "1"], "--xi"),
             ("derivative_zeta", ["--beta", "1"], "--beta"),
             ("zeta_S", ["--xi", "0"], "--xi"),
+            ("singular_psi1", ["--d", "2", "--alpha", "0.5"], "--alpha, --d"),
         ],
     )
     def test_transform_flag_its_kind_does_not_read(self, kind, flags, unread, capsys):
