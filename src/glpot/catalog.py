@@ -46,6 +46,12 @@ class Piece:
     power: float = 0.0
     log_power: float = 0.0
 
+    def __post_init__(self):
+        if self.role not in ("plain", "origin", "tail"):
+            raise DomainError(f"unknown piece role {self.role!r}")
+        if not self.lo < self.hi:  # also refuses a nan end
+            raise DomainError(f"a piece needs lo < hi, got ({self.lo:g}, {self.hi:g})")
+
     @property
     def y0(self) -> float:
         """|ln|x|| at the finite end of a singular piece (outer bound at the origin, inner bound at infinity)."""
@@ -97,6 +103,11 @@ class TestFunction:
     the shared end of the origin pieces.  A catalog form's ``branches`` are
     derived from its pieces; a user density states them.  ``slow`` is None
     unless the slow factor varies: a constant one is dropped at construction.
+
+    The pieces are checked once, here, and read as given downstream: an origin
+    piece ends at 0 and at a finite other end, a tail piece at infinity on one
+    side of 0, each with a nonzero power or log_power, the origin ones agreeing;
+    pieces may share an end but not overlap.  Anything else is a DomainError.
     """
 
     __test__ = False  # not a pytest collection target
@@ -115,6 +126,21 @@ class TestFunction:
     def __post_init__(self):
         if self.slow is not None and self.slow.is_constant:
             object.__setattr__(self, "slow", None)  # consumers test ``slow is not None`` only
+        if not self.pieces:
+            raise DomainError(f"{self.label} needs the pieces of its support")
+        for piece in self.pieces:
+            ends = f"({piece.lo:g}, {piece.hi:g})"
+            if piece.role != "plain" and piece.power == 0.0 and piece.log_power == 0.0:
+                raise DomainError(f"a {piece.role} piece needs a decay hint, got {ends} with power = log_power = 0")
+            if piece.role == "origin" and not (0.0 in (piece.lo, piece.hi) and math.isfinite(piece.lo + piece.hi)):
+                raise DomainError(f"an origin piece must end at 0 and at a finite other end, got {ends}")
+            one_sided = piece.lo > 0.0 and piece.hi == math.inf or piece.hi < 0.0 and piece.lo == -math.inf
+            if piece.role == "tail" and not one_sided:
+                raise DomainError(f"a tail piece must end at infinity and lie on one side of 0, got {ends}")
+        ordered = sorted((piece.lo, piece.hi) for piece in self.pieces)
+        if any(b[0] < a[1] for a, b in zip(ordered[:-1], ordered[1:])):
+            raise DomainError(f"the pieces of {self.label} overlap: {ordered}")
+        self.origin_exponents  # origin pieces that disagree raise DomainError here, not at first use
 
     # -- construction ------------------------------------------------------
 
@@ -175,8 +201,6 @@ class TestFunction:
 
     @staticmethod
     def indicator(lo: float, hi: float) -> "TestFunction":
-        if not hi > lo:
-            raise DomainError(f"indicator needs lo < hi, got [{lo}, {hi}]")
         return _form("indicator", f"indicator([{lo:g},{hi:g}])", (Piece("plain", lo, hi),), interval=(lo, hi))
 
     @staticmethod
@@ -188,18 +212,7 @@ class TestFunction:
     ) -> "TestFunction":
         """User-supplied function on its pieces: plain where it is bounded, origin pieces at a
         singularity at 0 and tail pieces at an unbounded end, each with its decay hints."""
-        if not pieces:
-            raise DomainError("a user density needs the pieces of its support")
-        for piece in pieces:
-            if piece.role != "plain" and piece.power == 0.0 and piece.log_power == 0.0:
-                raise DomainError("user pieces with singular/unbounded ends need decay hints")
-            if piece.role == "origin" and 0.0 not in (piece.lo, piece.hi):
-                raise DomainError(f"an origin piece must end at 0, got ({piece.lo:g}, {piece.hi:g})")
-            if piece.role == "tail" and not math.isinf(piece.lo) and not math.isinf(piece.hi):
-                raise DomainError(f"a tail piece must end at infinity, got ({piece.lo:g}, {piece.hi:g})")
-        f = TestFunction(kind="user", label=label, pieces=tuple(pieces), evaluator=evaluator, branches=branches)
-        f.origin_exponents  # origin pieces that disagree raise DomainError here, not at first use
-        return f
+        return TestFunction(kind="user", label=label, pieces=tuple(pieces), evaluator=evaluator, branches=branches)
 
     # -- evaluation --------------------------------------------------------
 

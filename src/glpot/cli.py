@@ -95,13 +95,15 @@ def _emit(lines: list[str], out: str | None) -> None:
 
 
 #: every weight transform of 'transform --kind': the optional flags it reads, each with its default, and its
-#: builder from the weight and those flags.  bessel_theta needs 1 <= |xi| < alpha < d, so its defaults are the
-#: first derivative in two dimensions.
+#: builder from the weight and those flags.  derivative_zeta's xi defaults to d zeros (None until d is known).
+#: bessel_theta needs 1 <= |xi| < alpha < d, so its defaults are the first derivative in two dimensions.
 _TRANSFORMS = {
     "riesz_zeta": ({"d": 1, "alpha": 0.5}, lambda psi, d, alpha: riesz_zeta(psi, PotentialParams(d, alpha))),
     "derivative_zeta": (
-        {"d": 1, "alpha": 0.5, "xi": "0"},
-        lambda psi, d, alpha, xi: derivative_zeta(psi, PotentialParams(d, alpha), _parse_multiindex(xi)),
+        {"d": 1, "alpha": 0.5, "xi": None},
+        lambda psi, d, alpha, xi: derivative_zeta(
+            psi, PotentialParams(d, alpha), MultiIndex((0,) * d) if xi is None else _parse_multiindex(xi)
+        ),
     ),
     "bessel_theta": (
         {"d": 2, "alpha": 1.5, "xi": "1,0"},

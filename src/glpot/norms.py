@@ -140,6 +140,8 @@ def _log_plain_integrals(f: TestFunction, piece: Piece, ps: np.ndarray) -> tuple
     A user density is integrated relative to its largest sampled value.
     """
     length = piece.hi - piece.lo
+    if math.isinf(length):
+        raise DomainError(f"{f.label}: a plain piece has no decay hint to integrate its unbounded range by")
     if f.evaluator is None:
         return ps * math.log(f.coefficient) + math.log(length), np.zeros(len(ps))
     density = np.vectorize(f, otypes=[float])
@@ -164,12 +166,8 @@ def _log_lp_integrals(f: TestFunction, ps: np.ndarray) -> tuple[np.ndarray, np.n
     """
     logs, rels = np.empty((2, len(f.pieces), len(ps)))
     for i, piece in enumerate(f.pieces):
-        if piece.role == "plain":
-            logs[i], rels[i] = _log_plain_integrals(f, piece, ps)
-        elif piece.role in ("origin", "tail"):
-            logs[i], rels[i] = _log_singular_integrals(f, piece, ps)
-        else:
-            raise DomainError(f"unknown piece role {piece.role!r}")
+        integrals = _log_plain_integrals if piece.role == "plain" else _log_singular_integrals
+        logs[i], rels[i] = integrals(f, piece, ps)
     return logs, rels
 
 

@@ -92,7 +92,7 @@ class KernelSpec:
             raise DomainError(f"unknown kernel variant {self.variant!r}")
         if not (0.0 < self.alpha < 1.0):
             raise DomainError(f"kernel order must be in (0,1) for d=1, got {self.alpha}")
-        if self.beta < 0.0:
+        if not self.beta >= 0.0:
             raise DomainError(f"log order must be >= 0, got {self.beta}")
         if self.variant == "truncated":
             if self.radius is None or not self.radius > 0.0:
@@ -225,20 +225,10 @@ def _check_apply_convergence(f: TestFunction, x: float, kernel: KernelSpec) -> N
         )
 
 
-def _tail_decay_hint(f: TestFunction, left: bool, kernel: KernelSpec) -> tuple[Optional[float], float]:
-    for piece in f.pieces:
-        if piece.role != "tail":
-            continue
-        if (piece.lo == -math.inf) == left:
-            rate = piece.power - kernel.alpha
-            return (rate if rate > 0.0 else None), piece.log_power + kernel.beta
-    return None, 0.0
-
-
 def _subpieces(f: TestFunction, x: float, kernel: KernelSpec):
-    """The pieces (lo, hi) of the support within the kernel's reach of x, cut at x, at the density's
-    singularity at 0 and, for a log kernel, at x -+ 1; none touches both x and the density singularity."""
-    sing_locs = [0.0] if f.origin_exponents != (0.0, 0.0) else []
+    """The pieces of the support within the kernel's reach of x as (piece, lo, hi), cut at x and, for a log
+    kernel, at x -+ 1; none is empty, and none touches both x and the density's singularity at 0."""
+    at_zero = f.origin_exponents != (0.0, 0.0)  # a singularity at 0, which is a piece end and never inside one
     reach = kernel.reach
     for piece in f.pieces:
         lo = max(piece.lo, x - reach) if reach != math.inf else piece.lo
@@ -248,9 +238,6 @@ def _subpieces(f: TestFunction, x: float, kernel: KernelSpec):
         cuts = {lo, hi}
         if lo < x < hi:
             cuts.add(x)
-        for loc in sing_locs:
-            if lo < loc < hi:
-                cuts.add(loc)
         if kernel.has_log_factor:
             for edge in (x - 1.0, x + 1.0):
                 if lo < edge < hi:
@@ -260,20 +247,16 @@ def _subpieces(f: TestFunction, x: float, kernel: KernelSpec):
             # keep the kernel-singular piece finite, and never let a single
             # piece touch both the kernel and a density singularity
             if c1 == x and c2 == math.inf:
-                w = max(1.0, 2.0 * abs(x))
-                yield from ((x, x + w), (x + w, math.inf))
+                ends = (x, x + max(1.0, 2.0 * abs(x)), math.inf)
             elif c2 == x and c1 == -math.inf:
-                w = max(1.0, 2.0 * abs(x))
-                yield from ((-math.inf, x - w), (x - w, x))
-            elif (c1 == x and c2 in sing_locs) or (c2 == x and c1 in sing_locs):
-                mid = c1 + 0.5 * (c2 - c1)
-                yield from ((c1, mid), (mid, c2))
-            elif (c1 in sing_locs or c2 in sing_locs) and abs(x - (c2 if c1 in sing_locs else c1)) < c2 - c1 < math.inf:
-                # x just past the end away from a density singularity: the kernel gets its own piece
-                mid = c1 + 0.5 * (c2 - c1)
-                yield from ((c1, mid), (mid, c2))
+                ends = (-math.inf, x - max(1.0, 2.0 * abs(x)), x)
+            elif at_zero and 0.0 in (c1, c2) and abs(x - (c2 if c1 == 0.0 else c1)) < c2 - c1 < math.inf:
+                # x at, or just past, the end away from the density singularity: the kernel gets its own piece
+                ends = (c1, c1 + 0.5 * (c2 - c1), c2)
             else:
-                yield c1, c2
+                ends = (c1, c2)
+            # splitting a range one ulp wide, or one reaching past the largest float, leaves an empty part
+            yield from ((piece, a, b) for a, b in zip(ends[:-1], ends[1:]) if b > a)
 
 
 def _doubling_edges(t_lo: float, t_hi: float, width: float) -> list[float]:
@@ -302,8 +285,8 @@ class _RowParams(NamedTuple):
     c: float
 
 
-def _row(f: TestFunction, x: float, kernel: KernelSpec, lo: float, hi: float) -> Optional[tuple]:
-    """One sub-piece as a row of the batched rule: (_RowParams, panel edges, rate), or None where f is 0.
+def _row(f: TestFunction, x: float, kernel: KernelSpec, piece: Piece, lo: float, hi: float) -> tuple:
+    """The sub-piece (lo, hi) of piece as a row of the batched rule: (_RowParams, panel edges, rate).
 
     Over t the row maps v = v0 + v1 t to y: on an origin row v = ln|y|, y = sign e^v; on every
     other row v = ln|x - y|, y = x + sign e^v.  Its integrand f(y) K(x - y) |dy/dt| is
@@ -315,9 +298,6 @@ def _row(f: TestFunction, x: float, kernel: KernelSpec, lo: float, hi: float) ->
     """
     base, power, delta, singular = 0.0, 0.0, 0.0, False
     if f.evaluator is None:
-        piece = next((p for p in f.pieces if p.lo <= lo and hi <= p.hi), None)
-        if piece is None:
-            return None
         base, singular = math.log(f.coefficient), piece.role != "plain"
         if singular:
             power, delta = piece.power, piece.log_power
@@ -333,9 +313,9 @@ def _row(f: TestFunction, x: float, kernel: KernelSpec, lo: float, hi: float) ->
         rate, degree, start = 1.0, kernel.beta + extra_log, s * max(0.0, v0 - math.log(min([1.0] + near)))
     elif math.isinf(hi - lo):
         # tail: |x - y| = e^t from the finite end on, settled where |x - y| > |x|
-        rate, degree = _tail_decay_hint(f, left=lo == -math.inf, kernel=kernel)
-        if rate is None:
-            raise DomainError(f"potential of {f.label}: an unbounded support piece needs a tail decay hint")
+        if piece.role != "tail":
+            raise DomainError(f"{f.label}: a plain piece has no decay hint to integrate its unbounded range by")
+        rate, degree = piece.power - kernel.alpha, piece.log_power + kernel.beta  # rate > 0: u converges
         sign = 1.0 if hi == math.inf else -1.0
         t_lo = math.log(lo - x if sign > 0.0 else x - hi)
         start = max(t_lo, math.log(abs(x))) if x != 0.0 else t_lo
@@ -388,9 +368,11 @@ def apply_kernel_report(
     kernel's own evaluation error; past ``spec.rel_tol`` of the value it
     raises ToleranceError.
     """
+    if not math.isfinite(x):
+        raise DomainError(f"potential of {f.label}: x must be finite, got {x}")
     spec = spec or QuadratureSpec()
     _check_apply_convergence(f, x, kernel)
-    rows = [r for lo, hi in _subpieces(f, x, kernel) if hi > lo and (r := _row(f, x, kernel, lo, hi)) is not None]
+    rows = [_row(f, x, kernel, piece, lo, hi) for piece, lo, hi in _subpieces(f, x, kernel)]
     if not rows:
         return _NOTHING_IN_REACH
     n = len(rows)
@@ -701,6 +683,8 @@ def _log_potential(f: TestFunction, kernel: KernelSpec, ln_x, side: float):
         raise DomainError(f"no scaled evaluation for {f.label}")
     _check_apply_convergence(f, math.nan, kernel)  # tails only: +-e^L is no finite singularity
     lx = np.atleast_1d(np.asarray(ln_x, dtype=float))
+    if not np.isfinite(lx).all():
+        raise DomainError(f"scaled potential of {f.label}: ln|x| must be finite, got {lx[~np.isfinite(lx)][0]}")
     total = np.full(lx.shape, -np.inf)
     for piece in f.pieces:
         spans = [(piece.lo, 0.0), (0.0, piece.hi)] if piece.lo < 0.0 < piece.hi else [(piece.lo, piece.hi)]
@@ -732,6 +716,8 @@ def log_potential_near(f: TestFunction, kernel: KernelSpec, y, side: float):
 
 def interval_mass(f: TestFunction, lo: float, hi: float) -> float:
     """Integral of |f| over (lo, hi); analytic on the catalog pieces where it has a closed form."""
+    if math.isnan(lo) or math.isnan(hi):
+        raise DomainError(f"mass of {f.label}: the bounds must not be nan, got ({lo}, {hi})")
     return float(_interval_masses(f, np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)))
 
 
@@ -786,6 +772,8 @@ def _quadrature_mass(f: TestFunction, lo: float, hi: float) -> float:
     for piece in f.pieces:
         a, b = max(piece.lo, lo), min(piece.hi, hi)
         if b > a:
+            if piece.role == "plain" and math.isinf(b - a):
+                raise DomainError(f"{f.label}: a plain piece has no decay hint to integrate its unbounded range by")
             try:
                 total += _integrate_abs_singular(f, a, b).value
             except (OverflowError, ZeroDivisionError) as exc:  # a density evaluated in floats, at a pole
@@ -799,15 +787,12 @@ def _quadrature_mass(f: TestFunction, lo: float, hi: float) -> float:
 
 def _integrate_abs_singular(f: TestFunction, lo: float, hi: float) -> IntegralResult:
     spec = QuadratureSpec()
-    if math.isinf(hi):
-        return integrate_decaying(lambda w: abs(f(math.exp(w))) * math.exp(w), math.log(max(lo, 1e-300)), spec)
-    if math.isinf(lo):
-        return integrate_decaying(lambda w: abs(f(-math.exp(w))) * math.exp(w), math.log(max(-hi, 1e-300)), spec)
-    if lo == 0.0:
-        return integrate_decaying(lambda w: abs(f(math.exp(-w))) * math.exp(-w), -math.log(hi), spec)
-    if hi == 0.0:
-        return integrate_decaying(lambda w: abs(f(-math.exp(-w))) * math.exp(-w), -math.log(-lo), spec)
-    return integrate_panel(lambda x_: abs(f(x_)), lo, hi, spec)
+    if not (math.isinf(lo + hi) or 0.0 in (lo, hi)):
+        return integrate_panel(lambda x_: abs(f(x_)), lo, hi, spec)
+    # |x| = e^(out w), w from ln|x| at the finite end: outward to infinity (out = 1) or inward to 0 (out = -1)
+    sign, out = math.copysign(1.0, lo + hi), (1.0 if math.isinf(lo + hi) else -1.0)
+    start = out * math.log(abs(lo if hi in (math.inf, 0.0) else hi))
+    return integrate_decaying(lambda w: abs(f(sign * math.exp(out * w))) * math.exp(out * w), start, spec)
 
 
 def _check_locally_integrable(f: TestFunction) -> None:

@@ -327,6 +327,16 @@ def test_scaled_evaluators_refuse_bessel_kernel_and_bad_side(evaluate):
         evaluate(TestFunction.g_delta(1.0), RIESZ, 3.0, 0.5)
 
 
+@pytest.mark.parametrize("evaluate", [log_potential_far, log_potential_near])
+@pytest.mark.parametrize(
+    "depth", [math.inf, -math.inf, math.nan, np.array([1.0, math.nan])], ids=["inf", "-inf", "nan", "array"]
+)
+def test_scaled_evaluators_refuse_non_finite_depths(evaluate, depth):
+    # t = -inf once gave ln u = -inf at x = 0, where u(0) = 2 for indicator(0,1) under riesz:0.5
+    with pytest.raises(DomainError, match="must be finite"):
+        evaluate(TestFunction.indicator(0.0, 1.0), RIESZ, depth, 1.0)
+
+
 # forms and kernels the scaled evaluators refused before they shared one region table
 NEWLY_SCALED = {
     "example3(0.7,1) x riesz(0.5)": (TestFunction.example3(0.7, 1.0), RIESZ),
@@ -405,3 +415,32 @@ def test_constant_slow_factor_is_decided_at_construction_only():
     reads = [name for name, _, line in _source_lines() if ".is_constant" in line and name != "psi.py"]
     assert sorted(reads) == ["catalog.py", "potentials.py"]
     assert [f"{name}:{n}" for name, n, line in _source_lines() if "BATCH_SPEC" in line] == []
+
+
+def _inverse_square(x: float) -> float:
+    return 1.0 / (1.0 + x * x)
+
+
+@pytest.mark.parametrize(
+    "build, match",
+    [
+        (lambda: Piece("foo", 0.5, 2.0, power=0.5), "unknown piece role 'foo'"),
+        (lambda: Piece("plain", math.nan, 1.0), "lo < hi"),
+        (lambda: Piece("plain", 1.0, 1.0), "lo < hi"),
+        # the indicator of [0, 1] counted twice on (0.5, 1): its L_1 norm read 1.5
+        (lambda: TestFunction.user(lambda x: 1.0, (Piece("plain", 0.0, 1.0), Piece("plain", 0.5, 1.0))), "overlap"),
+        (lambda: TestFunction.user(lambda x: 1.0, (Piece("plain", 0.5, 1.0), Piece("plain", 0.0, 2.0))), "overlap"),
+        # 1/(1 + x^2) on (-1, inf) as one tail: its L_1 norm read pi/4 for a true 3 pi/4
+        (lambda: TestFunction.user(_inverse_square, (Piece("tail", -1.0, math.inf, power=2.0),)), "one side of 0"),
+        (lambda: TestFunction.user(_inverse_square, (Piece("tail", 0.0, math.inf, power=2.0),)), "one side of 0"),
+        (lambda: TestFunction.user(_inverse_square, (Piece("tail", -math.inf, math.inf, power=2.0),)), "one side of 0"),
+        (lambda: TestFunction.user(abs, (Piece("origin", 0.0, math.inf, power=0.5),)), "at a finite other end"),
+        (lambda: TestFunction("custom", "raw", (Piece("plain", 0.0, 1.0), Piece("plain", 0.5, 2.0))), "overlap"),
+        (lambda: TestFunction("custom", "raw", ()), "needs the pieces"),
+    ],
+    ids=["role", "nan-end", "empty", "overlap", "nested", "tail-across-0", "tail-from-0", "tail-both-ways",
+         "origin-to-inf", "raw-overlap", "raw-no-pieces"],
+)
+def test_malformed_pieces_are_refused_when_built(build, match):
+    with pytest.raises(DomainError, match=match):
+        build()

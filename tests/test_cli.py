@@ -224,8 +224,10 @@ class TestCliCommands:
              "--qgrid", "geometric:2.1:1000:4"],
             *(["lpnorm", "--form", form, "--p", "2"] for form in ("g_delta:nan", "example3:0.5,nan", "big_r:0.5,1,nan")),
             ["lpnorm", "--form", "g_delta:1", "--p", "2", "--rel-tol", "nan"],
+            ["potential", "--form", "indicator:0,1", "--kernel", "log_riesz:0.5,nan", "--grid", "uniform:0.5:3:2"],
         ],
-        ids=["grid-bound", "grid-count", "xi", "g_delta-nan", "example3-nan", "kappa-nan", "rel-tol-nan"],
+        ids=["grid-bound", "grid-count", "xi", "g_delta-nan", "example3-nan", "kappa-nan", "rel-tol-nan",
+             "log-order-nan"],
     )
     def test_malformed_argument_is_a_validation_error(self, argv, capsys):
         assert main(argv) == 2
@@ -261,6 +263,14 @@ class TestCliCommands:
         psi, qgrid = self._DOMAINS[kind]
         assert main(["transform", "--psi", psi, "--kind", kind, "--qgrid", qgrid]) == 0
         assert len(capsys.readouterr().out.strip().splitlines()) == 5
+
+    def test_derivative_zeta_xi_defaults_to_d_zeros(self, capsys):
+        argv = ["transform", "--kind", "derivative_zeta", "--d", "2", "--alpha", "1.5",
+                "--psi", "power:a=1,b=1.3,beta=1,gamma=1", "--qgrid", "geometric:5:50:3"]
+        assert main(argv) == 0
+        bare = capsys.readouterr().out
+        assert main(argv + ["--xi", "0,0"]) == 0
+        assert capsys.readouterr().out == bare
 
     def test_transform_flags_stated_at_their_defaults(self, capsys):
         argv = ["transform", "--psi", "power:a=1,b=2,beta=1,gamma=1", "--kind", "zeta_S", "--qgrid", "uniform:2.2:3:3"]

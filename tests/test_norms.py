@@ -122,8 +122,41 @@ class TestCatalog:
         with pytest.raises(DomainError, match=match):
             TestFunction.user(lambda x: abs(x) ** -0.5, (piece,))
 
+    def test_norm_over_an_unbounded_plain_piece_is_refused(self):
+        # a plain piece states no decay to cut its range by: the L_1 norm read "achieved relative error nan"
+        f = TestFunction.user(lambda x: math.exp(-x * x), (Piece("plain", -math.inf, math.inf),))
+        with pytest.raises(DomainError, match="no decay hint"):
+            lp_norm_report(f, 1.0)
+
+
+#: user densities whose L_p norms have closed forms, on origin, tail and plain pieces
+_ABS_HALF = TestFunction.user(
+    lambda x: abs(x) ** -0.5, (Piece("origin", -1.0, 0.0, power=0.5), Piece("origin", 0.0, 1.0, power=0.5))
+)
+_INV_SQUARE = TestFunction.user(lambda x: x**-2.0, (Piece("tail", 1.0, math.inf, power=2.0),))
+_GAUSS = TestFunction.user(lambda x: math.exp(-x * x), (Piece("plain", -3.0, 3.0),))
+_F_DELTA = TestFunction.user(
+    lambda x: x**-0.5 * abs(math.log(x)), (Piece("origin", 0.0, 1.0 / E, power=0.5, log_power=1.0),)
+)
+
 
 class TestLpNormOracles:
+    @pytest.mark.parametrize(
+        "f, p, want",
+        [
+            *((_ABS_HALF, p, (2.0 / (1.0 - p / 2.0)) ** (1.0 / p)) for p in (1.0, 1.5, 1.999)),
+            *((_INV_SQUARE, p, (1.0 / (2.0 * p - 1.0)) ** (1.0 / p)) for p in (1.0, 3.0, 50.0)),
+            (_GAUSS, 2.0, math.sqrt(math.sqrt(math.pi / 2.0) * math.erf(3.0 * math.sqrt(2.0)))),
+            (_F_DELTA, 1.5, lp_norm_closed_form(TestFunction.f_delta(0.5, 1.0), 1.5)),
+        ],
+        ids=["abs-half-1", "abs-half-1.5", "abs-half-1.999", "x^-2-1", "x^-2-3", "x^-2-50", "gauss-2", "f_delta-1.5"],
+    )
+    def test_user_density_norms_against_closed_forms(self, f, p, want):
+        # a user density is evaluated at the nodes, not read from its annotation
+        got = lp_norm_report(f, p)
+        assert abs(got.value - want) <= 2e-14 * want  # 1.01e-14 at worst (x^-2, p = 1)
+        assert abs(got.value - want) <= got.rel_error * want
+
     def test_g0_two_norm(self):
         assert lp_norm(TestFunction.g_delta(0.0), 2.0) == pytest.approx(math.exp(-0.5), rel=1e-9)
 

@@ -158,6 +158,8 @@ class TestKernelSpec:
             KernelSpec.truncated(0.5, radius=-1.0)
         with pytest.raises(DomainError):
             KernelSpec("riesz", 0.5, radius=1.0)
+        with pytest.raises(DomainError):
+            KernelSpec.log_riesz(0.5, math.nan)  # once read as the plain riesz kernel
 
 
 class TestMacdonald:
@@ -235,6 +237,11 @@ class TestApplyKernel:
             apply_kernel(TestFunction.example3(0.5, 1.0), 0.0, RIESZ_HALF)  # tail too fat
         with pytest.raises(DivergenceError):
             apply_kernel(TestFunction.f_delta(0.5, 0.0), 0.0, RIESZ_HALF)  # on-singularity
+
+    @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+    def test_non_finite_points_are_refused(self, x):
+        with pytest.raises(DomainError, match="x must be finite"):
+            apply_kernel_report(TestFunction.indicator(0.0, 1.0), x, RIESZ_HALF)
 
     def test_truncated_window(self):
         ind = TestFunction.indicator(0.0, 1.0)
@@ -525,6 +532,20 @@ class TestIntervalMass:
         for (a, b), m in zip(bounds, got):
             assert m == interval_mass(f, a, b)
             assert m == pytest.approx(exact(a, b), rel=1e-9, abs=1e-300)
+
+    def test_unbounded_plain_piece(self):
+        # a plain piece states no decay: the mass over (-inf, inf) of exp(-x^2) read 1.1e-297 for sqrt(pi)
+        f = TestFunction.user(lambda x: math.exp(-x * x), (Piece("plain", -math.inf, math.inf),))
+        with pytest.raises(DomainError, match="no decay hint"):
+            interval_mass(f, -math.inf, math.inf)
+        with pytest.raises(DomainError, match="no decay hint"):
+            interval_mass(f, 0.0, math.inf)
+        assert interval_mass(f, -1.0, 1.0) == pytest.approx(math.sqrt(math.pi) * math.erf(1.0), rel=1e-12)
+
+    @pytest.mark.parametrize("lo, hi", [(math.nan, 1.0), (0.0, math.nan)])
+    def test_nan_bounds_are_refused(self, lo, hi):
+        with pytest.raises(DomainError, match="must not be nan"):
+            interval_mass(TestFunction.indicator(0.0, 1.0), lo, hi)
 
 
 class TestMaximalOperators:
