@@ -201,6 +201,9 @@ class TestFunction:
 
     @staticmethod
     def indicator(lo: float, hi: float) -> "TestFunction":
+        """1 on [lo, hi], zero elsewhere; both ends finite."""
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise DomainError(f"an indicator needs finite ends, got ({lo:g}, {hi:g})")
         return _form("indicator", f"indicator([{lo:g},{hi:g}])", (Piece("plain", lo, hi),), interval=(lo, hi))
 
     @staticmethod

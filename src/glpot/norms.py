@@ -7,10 +7,12 @@ is None for a constant one).  Every exponent of a request is one row of the
 batched Gauss-Kronrod rule (:func:`~glpot.quadrature.integrate_batch`):
 doubling panels outward from the integrand's peak, cut where
 :func:`~glpot.quadrature.tail_cutoff` drops the rest, so a single p and a
-whole grand-norm grid run the same code and get the same bits.  A plain
-catalog piece is exact.  The closed-form route expresses every catalog form
-without a slow factor through the upper incomplete gamma function and serves
-as an independent oracle.  The distribution function inverts |f| on the
+whole grand-norm grid run the same code and get the same bits.  A row may
+cover part of a piece: the interval masses of :mod:`glpot.potentials` are
+this integral at p = 1, one row per interval.  A plain catalog piece is
+exact.  The closed-form route expresses every catalog form without a slow
+factor through the upper incomplete gamma function and serves as an
+independent oracle.  The distribution function inverts |f| on the
 monotone branches the catalog derives from the pieces.
 """
 
@@ -53,9 +55,9 @@ def check_lp_convergence(f: TestFunction, p: float) -> None:
 
 
 _EPS = sys.float_info.epsilon
-#: panel ends from y0 to halfway up to the peak, as fractions of that range:
-#: halving toward y0, where the slow factor and, at y0 = 0 (a piece ending at
-#: |x| = 1), y^m vary on the scale of y0 or less
+#: panel ends from a range's start y_lo to halfway up to the peak, as fractions of that range:
+#: halving toward y_lo, where the slow factor and, at y_lo = 0 (a piece ending at
+#: |x| = 1), y^m vary on the scale of y_lo or less
 _TOWARD_Y0 = np.concatenate([[0.0], 2.0 ** -np.arange(40, -1, -1)])
 
 
@@ -87,32 +89,54 @@ def _log_extra(f: TestFunction, piece: Piece):
     return extra
 
 
-def _log_singular_integrals(f: TestFunction, piece: Piece, ps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(ln of the |f|^p integral over one singular piece, its relative error) for every p.
+def _peak_and_ends(c: float, m: float, y_lo: float, length: float) -> tuple[float, float, float]:
+    """(y_peak, start, right) of one row of :func:`_log_singular_integrals`: its range is (start, right) in s."""
+    y_hi = y_lo + length
+    # e^(-c y) y^m peaks at y = m/c where it decays (c > 0), and rises on to y_hi where it does not
+    y_peak = y_hi if c <= 0.0 else max(y_lo, min(m / c, y_hi)) if m > 0.0 else y_lo
+    start = -length if y_peak == y_hi else y_lo - y_peak  # a peak at the far end: its s is 0, exactly
+    return y_peak, start, tail_cutoff(c, m, y_lo) - y_peak if length == math.inf else start + length
+
+
+def _log_singular_integrals(f: TestFunction, piece: Piece, ps: np.ndarray, y_lo: np.ndarray | None = None,
+                            length: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """(ln of the |f|^p integral over y in (y_lo, y_lo + length), its relative error), one per row of ps.
+
+    The range is part of one singular piece, by default all of it: (y0, inf).
 
     In y the integrand is C^p e^(-c y) y^m e^(p extra(y)), c = Piece.rate(p)
     and m = log_power p.  It is integrated in s = y - y_peak, the offset from
-    its peak y_peak = max(y0, m/c), as exp(-c s + m ln(1 + s/y_peak) + ...):
+    its peak y_peak: max(y_lo, m/c) within the range where it decays (c > 0),
+    the range's far end where it does not, as exp(-c s + m ln(1 + s/y_peak) + ...):
     each term is small where the integrand is not, so none is the difference
     of two terms of size p power y, however large p or close to an endpoint
-    of its interval.
+    of its interval.  The range ends at y_lo - y_peak + length in s, so a
+    short one keeps the digits of its length.  An infinite length needs c > 0
+    and is cut where tail_cutoff drops the rest, which the error then covers.
     """
     c = np.array([piece.rate(p) for p in ps])
-    if not (c > 0.0).all():
+    y_lo = np.full(len(ps), piece.y0) if y_lo is None else y_lo
+    length = np.full(len(ps), math.inf) if length is None else length
+    infinite = np.isinf(length)
+    if not (c[infinite] > 0.0).all():
         raise DomainError(f"|{f.label}|_p: the batched rule needs |f|^p to decay exponentially in |ln|x||")
     m = piece.log_power * ps
-    y0 = piece.y0
-    y_peak = np.where(m > 0.0, np.maximum(y0, m / c), y0)
+    y_peak, start, right = np.array([_peak_and_ends(*row) for row in zip(c, m, y_lo, length)]).reshape(-1, 3).T
     ln_peak = np.log(y_peak, out=np.zeros_like(y_peak), where=(m != 0.0))
-    right = np.array([tail_cutoff(ci, mi, y0) for ci, mi in zip(c, m)]) - y_peak
-    left = (y0 - y_peak) / 2.0
-    # in s: doubling panels outward from the peak, the first min(1, 4/c) wide to resolve it, right
-    # to the tail cut and left to halfway down to y0; from there, panels halving toward y0
-    width = np.minimum(1.0, 4.0 / c)
-    n_doubling = int(np.ceil(np.log2(np.maximum(right, -left) / width + 1.0).max())) + 1
+    left = start / 2.0
+    # in s: doubling panels outward from the peak, the first min(1, 4/|c|) wide to resolve it, right
+    # to the range's end or tail cut and left to halfway down to y_lo; from there, panels halving toward y_lo
+    width = 4.0 / np.maximum(np.abs(c), 4.0)
+    n_doubling = int(np.ceil(np.log2(np.maximum(right, -left) / width + 1.0).max(initial=0.0))) + 1
     doubling = width[:, None] * (2.0 ** np.arange(n_doubling + 1) - 1.0)
     outward_right, outward_left = np.minimum(doubling, right[:, None]), np.maximum(-doubling, left[:, None])
-    below = (y0 - y_peak)[:, None] * (1.0 - _TOWARD_Y0 / 2.0)
+    below = start[:, None] * (1.0 - _TOWARD_Y0 / 2.0)
+    # a range short of the whole piece (a mass) merges the halving panels narrower than y_lo, the scale
+    # y^m and S vary on there, into one; the whole piece's [y0, inf) (every norm's) keeps them all
+    short = ~((y_lo == piece.y0) & infinite)
+    if short.any():
+        merged = ((-left)[:, None] * _TOWARD_Y0 < np.where(short, y_lo, 0.0)[:, None]) & (_TOWARD_Y0 < 1.0)
+        below = np.where(merged, start[:, None], below)
     lo = np.concatenate([below[:, :-1], outward_left[:, 1:], outward_right[:, :-1]], axis=1)
     hi = np.concatenate([below[:, 1:], outward_left[:, :-1], outward_right[:, 1:]], axis=1)
     extra = _log_extra(f, piece)
@@ -128,7 +152,7 @@ def _log_singular_integrals(f: TestFunction, piece: Piece, ps: np.ndarray) -> tu
 
     value, error = integrate_batch(lambda rows, s: np.exp(exponent(rows, s)), lo, hi)
     # the cut tail is below 2 e^-cT T^m / c: the cutoff T keeps cT > 2m + 2
-    tail = 2.0 * np.exp(exponent(slice(None), right[:, None])[:, 0]) / c
+    tail = 2.0 * np.exp(exponent(slice(None), right[:, None])[:, 0]) / np.where(infinite, c, math.inf)
     shift = ps * math.log(f.coefficient) - c * y_peak + m * ln_peak + ps * extra_peak
     return shift + np.log(value), (error + tail) / value
 

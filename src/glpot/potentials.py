@@ -38,6 +38,7 @@ from scipy.special import gammaincc, kve
 
 from .catalog import Piece, TestFunction
 from .errors import DivergenceError, DomainError, ToleranceError
+from .norms import _log_singular_integrals, _piece_converges
 from .psi import SlowlyVarying
 from .quadrature import (
     MAX_DEPTH,
@@ -45,8 +46,6 @@ from .quadrature import (
     IntegralResult,
     QuadratureSpec,
     integrate_batch,
-    integrate_decaying,
-    integrate_panel,
     tail_cutoff,
 )
 
@@ -715,7 +714,7 @@ def log_potential_near(f: TestFunction, kernel: KernelSpec, y, side: float):
 
 
 def interval_mass(f: TestFunction, lo: float, hi: float) -> float:
-    """Integral of |f| over (lo, hi); analytic on the catalog pieces where it has a closed form."""
+    """Integral of |f| over (lo, hi): analytic where a catalog piece has a closed form, else by the batched rule."""
     if math.isnan(lo) or math.isnan(hi):
         raise DomainError(f"mass of {f.label}: the bounds must not be nan, got ({lo}, {hi})")
     return float(_interval_masses(f, np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)))
@@ -724,29 +723,23 @@ def interval_mass(f: TestFunction, lo: float, hi: float) -> float:
 def _interval_masses(f: TestFunction, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Integral of |f| over (lo, hi), elementwise over arrays of bounds.
 
-    A plain piece is c (b - a).  A singular piece is e^(-c y) y^d dy in
-    y = |ln|x||: an upper-gamma difference for c > 0, a polynomial for
-    c = 0.  Growth (c < 0), a non-constant slow factor and user densities
-    go to QUADPACK at the default ``QuadratureSpec()``, one interval at a time.
+    A catalog piece without a varying slow factor has a closed form: c (b - a)
+    on a plain piece, and e^(-c y) y^d dy in y = |ln|x|| on a singular one, an
+    upper-gamma difference for c > 0 and a polynomial for c = 0.  Every other
+    piece goes to :func:`_integrated_masses`.
     """
     lo, hi = np.broadcast_arrays(lo, hi)
-    if f.evaluator is not None:
-        return _quadrature_masses(f, lo, hi)
     total = np.zeros(lo.shape)
     for piece in f.pieces:
         a, b = np.maximum(lo, piece.lo), np.minimum(hi, piece.hi)
         inside = b > a
         a, b = a[inside], b[inside]
-        if piece.role == "plain":
+        if piece.role == "plain" and f.evaluator is None:
             total[inside] += f.coefficient * (b - a)
             continue
         c = piece.rate(1.0)
-        if c < 0.0 or f.slow is not None:
-            # quadrature, except where e^(-c y) y^d grows along an infinite range
-            grows = (c < 0.0) & np.isinf(b - a)
-            mass = np.full(a.shape, math.inf)
-            mass[~grows] = _quadrature_masses(f, a[~grows], b[~grows])
-            total[inside] += mass
+        if f.evaluator is not None or f.slow is not None or c < 0.0:
+            total[inside] += _integrated_masses(f, piece, a, b)
             continue
         if piece.hi <= 0.0:
             a, b = -b, -a  # mirror onto x > 0
@@ -761,38 +754,47 @@ def _interval_masses(f: TestFunction, lo: np.ndarray, hi: np.ndarray) -> np.ndar
     return total
 
 
-def _quadrature_masses(f: TestFunction, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Elementwise :func:`_quadrature_mass`."""
-    return np.vectorize(lambda a, b: _quadrature_mass(f, a, b), otypes=[float])(lo, hi)
+def _integrated_masses(f: TestFunction, piece: Piece, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Integral of |f| over each (a, b) inside one piece, one batched row per distinct interval.
 
-
-def _quadrature_mass(f: TestFunction, lo: float, hi: float) -> float:
-    """Integral of |f| over (lo, hi) by quadrature, piece by piece (a singularity is a piece end)."""
-    total = 0.0
-    for piece in f.pieces:
-        a, b = max(piece.lo, lo), min(piece.hi, hi)
-        if b > a:
-            if piece.role == "plain" and math.isinf(b - a):
+    A singular piece takes the L_p norms' piece integral at p = 1 over the
+    interval's range in y, and is inf over an infinite range it does not
+    decay on; a plain piece of a user density is integrated in x.  A row past
+    ``QuadratureSpec().rel_tol``, or a density that raises in floats, is a
+    ToleranceError naming the interval.
+    """
+    (a, b), inverse = np.unique(np.stack([a, b]), axis=1, return_inverse=True)  # radii often cover a whole piece
+    mass, rel = np.full(a.shape, math.inf), np.zeros(a.shape)
+    try:
+        if piece.role == "plain":
+            if np.isinf(b - a).any():
                 raise DomainError(f"{f.label}: a plain piece has no decay hint to integrate its unbounded range by")
-            try:
-                total += _integrate_abs_singular(f, a, b).value
-            except (OverflowError, ZeroDivisionError) as exc:  # a density evaluated in floats, at a pole
-                raise ToleranceError(
-                    f"mass of {f.label} over ({a:.17g}, {b:.17g}) not resolved: "
-                    f"the density raised {type(exc).__name__}: {exc}",
-                    achieved=math.inf,
-                ) from exc
-    return total
-
-
-def _integrate_abs_singular(f: TestFunction, lo: float, hi: float) -> IntegralResult:
-    spec = QuadratureSpec()
-    if not (math.isinf(lo + hi) or 0.0 in (lo, hi)):
-        return integrate_panel(lambda x_: abs(f(x_)), lo, hi, spec)
-    # |x| = e^(out w), w from ln|x| at the finite end: outward to infinity (out = 1) or inward to 0 (out = -1)
-    sign, out = math.copysign(1.0, lo + hi), (1.0 if math.isinf(lo + hi) else -1.0)
-    start = out * math.log(abs(lo if hi in (math.inf, 0.0) else hi))
-    return integrate_decaying(lambda w: abs(f(sign * math.exp(out * w))) * math.exp(out * w), start, spec)
+            density = np.vectorize(f, otypes=[float])
+            mass, error = integrate_batch(lambda rows, x: np.abs(density(x)), a[:, None], b[:, None])
+            with np.errstate(invalid="ignore"):  # 0/0 on an interval the density is 0 on
+                rel = error / mass
+        else:
+            near, far = (np.abs(b), np.abs(a)) if piece.hi <= 0.0 else (a, b)  # mirrored onto x > 0, -0 to 0
+            with np.errstate(divide="ignore"):  # an origin piece's range is infinite when a = 0
+                y_lo = -np.log(far) if piece.role == "origin" else np.log(near)
+                length = np.log1p((far - near) / near)  # ln(far/near), to its last digits however short
+            rows = np.isfinite(length) | _piece_converges(piece, 1.0)
+            logs, rel[rows] = _log_singular_integrals(f, piece, np.ones(rows.sum()), y_lo[rows], length[rows])
+            mass[rows] = np.exp(logs)
+    except (OverflowError, ZeroDivisionError) as exc:  # a density evaluated in floats, at a pole
+        raise ToleranceError(
+            f"mass of {f.label} over ({a.min():.17g}, {b.max():.17g}) not resolved: "
+            f"the density raised {type(exc).__name__}: {exc}",
+            achieved=math.inf,
+        ) from exc
+    missed = ~(rel <= QuadratureSpec().rel_tol) & (mass != 0.0)
+    if missed.any():
+        i = np.argmax(missed)
+        raise ToleranceError(
+            f"mass of {f.label} over ({a[i]:.17g}, {b[i]:.17g}) not resolved: achieved relative error {rel[i]:.3g}",
+            achieved=float(rel[i]),
+        )
+    return mass[inverse]
 
 
 def _check_locally_integrable(f: TestFunction) -> None:

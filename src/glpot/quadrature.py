@@ -1,21 +1,21 @@
 """Quadrature helpers for endpoint-singular and decaying integrands.
 
 The splitting and substitution logic (what turns a singular integral into a
-sequence of well-behaved panels) lives here and in the callers.  Two rules
-integrate the panels.  Scalar integrands, one interval at a time (the masses
-of growing pieces and of user densities), go to QUADPACK via
-:func:`scipy.integrate.quad`.  Integrands evaluated on arrays (the L_p norms
-of every exponent of a request, the scaled potentials behind the
-potential-norm tables, and each pointwise potential, one row per sub-piece)
-go to :func:`integrate_batch`: composite Gauss-Kronrod that evaluates every
-panel once, at the 41 nodes of the nested 20-point Gauss / 41-point Kronrod
-pair (G20/K41, the ``qk41`` rule of Piessens et al., *QUADPACK*, 1983), takes
-the K41 sum against the G20 sum as the panel's error, and bisects, all
-together, only the panels that miss its tolerance ``BATCH_REL_TOL``.  Its
-callers end decaying tails where :func:`tail_cutoff` says the rest falls
-below a tenth of that tolerance.
+sequence of well-behaved panels) lives here and in the callers.  Every glpot
+integral goes to :func:`integrate_batch` (the L_p norms of every exponent of a
+request, the interval masses, one row per interval, the scaled potentials
+behind the potential-norm tables, and each pointwise potential, one row per
+sub-piece): composite Gauss-Kronrod that evaluates every panel once, at the
+41 nodes of the nested 20-point Gauss / 41-point Kronrod pair (G20/K41, the
+``qk41`` rule of Piessens et al., *QUADPACK*, 1983), takes the K41 sum
+against the G20 sum as the panel's error, and bisects, all together, only
+the panels that miss its tolerance ``BATCH_REL_TOL``.  Its callers end
+decaying tails where :func:`tail_cutoff` says the rest falls below a tenth
+of that tolerance.
 A :class:`QuadratureSpec` is only the acceptance tolerance the public entry
-points check their results against.
+points check their results against.  The QUADPACK integrators below have no
+glpot caller: ``perfbench/tracer.py`` binds them by name, and
+``tests/test_norms.py`` uses :func:`integrate_decaying` as a reference.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ _DOUBLING_PANELS = 50
 
 
 def integrate_panel(fn: Callable[[float], float], a: float, b: float, spec: QuadratureSpec) -> IntegralResult:
-    """One adaptive QUADPACK panel on a finite interval."""
+    """One adaptive QUADPACK panel on a finite interval (for :func:`power_endpoint_integral` alone)."""
     if not b > a:
         return IntegralResult(0.0, 0.0)
     value, err = _quad(fn, a, b, epsabs=_EPS_ABS, epsrel=spec.rel_tol / 10.0, limit=_QUAD_LIMIT)
@@ -72,6 +72,7 @@ def integrate_decaying(fn: Callable[[float], float], start: float, spec: Quadrat
     Uses doubling panels of width 1, 2, 4, ...: stops at the third panel or
     later, once a panel contributes less than ``rel_tol/10`` of the running
     total (or 1e-12), and raises ToleranceError past 50 panels.
+    No glpot path calls it; ``tests/test_norms.py`` uses it as a reference.
     """
     total, err = 0.0, 0.0
     lo, width = start, 1.0

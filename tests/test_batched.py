@@ -20,7 +20,7 @@ from glpot import (
     parse_psi_spec,
 )
 from glpot import potentials, quadrature
-from glpot.catalog import INV_E
+from glpot.catalog import INV_E, Piece
 from glpot.cli import parse_form_spec
 from glpot.errors import ToleranceError
 from glpot.experiments import ExperimentConfig, _e6_potentials, _run_e6, run_experiment
@@ -383,6 +383,44 @@ def test_e6_never_reaches_quadpack(monkeypatch):
 
     monkeypatch.setattr(quadrature, "_quad", refuse)
     assert _run_e6(ExperimentConfig(name="E6_maximal_domination")).passed
+
+
+def _user_density(x: float) -> float:
+    """|x|^-1/2 on (-1, 1), 1 on [1, 2], x^-2 ln x beyond 2."""
+    ax = abs(x)
+    if ax < 1.0:
+        return ax**-0.5
+    return 1.0 if x <= 2.0 else x**-2.0 * math.log(x)
+
+
+MASS_USER = TestFunction.user(
+    _user_density,
+    (
+        Piece("origin", -1.0, 0.0, power=0.5),
+        Piece("origin", 0.0, 1.0, power=0.5),
+        Piece("plain", 1.0, 2.0),
+        Piece("tail", 2.0, math.inf, power=2.0, log_power=1.0),
+    ),
+)
+
+
+def test_masses_and_maximal_functions_never_reach_quadpack(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("QUADPACK called for an interval mass")
+
+    monkeypatch.setattr(quadrature, "_quad", refuse)
+    # the mass over (-1, 2 + 1e6) is 2 + 2 + 1, plus (1 + ln 2)/2 up to infinity less what lies past 2 + 1e6
+    far = 2.0 + 1e6
+    beyond = (1.0 + math.log(far)) / far
+    want = 5.5 + math.log(2.0) / 2.0 - beyond
+    assert potentials.interval_mass(MASS_USER, -1.0, far) == pytest.approx(want, rel=1e-12)
+    assert potentials.interval_mass(MASS_USER, 0.0, math.inf) == pytest.approx(3.5 + math.log(2.0) / 2.0, rel=1e-12)
+    xs = np.array([-2.5, -0.2, 0.3, 1.5, 4.0])
+    big_r_kappa = TestFunction.big_r(0.5, 1.0, SlowlyVarying.log_power(1.0))
+    for f in (TestFunction.example3(0.5, 1.25), big_r_kappa, MASS_USER):
+        assert math.isfinite(potentials.interval_mass(f, -3.0, 5.0))
+        assert np.isfinite(potentials.hl_maximal(f, xs, n_grid=40)).all()
+        assert np.isfinite(potentials.fractional_maximal(f, xs, 0.5, n_grid=40)).all()
 
 
 # ---------------------------------------------------------------------------

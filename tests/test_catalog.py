@@ -263,14 +263,16 @@ def test_closed_form_refuses_user_and_varying_slow_factor():
 
 
 def _count_quadrature(monkeypatch) -> list:
+    """The span (lo, hi) of the intervals of each batched mass call with intervals, one call per piece."""
     calls = []
-    original = potentials._integrate_abs_singular
+    original = potentials._integrated_masses
 
-    def spy(*args):
-        calls.append(args[1:3])
-        return original(*args)
+    def spy(f, piece, a, b):
+        if len(a):
+            calls.append((float(a.min()), float(b.max())))
+        return original(f, piece, a, b)
 
-    monkeypatch.setattr(potentials, "_integrate_abs_singular", spy)
+    monkeypatch.setattr(potentials, "_integrated_masses", spy)
     return calls
 
 
@@ -282,7 +284,7 @@ def test_example3_mass_by_quadrature(monkeypatch):
     with mp.workdps(30):
         a, d = mp.mpf(alpha), mp.mpf(gamma) - mp.mpf(alpha)
         want = float(sum(mp.quad(lambda x: x**-a * mp.log(x) ** d, [1, b]) for b in (3, 5)))
-    assert got == pytest.approx(want, rel=1e-9)
+    assert got == pytest.approx(want, rel=1e-12)
     assert interval_mass(TestFunction.example3(alpha, gamma), 1.0, math.inf) == math.inf
     assert interval_mass(TestFunction.example3(alpha, gamma), -math.inf, 0.0) == math.inf
 
@@ -444,3 +446,11 @@ def _inverse_square(x: float) -> float:
 def test_malformed_pieces_are_refused_when_built(build, match):
     with pytest.raises(DomainError, match=match):
         build()
+
+
+@pytest.mark.parametrize("lo, hi", [(0.0, math.inf), (-math.inf, 1.0), (-math.inf, math.inf), (0.0, math.nan)])
+def test_indicator_needs_finite_ends(lo, hi):
+    # indicator(0, inf) once built: lp_norm and apply_kernel refused it while interval_mass and
+    # lp_norm_closed_form read inf
+    with pytest.raises(DomainError, match="an indicator needs finite ends"):
+        TestFunction.indicator(lo, hi)

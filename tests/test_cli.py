@@ -225,9 +225,10 @@ class TestCliCommands:
             *(["lpnorm", "--form", form, "--p", "2"] for form in ("g_delta:nan", "example3:0.5,nan", "big_r:0.5,1,nan")),
             ["lpnorm", "--form", "g_delta:1", "--p", "2", "--rel-tol", "nan"],
             ["potential", "--form", "indicator:0,1", "--kernel", "log_riesz:0.5,nan", "--grid", "uniform:0.5:3:2"],
+            ["lpnorm", "--form", "indicator:0,inf", "--p", "2"],
         ],
         ids=["grid-bound", "grid-count", "xi", "g_delta-nan", "example3-nan", "kappa-nan", "rel-tol-nan",
-             "log-order-nan"],
+             "log-order-nan", "indicator-inf"],
     )
     def test_malformed_argument_is_a_validation_error(self, argv, capsys):
         assert main(argv) == 2

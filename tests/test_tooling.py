@@ -2,6 +2,7 @@
 lists the package's exports; every such name must exist."""
 
 import importlib
+import re
 import sys
 import types
 from pathlib import Path
@@ -41,6 +42,25 @@ def test_other_bound_names_exist():
     assert callable(quadrature._quad)
     assert callable(TestFunction.__call__)
     assert PotentialNormEvaluator(TestFunction.g_delta(0.0), KernelSpec.riesz(0.5)).ratio > 1.0
+
+
+#: QUADPACK and the helpers that call it; perfbench/tracer.py and the tests' references bind them
+QUADPACK_NAMES = re.compile(
+    r"scipy\.integrate|from scipy import integrate"
+    r"|\b(integrate_panel|integrate_decaying|power_endpoint_integral|_quad)\b"
+)
+
+
+def test_only_the_quadrature_module_reaches_quadpack():
+    src = Path(glpot.__file__).parent
+    found = [
+        f"{path.name}:{number}: {line.strip()}"
+        for path in sorted(src.glob("*.py"))
+        if path.name != "quadrature.py"
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if QUADPACK_NAMES.search(line)
+    ]
+    assert found == []
 
 
 def test_tracer_counts_the_table_calls_of_a_potential_norm():
