@@ -107,6 +107,7 @@ class TestFunction:
     The pieces are checked once, here, and read as given downstream: an origin
     piece ends at 0 and at a finite other end, a tail piece at infinity on one
     side of 0, each with a nonzero power or log_power, the origin ones agreeing;
+    one with a log_power stays on one side of |x| = 1, where |ln|x|| is 0;
     pieces may share an end but not overlap.  Anything else is a DomainError.
     """
 
@@ -137,6 +138,8 @@ class TestFunction:
             one_sided = piece.lo > 0.0 and piece.hi == math.inf or piece.hi < 0.0 and piece.lo == -math.inf
             if piece.role == "tail" and not one_sided:
                 raise DomainError(f"a tail piece must end at infinity and lie on one side of 0, got {ends}")
+            if piece.role != "plain" and piece.log_power != 0.0 and piece.y0 < 0.0:
+                raise DomainError(f"a {piece.role} piece with a log power must not cross |x| = 1, got {ends}")
         ordered = sorted((piece.lo, piece.hi) for piece in self.pieces)
         if any(b[0] < a[1] for a, b in zip(ordered[:-1], ordered[1:])):
             raise DomainError(f"the pieces of {self.label} overlap: {ordered}")

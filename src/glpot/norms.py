@@ -55,6 +55,7 @@ def check_lp_convergence(f: TestFunction, p: float) -> None:
 
 
 _EPS = sys.float_info.epsilon
+_LOG_TINY = math.log(sys.float_info.min * _EPS)  #: ln of the smallest positive float
 #: panel ends from a range's start y_lo to halfway up to the peak, as fractions of that range:
 #: halving toward y_lo, where the slow factor and, at y_lo = 0 (a piece ending at
 #: |x| = 1), y^m vary on the scale of y_lo or less
@@ -66,7 +67,8 @@ def _log_extra(f: TestFunction, piece: Piece):
 
     For a catalog form that is ln S(y) of a varying slow factor.  A user
     density is evaluated while |x| = e^(-+y) is representable and follows
-    its annotation beyond.
+    its annotation beyond.  Where it is 0 it is a true zero, -inf, unless its
+    annotation underflows there too.
     """
     if f.evaluator is None:
         if f.slow is None:
@@ -84,18 +86,10 @@ def _log_extra(f: TestFunction, piece: Piece):
         annotation = math.log(f.coefficient) - sign_y * piece.power * y
         if piece.log_power != 0.0:
             annotation = annotation + piece.log_power * np.log(y)
-        return np.where(near & (log_abs > -np.inf), log_abs - annotation, 0.0)
+        underflow = (log_abs == -np.inf) & (annotation < _LOG_TINY)
+        return np.where(near & ~underflow, log_abs - annotation, 0.0)
 
     return extra
-
-
-def _peak_and_ends(c: float, m: float, y_lo: float, length: float) -> tuple[float, float, float]:
-    """(y_peak, start, right) of one row of :func:`_log_singular_integrals`: its range is (start, right) in s."""
-    y_hi = y_lo + length
-    # e^(-c y) y^m peaks at y = m/c where it decays (c > 0), and rises on to y_hi where it does not
-    y_peak = y_hi if c <= 0.0 else max(y_lo, min(m / c, y_hi)) if m > 0.0 else y_lo
-    start = -length if y_peak == y_hi else y_lo - y_peak  # a peak at the far end: its s is 0, exactly
-    return y_peak, start, tail_cutoff(c, m, y_lo) - y_peak if length == math.inf else start + length
 
 
 def _log_singular_integrals(f: TestFunction, piece: Piece, ps: np.ndarray, y_lo: np.ndarray | None = None,
@@ -115,13 +109,23 @@ def _log_singular_integrals(f: TestFunction, piece: Piece, ps: np.ndarray, y_lo:
     and is cut where tail_cutoff drops the rest, which the error then covers.
     """
     c = np.array([piece.rate(p) for p in ps])
-    y_lo = np.full(len(ps), piece.y0) if y_lo is None else y_lo
-    length = np.full(len(ps), math.inf) if length is None else length
-    infinite = np.isinf(length)
-    if not (c[infinite] > 0.0).all():
-        raise DomainError(f"|{f.label}|_p: the batched rule needs |f|^p to decay exponentially in |ln|x||")
     m = piece.log_power * ps
-    y_peak, start, right = np.array([_peak_and_ends(*row) for row in zip(c, m, y_lo, length)]).reshape(-1, 3).T
+    decays = c > 0.0
+    if not (decays if length is None else decays[np.isinf(length)]).all():
+        raise DomainError(f"|{f.label}|_p: the batched rule needs |f|^p to decay exponentially in |ln|x||")
+    if y_lo is None:  # the whole piece, every norm's: e^(-c y) y^m peaks at m/c, or at y0 where that is below
+        y0 = piece.y0
+        y_peak = np.where(m > 0.0, np.maximum(y0, m / c), y0)
+        start, cut_rate = y0 - y_peak, c
+        right = np.array([tail_cutoff(ci, mi, y0) for ci, mi in zip(c, m)]) - y_peak
+    else:  # part of it: the peak is clipped to the range, and at its far end y_hi where c <= 0
+        infinite, y_hi = np.isinf(length), y_lo + length
+        with np.errstate(divide="ignore", invalid="ignore"):
+            y_peak = np.where(c <= 0.0, y_hi, np.where(m > 0.0, np.maximum(y_lo, np.minimum(m / c, y_hi)), y_lo))
+        start = np.where(y_peak == y_hi, -length, y_lo - y_peak)  # a peak at the far end: its s is 0, exactly
+        cut_rate = np.where(infinite, c, math.inf)  # no tail is cut from a finite range
+        cut = np.array([tail_cutoff(ci, mi, yi) if inf else 0.0 for ci, mi, yi, inf in zip(c, m, y_lo, infinite)])
+        right = np.where(infinite, cut - y_peak, start + length)
     ln_peak = np.log(y_peak, out=np.zeros_like(y_peak), where=(m != 0.0))
     left = start / 2.0
     # in s: doubling panels outward from the peak, the first min(1, 4/|c|) wide to resolve it, right
@@ -131,16 +135,12 @@ def _log_singular_integrals(f: TestFunction, piece: Piece, ps: np.ndarray, y_lo:
     doubling = width[:, None] * (2.0 ** np.arange(n_doubling + 1) - 1.0)
     outward_right, outward_left = np.minimum(doubling, right[:, None]), np.maximum(-doubling, left[:, None])
     below = start[:, None] * (1.0 - _TOWARD_Y0 / 2.0)
-    # a range short of the whole piece (a mass) merges the halving panels narrower than y_lo, the scale
-    # y^m and S vary on there, into one; the whole piece's [y0, inf) (every norm's) keeps them all
-    short = ~((y_lo == piece.y0) & infinite)
-    if short.any():
-        merged = ((-left)[:, None] * _TOWARD_Y0 < np.where(short, y_lo, 0.0)[:, None]) & (_TOWARD_Y0 < 1.0)
-        below = np.where(merged, start[:, None], below)
     lo = np.concatenate([below[:, :-1], outward_left[:, 1:], outward_right[:, :-1]], axis=1)
     hi = np.concatenate([below[:, 1:], outward_left[:, :-1], outward_right[:, 1:]], axis=1)
     extra = _log_extra(f, piece)
     extra_peak = np.zeros(len(ps)) if extra is None else extra(y_peak)
+    if f.evaluator is not None:  # a density that is 0 at the peak: scale by its annotation there
+        extra_peak[extra_peak == -np.inf] = 0.0
 
     def exponent(rows, s):
         g = -c[rows, None] * s
@@ -152,7 +152,7 @@ def _log_singular_integrals(f: TestFunction, piece: Piece, ps: np.ndarray, y_lo:
 
     value, error = integrate_batch(lambda rows, s: np.exp(exponent(rows, s)), lo, hi)
     # the cut tail is below 2 e^-cT T^m / c: the cutoff T keeps cT > 2m + 2
-    tail = 2.0 * np.exp(exponent(slice(None), right[:, None])[:, 0]) / np.where(infinite, c, math.inf)
+    tail = 2.0 * np.exp(exponent(slice(None), right[:, None])[:, 0]) / cut_rate
     shift = ps * math.log(f.coefficient) - c * y_peak + m * ln_peak + ps * extra_peak
     return shift + np.log(value), (error + tail) / value
 

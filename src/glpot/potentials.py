@@ -754,6 +754,7 @@ def _interval_masses(f: TestFunction, lo: np.ndarray, hi: np.ndarray) -> np.ndar
     return total
 
 
+@np.errstate(divide="ignore", invalid="ignore")  # ln 0 and 0/0 where |f| is 0; x/0 at an origin piece's a = 0
 def _integrated_masses(f: TestFunction, piece: Piece, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Integral of |f| over each (a, b) inside one piece, one batched row per distinct interval.
 
@@ -771,13 +772,11 @@ def _integrated_masses(f: TestFunction, piece: Piece, a: np.ndarray, b: np.ndarr
                 raise DomainError(f"{f.label}: a plain piece has no decay hint to integrate its unbounded range by")
             density = np.vectorize(f, otypes=[float])
             mass, error = integrate_batch(lambda rows, x: np.abs(density(x)), a[:, None], b[:, None])
-            with np.errstate(invalid="ignore"):  # 0/0 on an interval the density is 0 on
-                rel = error / mass
+            rel = error / mass
         else:
             near, far = (np.abs(b), np.abs(a)) if piece.hi <= 0.0 else (a, b)  # mirrored onto x > 0, -0 to 0
-            with np.errstate(divide="ignore"):  # an origin piece's range is infinite when a = 0
-                y_lo = -np.log(far) if piece.role == "origin" else np.log(near)
-                length = np.log1p((far - near) / near)  # ln(far/near), to its last digits however short
+            y_lo = -np.log(far) if piece.role == "origin" else np.log(near)
+            length = np.log1p((far - near) / near)  # ln(far/near), to its last digits however short
             rows = np.isfinite(length) | _piece_converges(piece, 1.0)
             logs, rel[rows] = _log_singular_integrals(f, piece, np.ones(rows.sum()), y_lo[rows], length[rows])
             mass[rows] = np.exp(logs)

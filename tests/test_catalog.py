@@ -437,11 +437,14 @@ def _inverse_square(x: float) -> float:
         (lambda: TestFunction.user(_inverse_square, (Piece("tail", 0.0, math.inf, power=2.0),)), "one side of 0"),
         (lambda: TestFunction.user(_inverse_square, (Piece("tail", -math.inf, math.inf, power=2.0),)), "one side of 0"),
         (lambda: TestFunction.user(abs, (Piece("origin", 0.0, math.inf, power=0.5),)), "at a finite other end"),
+        # a log power across |x| = 1, where |ln|x|| is 0: the piece integral in y read nan there
+        (lambda: TestFunction.user(_inverse_square, (Piece("tail", 0.5, math.inf, 2.0, 1.0),)), "cross \\|x\\| = 1"),
+        (lambda: TestFunction.user(abs, (Piece("origin", 0.0, 2.0, 0.5, -1.0),)), "cross \\|x\\| = 1"),
         (lambda: TestFunction("custom", "raw", (Piece("plain", 0.0, 1.0), Piece("plain", 0.5, 2.0))), "overlap"),
         (lambda: TestFunction("custom", "raw", ()), "needs the pieces"),
     ],
     ids=["role", "nan-end", "empty", "overlap", "nested", "tail-across-0", "tail-from-0", "tail-both-ways",
-         "origin-to-inf", "raw-overlap", "raw-no-pieces"],
+         "origin-to-inf", "tail-log-across-1", "origin-log-across-1", "raw-overlap", "raw-no-pieces"],
 )
 def test_malformed_pieces_are_refused_when_built(build, match):
     with pytest.raises(DomainError, match=match):

@@ -24,6 +24,7 @@ from glpot import (
     interval_mass,
     log_potential_far,
     log_potential_near,
+    lp_norm,
     macdonald_K,
     maximal_over_grid,
     parse_kernel_spec,
@@ -534,6 +535,16 @@ class TestIntervalMass:
         for (a, b), m in zip(bounds, got):
             assert m == interval_mass(f, a, b)
             assert m == pytest.approx(exact(a, b), rel=1e-12, abs=1e-300)
+
+    def test_user_density_that_vanishes_on_part_of_a_piece(self):
+        # 0 on (2, 3) and x^-2 beyond, on one x^-2 tail: read as its annotation where it is 0, the mass
+        # over (2, 3) was 1/6 and the L_1 norm 1/2
+        f = TestFunction.user(lambda x: 0.0 if x < 3.0 else x**-2.0, (Piece("tail", 2.0, math.inf, power=2.0),))
+        lo, hi = np.array([2.0, 2.5, 2.0, 2.0, 3.5]), np.array([3.0, 2.9, 4.0, math.inf, 4.0])
+        got = _interval_masses(f, lo, hi)
+        assert got[:2].tolist() == [0.0, 0.0]
+        assert got[2:] == pytest.approx([1.0 / 12.0, 1.0 / 3.0, 1.0 / 3.5 - 0.25], rel=1e-12)
+        assert lp_norm(f, 1.0) == pytest.approx(1.0 / 3.0, rel=1e-12)
 
     def test_unbounded_plain_piece(self):
         # a plain piece states no decay: the mass over (-inf, inf) of exp(-x^2) read 1.1e-297 for sqrt(pi)
