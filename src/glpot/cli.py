@@ -80,18 +80,34 @@ def _parse_multiindex(text: str) -> MultiIndex:
         raise DomainError(f"malformed multi-index {text!r}") from exc
 
 
-def _failed_value(exc: Exception, where: str) -> float:
-    """inf for a divergence (every integrand is non-negative), nan for a missed tolerance; named on stderr."""
-    sys.stderr.write(f"numeric failure at {where}: {exc}\n")
-    return math.inf if isinstance(exc, DivergenceError) else math.nan
-
-
 def _emit(lines: list[str], out: str | None) -> None:
     text = "\n".join(lines) + "\n"
     if out:
         Path(out).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
+
+
+def _emit_rows(header: str, name: str, points, lead, compute, out: str | None) -> int:
+    """Write a CSV row per point, lead(point)'s columns then compute(point)'s, and return the exit code.
+
+    A point where compute raises DivergenceError reads inf (every integrand is non-negative), one
+    where it raises ToleranceError nan, in its first computed column and nan in the rest; it is named
+    on stderr, every row is still written, and the code is 3.
+    """
+    lines, failed = [header], 0
+    for point in points:
+        cells = lead(point)
+        try:
+            cells += tuple(compute(point))
+        except (DivergenceError, ToleranceError) as exc:
+            sys.stderr.write(f"numeric failure at {name}={format_value(point)}: {exc}\n")
+            n_computed = header.count(",") + 1 - len(cells)
+            cells += (math.inf if isinstance(exc, DivergenceError) else math.nan,) + (math.nan,) * (n_computed - 1)
+            failed += 1
+        lines.append(",".join(format_value(cell) for cell in cells))
+    _emit(lines, out)
+    return 3 if failed else 0
 
 
 #: every weight transform of 'transform --kind': the optional flags it reads, each with its default, and its
@@ -195,17 +211,8 @@ def _cmd_transform(args) -> int:
 def _cmd_lpnorm(args) -> int:
     f = parse_form_spec(args.form)
     spec = _quad_from_args(args)
-    lines = ["form,p,value,error_estimate"]
-    failed = 0
-    for p in args.p:
-        try:
-            value, error = lp_norm_report(f, p, spec)
-        except (DivergenceError, ToleranceError) as exc:
-            value, error = _failed_value(exc, f"p={format_value(p)}"), math.nan
-            failed += 1
-        lines.append(f"{f.label},{format_value(p)},{format_value(value)},{format_value(error)}")
-    _emit(lines, args.out)
-    return 3 if failed else 0
+    return _emit_rows("form,p,value,error_estimate", "p", args.p, lambda p: (f.label, p),
+                      lambda p: lp_norm_report(f, p, spec), args.out)
 
 
 def _cmd_grand(args) -> int:
@@ -229,18 +236,8 @@ def _cmd_vfun(args) -> int:
     spec = _quad_from_args(args)
     params = PotentialParams(1, args.alpha)
     evaluator = PotentialNormEvaluator(f, KernelSpec.riesz(args.alpha), spec)  # its tables serve every p
-    lines = ["form,p,q,V"]
-    failed = 0
-    for p in args.p:
-        q = sobolev_q(p, params)
-        try:
-            v = v_functional(f, p, args.alpha, spec, evaluator=evaluator)
-        except (DivergenceError, ToleranceError) as exc:
-            v = _failed_value(exc, f"p={format_value(p)}")
-            failed += 1
-        lines.append(f"{f.label},{format_value(p)},{format_value(q)},{format_value(v)}")
-    _emit(lines, args.out)
-    return 3 if failed else 0
+    return _emit_rows("form,p,q,V", "p", args.p, lambda p: (f.label, p, sobolev_q(p, params)),
+                      lambda p: (v_functional(f, p, args.alpha, spec, evaluator=evaluator),), args.out)
 
 
 def _cmd_potential(args) -> int:
@@ -248,17 +245,8 @@ def _cmd_potential(args) -> int:
     kernel = parse_kernel_spec(args.kernel)
     grid = parse_grid_spec(args.grid)
     spec = _quad_from_args(args)
-    lines = ["x,value,error_estimate"]
-    failed = 0
-    for x in grid.points:
-        try:
-            value, error = apply_kernel_report(f, x, kernel, spec)
-        except (DivergenceError, ToleranceError) as exc:
-            value, error = _failed_value(exc, f"x={format_value(x)}"), math.nan
-            failed += 1
-        lines.append(f"{format_value(x)},{format_value(value)},{format_value(error)}")
-    _emit(lines, args.out)
-    return 3 if failed else 0
+    return _emit_rows("x,value,error_estimate", "x", grid.points, lambda x: (x,),
+                      lambda x: apply_kernel_report(f, x, kernel, spec), args.out)
 
 
 def _cmd_verify(args) -> int:

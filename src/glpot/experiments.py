@@ -125,21 +125,21 @@ def _run_e1(cfg: ExperimentConfig) -> ExperimentResult:
     def h_norm(p: float) -> float:
         return (lp_norm_closed_form(fd, p) ** p + lp_norm_closed_form(gd, p) ** p) ** (1.0 / p)
 
-    psi_h = PsiFunction.from_callable(1.0, params.p_upper, h_norm, "h-norm weight")
+    psi_h = PsiFunction(1.0, params.p_upper, h_norm, "h-norm weight")
     zeta = riesz_zeta(psi_h, params)
     evaluator = PotentialNormEvaluator(f, KernelSpec.riesz(alpha))
     rows = []
     sides = {"low": [], "high": []}
     for off in cfg.offsets:
         q = params.q_lower + off
-        ratio = evaluator.qnorm(q) / zeta(q)
+        ratio = math.exp(evaluator.log_qnorm(q)) / zeta(q)
         sides["low"].append(ratio)
         rows.append(("low", off, q, ratio))
     p_span = 0.9 * (params.p_upper - 1.0)
     for off in cfg.offsets:
         p = params.p_upper - min(off, 1.0) * p_span
         q = sobolev_q(p, params)
-        ratio = evaluator.qnorm(q) / zeta(q)
+        ratio = math.exp(evaluator.log_qnorm(q)) / zeta(q)
         sides["high"].append(ratio)
         rows.append(("high", off, q, ratio))
     bound_low = max(sides["low"]) / min(sides["low"])

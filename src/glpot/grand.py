@@ -34,7 +34,7 @@ from .exponents import PotentialParams, sobolev_q
 from .norms import _lp_norms, check_lp_convergence, lp_norm
 from .potentials import KernelSpec, log_potential_far, log_potential_near
 from .psi import PsiFunction
-from .quadrature import QuadratureSpec, log_piecewise_integral, logsumexp_pair
+from .quadrature import QuadratureSpec, log_piecewise_integral
 
 _LOG_DECAY_MARGIN = 46.0  # e^-46 ~ 1e-20: contribution cut under the peak
 #: PotentialNormEvaluator's first near/far grid ratio and inner point count (each refinement
@@ -296,9 +296,9 @@ class PotentialNormEvaluator:
         total = -math.inf
         for side in (1.0, -1.0):
             self._evaluate_side(side)
-            total = logsumexp_pair(total, self._grown_log_integral(side, q, near=True, stride=stride))
-            total = logsumexp_pair(total, self._inner_log_integral(side, q, stride=stride))
-            total = logsumexp_pair(total, self._grown_log_integral(side, q, near=False, stride=stride))
+            total = np.logaddexp(total, self._grown_log_integral(side, q, near=True, stride=stride))
+            total = np.logaddexp(total, self._inner_log_integral(side, q, stride=stride))
+            total = np.logaddexp(total, self._grown_log_integral(side, q, near=False, stride=stride))
         return total
 
     def _refine(self) -> None:
@@ -330,9 +330,6 @@ class PotentialNormEvaluator:
         raise ToleranceError(
             f"tabulated q-norm for {self.f.label} did not stabilise at q={q:.17g}", achieved=achieved
         )
-
-    def qnorm(self, q: float) -> float:
-        return math.exp(self.log_qnorm(q))
 
     def restricted_log_qnorm(self, q: float, side: float) -> float:
         """ln of the norm restricted to one near region (|x| <= 1/e, one sign)."""

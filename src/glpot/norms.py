@@ -28,7 +28,7 @@ from scipy.optimize import brentq
 
 from .catalog import MonotoneBranch, Piece, TestFunction
 from .errors import DivergenceError, DomainError, ToleranceError
-from .quadrature import QuadratureSpec, integrate_batch, logsumexp_pair, tail_cutoff
+from .quadrature import QuadratureSpec, integrate_batch, tail_cutoff
 from .special import log_upper_gamma
 
 
@@ -256,7 +256,7 @@ def lp_norm_closed_form(f: TestFunction, p: float) -> float:
         else:
             m, c = piece.log_power * p, piece.rate(p)
             lv = (-m - 1.0) * math.log(c) + log_upper_gamma(m + 1.0, c * piece.y0)
-        log_power = logsumexp_pair(log_power, lv)
+        log_power = np.logaddexp(log_power, lv)
     return f.coefficient * math.exp(log_power / p)
 
 

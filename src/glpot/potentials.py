@@ -447,11 +447,6 @@ def apply_kernel(f: TestFunction, x: float, kernel: KernelSpec, spec: Quadrature
     return apply_kernel_report(f, x, kernel, spec).value
 
 
-def bessel_potential(f: TestFunction, x: float, alpha: float, spec: QuadratureSpec | None = None) -> float:
-    """Convolution with the exponentially decaying smoothed kernel."""
-    return apply_kernel(f, x, KernelSpec.bessel(alpha), spec)
-
-
 # ---------------------------------------------------------------------------
 # scaled (log-space) evaluation at extreme arguments
 # ---------------------------------------------------------------------------
@@ -854,9 +849,7 @@ def hl_maximal(f: TestFunction, x, n_grid: int = 200):
 def fractional_maximal(f: TestFunction, x, alpha: float, n_grid: int = 200):
     """sup over rho > 0 of rho^(alpha-1) * integral of |f| over [x-rho, x+rho].
 
-    ``x`` is a float (float result) or a 1-D array (array result).  This is
-    the pointwise function; folding a sup over x is a separate explicit step
-    (see :func:`maximal_over_grid`).
+    ``x`` is a float (float result) or a 1-D array (array result).
     """
     if not (0.0 < alpha < 1.0):
         raise DomainError(f"alpha must be in (0,1), got {alpha}")
@@ -886,10 +879,3 @@ class EvalGrid:
         if n < 2 or not 0.0 < lo < hi:
             raise DomainError("geometric grid needs n >= 2 and 0 < lo < hi")
         return EvalGrid(tuple(np.geomspace(lo, hi, n)))
-
-
-def maximal_over_grid(f: TestFunction, grid: EvalGrid, alpha: Optional[float] = None) -> float:
-    """Fold of the pointwise maximal function over a grid (max over points)."""
-    points = np.array(grid.points)
-    values = hl_maximal(f, points) if alpha is None else fractional_maximal(f, points, alpha)
-    return float(np.max(values))

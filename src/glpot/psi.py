@@ -32,8 +32,8 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 class SlowlyVarying:
     """Positive function S on (0, inf) with S(lambda z)/S(z) -> 1 as z -> inf.
 
-    The built-in family is (1 + ln(1+z))^kappa with |kappa| <= 2; arbitrary
-    evaluators can be wrapped with :meth:`from_callable`.
+    The built-in family is (1 + ln(1+z))^kappa with |kappa| <= 2; any other
+    evaluator is built directly, with kappa None.
     """
 
     def __init__(self, fn: Callable[[float], float], label: str, kappa: Optional[float] = None):
@@ -64,10 +64,6 @@ class SlowlyVarying:
     @staticmethod
     def constant() -> "SlowlyVarying":
         return SlowlyVarying(lambda z: 1.0, "1", 0.0)
-
-    @staticmethod
-    def from_callable(fn: Callable[[float], float], label: str = "user") -> "SlowlyVarying":
-        return SlowlyVarying(fn, label, None)
 
 
 def check_slowly_varying(S: SlowlyVarying, lambdas, z_max: float) -> float:
@@ -171,10 +167,6 @@ class PsiFunction:
             raise DomainError(f"constant weight must be positive, got {value}")
         return PsiFunction(a, b, lambda p: value, label or f"const({value:g})")
 
-    @staticmethod
-    def from_callable(a: float, b: float, fn: Callable[[float], float], label: str = "psi") -> "PsiFunction":
-        return PsiFunction(a, b, fn, label)
-
 
 @dataclass(frozen=True)
 class PowerPsiSpec:
@@ -201,9 +193,9 @@ class PowerPsiSpec:
                 raise DomainError("finite-interval power weight requires beta, gamma >= 0")
 
 
-def make_power_psi(spec: PowerPsiSpec) -> PsiFunction:
+def power_psi(a: float, b: float, beta: float, gamma: float) -> PsiFunction:
     """Build the power weight; for b = inf the crossover is found by bracketed root-finding."""
-    a, b, beta, gamma = spec.a, spec.b, spec.beta, spec.gamma
+    PowerPsiSpec(a, b, beta, gamma)  # checks the parameters
     if b != math.inf:
         fn = lambda p: (p - a) ** -beta * (b - p) ** -gamma
         return PsiFunction(a, b, fn, f"power(a={a:g},b={b:g},beta={beta:g},gamma={gamma:g})")
@@ -224,11 +216,6 @@ def make_power_psi(spec: PowerPsiSpec) -> PsiFunction:
     psi = PsiFunction(a, b, fn, f"power(a={a:g},b=inf,beta={beta:g},gamma={gamma:g},h={h:.12g})")
     psi.crossover = h
     return psi
-
-
-def power_psi(a: float, b: float, beta: float, gamma: float) -> PsiFunction:
-    """Convenience wrapper around :func:`make_power_psi`."""
-    return make_power_psi(PowerPsiSpec(a, b, beta, gamma))
 
 
 # ---------------------------------------------------------------------------

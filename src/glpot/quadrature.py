@@ -254,16 +254,6 @@ def tail_cutoff(decay_rate: float, poly_degree: float, start: float) -> float:
     return t
 
 
-def logsumexp_pair(a: float, b: float) -> float:
-    """log(e^a + e^b) without overflow; tolerates -inf."""
-    if a == -math.inf:
-        return b
-    if b == -math.inf:
-        return a
-    m = max(a, b)
-    return m + math.log(math.exp(a - m) + math.exp(b - m))
-
-
 def log_piecewise_integral(ys, gs) -> float:
     """log of the integral of exp(piecewise-linear g) over the grid ``ys``.
 

@@ -385,7 +385,7 @@ class TestDistribution:
 
     def test_callable_slow_factor_has_no_branches(self):
         # the log_power(-2) factor as a callable: it turns, but states no kappa to find its turns by
-        f = TestFunction.big_r(0.5, 0.0, SlowlyVarying.from_callable(lambda z: (1.0 + math.log1p(z)) ** -2.0))
+        f = TestFunction.big_r(0.5, 0.0, SlowlyVarying(lambda z: (1.0 + math.log1p(z)) ** -2.0, "user"))
         assert f.branches == ()
         with pytest.raises(DomainError, match="no monotone-branch annotation"):
             distribution_function(f, 0.5705)

@@ -18,7 +18,6 @@ from glpot import (
     ToleranceError,
     apply_kernel,
     apply_kernel_report,
-    bessel_potential,
     fractional_maximal,
     hl_maximal,
     interval_mass,
@@ -26,7 +25,6 @@ from glpot import (
     log_potential_near,
     lp_norm,
     macdonald_K,
-    maximal_over_grid,
     parse_kernel_spec,
 )
 from glpot.catalog import Piece
@@ -34,6 +32,7 @@ from glpot.potentials import _interval_masses
 from glpot.special import upper_gamma
 
 RIESZ_HALF = KernelSpec.riesz(0.5)
+BESSEL_HALF = KernelSpec.bessel(0.5)
 
 
 # (form, mpmath density of |f|) for the mass oracles
@@ -425,14 +424,14 @@ class TestAsymptoticShapes:
 class TestBesselPotential:
     def test_far_field_decay(self):
         ind = TestFunction.indicator(0.0, 1.0)
-        assert bessel_potential(ind, 10.0, 0.5) < 1e-3
+        assert apply_kernel(ind, 10.0, BESSEL_HALF) < 1e-3
 
     def test_linearity(self):
         rng = np.random.default_rng(4)
         ind = TestFunction.indicator(0.0, 1.0)
         for x in rng.uniform(-2.0, 3.0, 10):
-            a = bessel_potential(ind.scaled(2.5), float(x), 0.5)
-            b = bessel_potential(ind, float(x), 0.5)
+            a = apply_kernel(ind.scaled(2.5), float(x), BESSEL_HALF)
+            b = apply_kernel(ind, float(x), BESSEL_HALF)
             assert a == pytest.approx(2.5 * b, rel=1e-8)
 
     @pytest.mark.parametrize("p", [2.0, 3.0])
@@ -440,7 +439,7 @@ class TestBesselPotential:
         # both |smoothed f|_p and |I f|_p are finite for the indicator
         ind = TestFunction.indicator(0.0, 1.0)
         xs = np.linspace(-8.0, 9.0, 121)
-        smoothed = np.array([bessel_potential(ind, float(x), 0.5) for x in xs])
+        smoothed = np.array([apply_kernel(ind, float(x), BESSEL_HALF) for x in xs])
         plain = np.array([apply_kernel(ind, float(x), RIESZ_HALF) for x in xs])
         n_smooth = np.trapezoid(smoothed**p, xs) ** (1.0 / p)
         n_plain = np.trapezoid(plain**p, xs) ** (1.0 / p)
@@ -645,12 +644,6 @@ class TestMaximalOperators:
     def test_even_density_has_even_maximal(self, x):
         left, right = hl_maximal(TestFunction.big_r(0.5, 1.0), np.array([-x, x]))
         assert left == pytest.approx(right, rel=1e-14)
-
-    def test_grid_fold(self):
-        ind = TestFunction.indicator(0.0, 1.0)
-        grid = EvalGrid.uniform(-1.0, 2.0, 7)
-        folded = maximal_over_grid(ind, grid, alpha=0.5)
-        assert folded >= fractional_maximal(ind, 0.5, 0.5) * (1.0 - 1e-12)
 
     def test_grid_validation(self):
         with pytest.raises(DomainError):

@@ -15,7 +15,6 @@ from glpot import (
     check_slowly_varying,
     derivative_zeta,
     fit_growth_exponent,
-    make_power_psi,
     parse_psi_spec,
     power_psi,
     riesz_zeta,
@@ -51,7 +50,7 @@ class TestSlowlyVarying:
         assert check_slowly_varying(S, [2.0], 1e9) < check_slowly_varying(S, [2.0], 1e6)
 
     def test_not_slowly_varying(self):
-        S = SlowlyVarying.from_callable(lambda z: z, "z")
+        S = SlowlyVarying(lambda z: z, "z")
         assert check_slowly_varying(S, [2.0], 1e6) == pytest.approx(1.0, rel=1e-12)
 
     def test_validation(self):
