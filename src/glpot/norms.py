@@ -105,11 +105,22 @@ def _log_singular_integrals(f: TestFunction, piece: Piece, ps: np.ndarray, y_lo:
     each term is small where the integrand is not, so none is the difference
     of two terms of size p power y, however large p or close to an endpoint
     of its interval.  The range ends at y_lo - y_peak + length in s, so a
-    short one keeps the digits of its length.  An infinite length needs c > 0
-    and is cut where tail_cutoff drops the rest, which the error then covers.
+    short one keeps the digits of its length.  An infinite length needs c > 0,
+    or c = 0 and m < -1, and is cut where tail_cutoff drops the rest, which the
+    error then covers.  Such a row with c = 0 decays only as a power of y, so it
+    is integrated in ln y instead, where y^m dy = e^((m + 1) ln y) d ln y: its
+    rate there is -(m + 1) and its power 0.
     """
     c = np.array([piece.rate(p) for p in ps])
     m = piece.log_power * ps
+    in_log = (c == 0.0) & (m < -1.0) & (True if length is None else np.isinf(length))
+    logs = in_log.any()
+    if logs:
+        if y_lo is None:  # the range path gives the other rows of the whole piece the same bits
+            y_lo, length = np.full(len(ps), piece.y0), np.full(len(ps), math.inf)
+        with np.errstate(divide="ignore"):  # y_lo = 0, where y^m is not integrable: nan below
+            y_lo = np.where(in_log, np.log(y_lo), y_lo)
+        c, m = np.where(in_log, -1.0 - m, c), np.where(in_log, 0.0, m)
     decays = c > 0.0
     if not (decays if length is None else decays[np.isinf(length)]).all():
         raise DomainError(f"|{f.label}|_p: the batched rule needs |f|^p to decay exponentially in |ln|x||")
@@ -137,17 +148,25 @@ def _log_singular_integrals(f: TestFunction, piece: Piece, ps: np.ndarray, y_lo:
     below = start[:, None] * (1.0 - _TOWARD_Y0 / 2.0)
     lo = np.concatenate([below[:, :-1], outward_left[:, 1:], outward_right[:, :-1]], axis=1)
     hi = np.concatenate([below[:, 1:], outward_left[:, :-1], outward_right[:, 1:]], axis=1)
+    y_scale = np.where(in_log, 1.0, y_peak) if logs else y_peak  # of the m term, which is 0 on rows in ln y
+
+    def y_at(rows, v):  # y at the row coordinate v = y_peak + s
+        if not logs:
+            return v
+        with np.errstate(over="ignore"):  # past |x| = e^700 a user density follows its annotation anyway
+            return np.where(in_log[rows], np.exp(v), v)
+
     extra = _log_extra(f, piece)
-    extra_peak = np.zeros(len(ps)) if extra is None else extra(y_peak)
+    extra_peak = np.zeros(len(ps)) if extra is None else extra(y_at(slice(None), y_peak))
     if f.evaluator is not None:  # a density that is 0 at the peak: scale by its annotation there
         extra_peak[extra_peak == -np.inf] = 0.0
 
     def exponent(rows, s):
         g = -c[rows, None] * s
         if piece.log_power != 0.0:
-            g += m[rows, None] * np.log1p(s / y_peak[rows, None])
+            g += m[rows, None] * np.log1p(s / y_scale[rows, None])
         if extra is not None:
-            g += ps[rows, None] * (extra(y_peak[rows, None] + s) - extra_peak[rows, None])
+            g += ps[rows, None] * (extra(y_at((rows, None), y_peak[rows, None] + s)) - extra_peak[rows, None])
         return g
 
     value, error = integrate_batch(lambda rows, s: np.exp(exponent(rows, s)), lo, hi)

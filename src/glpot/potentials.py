@@ -60,6 +60,8 @@ _END_PANEL = 1e-3
 _ROUNDING = 64 * _EPS
 #: bound on the relative error of :func:`macdonald_K` on (0, BESSEL_REACH], nu in [0, 5]
 MACDONALD_REL_ERR = 5e-13
+#: error in ln u of the scaled evaluators, which the mpmath tests hold them to; they estimate none of their own
+SCALED_LN_U_ERR = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -365,12 +367,21 @@ def apply_kernel_report(
     error is the rows' G20/K41 estimates, the bound of each cut tail,
     what the rounding of each row end can move, a rounding floor and the
     kernel's own evaluation error; past ``spec.rel_tol`` of the value it
-    raises ToleranceError.
+    raises ToleranceError.  A subnormal x next to a catalog density's
+    singularity at 0 leaves too few floats between the two for these rows;
+    under a power kernel its value comes from the scaled evaluator, which
+    works in ln|x|, with SCALED_LN_U_ERR as its relative error.
     """
     if not math.isfinite(x):
         raise DomainError(f"potential of {f.label}: x must be finite, got {x}")
     spec = spec or QuadratureSpec()
     _check_apply_convergence(f, x, kernel)
+    subnormal = 0.0 < abs(x) < sys.float_info.min
+    if subnormal and f.origin_exponents != (0.0, 0.0) and f.evaluator is None and kernel.variant != "bessel":
+        value = math.exp(log_potential_far(f, kernel, math.log(abs(x)), math.copysign(1.0, x)))
+        if SCALED_LN_U_ERR > spec.rel_tol:
+            raise ToleranceError(f"potential at x={x:.17g} too inaccurate", achieved=SCALED_LN_U_ERR)
+        return IntegralResult(value, SCALED_LN_U_ERR * value)
     rows = [_row(f, x, kernel, piece, lo, hi) for piece, lo, hi in _subpieces(f, x, kernel)]
     if not rows:
         return _NOTHING_IN_REACH
@@ -514,20 +525,21 @@ def _log_power_panel(rest, exponent: float, v_lo: np.ndarray, scale: np.ndarray)
 
 
 def _log_outward(make, k: float, near: np.ndarray, far: np.ndarray, step: float, degree: float,
-                 kink: Optional[np.ndarray] = None) -> np.ndarray:
+                 kink: Optional[np.ndarray] = None, length: Optional[np.ndarray] = None) -> np.ndarray:
     """ln of the integral over w from near (next to z = 1) outward to far, in direction step.
 
     Panels of width 1, 8, 64, ... from near and, where e^(k w) peaks at
     far, from far as well, so that the peak never falls in a wide panel;
     one more edge at kink where it lies inside the range (nan: nowhere).
     An infinite far is cut at the decaying-tail rule's truncation point.
-    make(anchor, sign) is the integrand in s = sign (w - anchor) >= 0 with
-    its log scale, anchored at the end where e^(k w) peaks: the nodes there
-    stay exact at any |w|.
+    length, where finite, is (far - near) step to more digits than that
+    difference keeps.  make(anchor, sign) is the integrand in
+    s = sign (w - anchor) >= 0 with its log scale, anchored at the end
+    where e^(k w) peaks: the nodes there stay exact at any |w|.
     """
     if np.isinf(far).any():
         far = np.where(np.isinf(far), near + step * tail_cutoff(-k * step, degree, 0.0), far)
-    length = (far - near) * step
+    length = (far - near) * step if length is None else np.where(np.isinf(length), (far - near) * step, length)
     cuts = [0.0, 1.0]
     while cuts[-1] < length.max():
         cuts.append(8.0 * cuts[-1] + 1.0)
@@ -545,8 +557,8 @@ def _log_outward(make, k: float, near: np.ndarray, far: np.ndarray, step: float,
 
 
 def _log_piece_integral(f: TestFunction, piece: Piece, kernel: KernelSpec, ln_x: np.ndarray, sigma: float,
-                        w_lo: np.ndarray, w_hi: np.ndarray) -> np.ndarray:
-    """ln of one piece's share c^-1 u at each ln_x, whose range in w = ln z is (w_lo, w_hi)."""
+                        inner: float, outer: float) -> np.ndarray:
+    """ln of one piece's share c^-1 u at each ln_x, whose range in |y| is (inner, outer)."""
     alpha, power, delta = kernel.alpha, piece.power, piece.log_power
     am1, k_low, k_up = alpha - 1.0, 1.0 - power, alpha - power
     dens = piece.role != "plain" and (delta != 0.0 or f.slow is not None)
@@ -559,7 +571,8 @@ def _log_piece_integral(f: TestFunction, piece: Piece, kernel: KernelSpec, ln_x:
         if len(idx):
             total[idx] = np.logaddexp(total[idx], log_part(*(a if a is None else a[idx] for a in arrays)))
 
-    # the truncation window |1 - sigma z| < e^r; the kernel end keeps the unclipped range
+    # the range in w = ln z, and the truncation window |1 - sigma z| < e^r; the kernel end keeps the unclipped range
+    w_lo, w_hi = (math.log(inner) if inner > 0.0 else -math.inf) - ln_x, math.log(outer) - ln_x
     r = math.log(kernel.reach) - ln_x
     s_lo, s_hi = w_lo, w_hi
     if sigma > 0.0:
@@ -571,6 +584,16 @@ def _log_piece_integral(f: TestFunction, piece: Piece, kernel: KernelSpec, ln_x:
         with np.errstate(all="ignore"):  # branches np.where discards
             w_hi = np.where(live, np.minimum(w_hi, r + np.log(-np.expm1(-r))), -np.inf)
         w_lo = np.where(live, w_lo, np.inf)
+    span = np.full(ln_x.shape, np.inf)  # ln(y_hi / y_lo) where the window cuts the range short, else inf
+    if kernel.reach != math.inf:
+        # from y_hi - y_lo, so that a sliver keeps its last digits: each end is a + b in |y|, a piece end
+        # or a window edge |x| - R, |x| + R (sigma > 0) or R - |x| (sigma < 0), with b the part in |x|
+        reach, cut_lo, cut_hi = kernel.reach, w_lo > s_lo, w_hi < s_hi
+        with np.errstate(all="ignore"):  # |x| overflowing where the window leaves nothing, and ranges it leaves whole
+            x_abs = np.exp(ln_x)
+            a_lo, b_lo = np.where(cut_lo, -reach, inner), np.where(cut_lo, x_abs, 0.0)
+            a_hi, b_hi = np.where(cut_hi, reach, outer), np.where(cut_hi, sigma * x_abs, 0.0)
+            span = np.where(cut_lo | cut_hi, np.log1p(((a_hi - a_lo) + (b_hi - b_lo)) / (a_lo + b_lo)), np.inf)
 
     if not (dens or kernel_log):
         def density_end(ln_x, w_hi):
@@ -644,8 +667,8 @@ def _log_piece_integral(f: TestFunction, piece: Piece, kernel: KernelSpec, ln_x:
 
         return in_w, (0.0 if upper else am1 * ln_x) + k * lx
 
-    def outward(k, upper, step, ln_x, near, far, kink):
-        return _log_outward(partial(make, k, upper, ln_x), k, near, far, step, delta + kernel.beta, kink)
+    def outward(k, upper, step, ln_x, near, far, kink, length):
+        return _log_outward(partial(make, k, upper, ln_x), k, near, far, step, delta + kernel.beta, kink, length)
 
     kinks = (None, None)
     if kernel_log:  # w where ln|1 - sigma z| = -L, below and above z = 1 (nan where there is none)
@@ -659,7 +682,9 @@ def _log_piece_integral(f: TestFunction, piece: Piece, kernel: KernelSpec, ln_x:
         (k_low, False, np.minimum(b_lo, w_hi), w_lo, -1.0, kinks[0]),
         (k_up, True, np.maximum(b_hi, w_lo), w_hi, 1.0, kinks[1]),
     ):
-        region((far - near) * step > 0.0, partial(outward, k, upper, step), ln_x, near, far, kink)
+        # a region that is the whole of a range the window cuts short takes the range's span as its length
+        length = np.where((near == (w_hi if step < 0.0 else w_lo)) & np.isfinite(span), span, (far - near) * step)
+        region(length > 0.0, partial(outward, k, upper, step), ln_x, near, far, kink, length)
     return total
 
 
@@ -684,10 +709,7 @@ def _log_potential(f: TestFunction, kernel: KernelSpec, ln_x, side: float):
         spans = [(piece.lo, 0.0), (0.0, piece.hi)] if piece.lo < 0.0 < piece.hi else [(piece.lo, piece.hi)]
         for lo, hi in spans:
             inner, outer = sorted((abs(lo), abs(hi)))
-            ln_inner = math.log(inner) if inner > 0.0 else -math.inf
-            ln_i = _log_piece_integral(
-                f, piece, kernel, lx, side if hi > 0.0 else -side, ln_inner - lx, math.log(outer) - lx
-            )
+            ln_i = _log_piece_integral(f, piece, kernel, lx, side if hi > 0.0 else -side, inner, outer)
             total = np.logaddexp(total, ln_i)
     total += math.log(f.coefficient)
     return float(total[0]) if np.ndim(ln_x) == 0 else total
@@ -785,7 +807,7 @@ def _integrated_masses(f: TestFunction, piece: Piece, a: np.ndarray, b: np.ndarr
     if missed.any():
         i = np.argmax(missed)
         raise ToleranceError(
-            f"mass of {f.label} over ({a[i]:.17g}, {b[i]:.17g}) not resolved: achieved relative error {rel[i]:.3g}",
+            f"mass of {f.label} over ({a[i]:.17g}, {b[i]:.17g}) not resolved",
             achieved=float(rel[i]),
         )
     return mass[inverse]

@@ -457,3 +457,21 @@ def test_indicator_needs_finite_ends(lo, hi):
     # lp_norm_closed_form read inf
     with pytest.raises(DomainError, match="an indicator needs finite ends"):
         TestFunction.indicator(lo, hi)
+
+
+@pytest.mark.parametrize(
+    "build, match",
+    [
+        (lambda: TestFunction.example3(1.0, 1.5), r"alpha must be in \(0,1\), got 1\.0"),
+        (lambda: TestFunction.example3(math.nan, 1.0), r"alpha must be in \(0,1\), got nan"),
+        (lambda: TestFunction.example3(0.5, 0.4), r"example3 needs gamma >= alpha/d = 0\.5"),
+        (lambda: TestFunction.f_delta(0.5, -0.1), r"delta must be >= 0, got -0\.1"),
+        (lambda: TestFunction.big_r(0.5, math.nan), r"delta must be >= 0, got nan"),
+        (lambda: TestFunction.h_delta(0.0, 1.0), r"alpha must be in \(0,1\) for d=1 forms, got 0\.0"),
+    ],
+    ids=["example3-alpha-1", "example3-alpha-nan", "example3-gamma", "f_delta-delta", "big_r-delta-nan",
+         "h_delta-alpha"],
+)
+def test_catalog_parameters_out_of_range_are_refused(build, match):
+    with pytest.raises(DomainError, match=match):
+        build()

@@ -360,6 +360,14 @@ class TestVerify:
         assert "validation error" in capsys.readouterr().err
         assert not list(tmp_path.glob("*.partial"))
 
+    def test_numeric_failure_in_an_experiment_exits_3(self, tmp_path, capsys):
+        # E4's tables at r = 4096 reach q = 65536, where the potential's norm reads as divergent
+        cfg_path = tmp_path / "e4.json"
+        cfg_path.write_text(json.dumps({"name": "E4_truncated_thm6", "r_values": [1024, 2048, 4096]}))
+        assert main(["verify", "E4_truncated_thm6", "--config", str(cfg_path), "--out", str(tmp_path)]) == 3
+        assert "numeric failure: q-norm of the potential of f_zero(0.5,1) appears divergent" in capsys.readouterr().err
+        assert (tmp_path / "E4_truncated_thm6.partial").exists()
+
     def test_config_name_mismatch(self, tmp_path):
         cfg_path = tmp_path / "e5.json"
         cfg_path.write_text(json.dumps({"name": "E5_orlicz_growth_eq37"}))

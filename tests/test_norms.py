@@ -21,6 +21,7 @@ from glpot import (
     distribution_function,
     fit_growth_exponent,
     grand_norm,
+    interval_mass,
     lp_norm,
     lp_norm_closed_form,
     lp_norm_report,
@@ -138,6 +139,10 @@ _GAUSS = TestFunction.user(lambda x: math.exp(-x * x), (Piece("plain", -3.0, 3.0
 _F_DELTA = TestFunction.user(
     lambda x: x**-0.5 * abs(math.log(x)), (Piece("origin", 0.0, 1.0 / E, power=0.5, log_power=1.0),)
 )
+#: 1/(x ln^2 x) on (e, inf): at p = 1 the rate c is 0 and |f| decays in y = ln x only as y^-2
+_LOG_TAIL = TestFunction.user(
+    lambda x: 1.0 / x / math.log(x) ** 2, (Piece("tail", E, math.inf, power=1.0, log_power=-2.0),)
+)
 
 
 class TestLpNormOracles:
@@ -148,14 +153,28 @@ class TestLpNormOracles:
             *((_INV_SQUARE, p, (1.0 / (2.0 * p - 1.0)) ** (1.0 / p)) for p in (1.0, 3.0, 50.0)),
             (_GAUSS, 2.0, math.sqrt(math.sqrt(math.pi / 2.0) * math.erf(3.0 * math.sqrt(2.0)))),
             (_F_DELTA, 1.5, lp_norm_closed_form(TestFunction.f_delta(0.5, 1.0), 1.5)),
+            (_LOG_TAIL, 1.0, 1.0),
         ],
-        ids=["abs-half-1", "abs-half-1.5", "abs-half-1.999", "x^-2-1", "x^-2-3", "x^-2-50", "gauss-2", "f_delta-1.5"],
+        ids=["abs-half-1", "abs-half-1.5", "abs-half-1.999", "x^-2-1", "x^-2-3", "x^-2-50", "gauss-2", "f_delta-1.5",
+             "log-tail-1"],
     )
     def test_user_density_norms_against_closed_forms(self, f, p, want):
         # a user density is evaluated at the nodes, not read from its annotation
         got = lp_norm_report(f, p)
         assert abs(got.value - want) <= 2e-14 * want  # 1.01e-14 at worst (x^-2, p = 1)
         assert abs(got.value - want) <= got.rel_error * want
+
+    @pytest.mark.parametrize("hi, want", [(math.inf, 1.0), (1e6, 1.0 - 1.0 / math.log(1e6)), (E**E, 1.0 - 1.0 / E)])
+    def test_a_tail_that_decays_as_a_power_of_ln_x(self, hi, want):
+        # c = 0 at p = 1: the mass of 1/(x ln^2 x) from e is 1 - 1/ln(hi); refused as not decaying before
+        assert abs(interval_mass(_LOG_TAIL, E, hi) - want) <= 1e-12 * want
+
+    def test_a_row_with_c_zero_leaves_the_other_rows_bits(self):
+        # the c = 0 row runs the whole piece through the range path, which gives the other rows the same bits
+        ps = np.array([1.0, 1.5, 3.0])
+        logs, rels = norms._log_singular_integrals(_LOG_TAIL, _LOG_TAIL.pieces[0], ps)
+        alone = [norms._log_singular_integrals(_LOG_TAIL, _LOG_TAIL.pieces[0], ps[i : i + 1]) for i in (1, 2)]
+        assert [(lv[0], r[0]) for lv, r in alone] == list(zip(logs[1:], rels[1:]))
 
     def test_g0_two_norm(self):
         assert lp_norm(TestFunction.g_delta(0.0), 2.0) == pytest.approx(math.exp(-0.5), rel=1e-9)

@@ -616,6 +616,14 @@ class TestMaximalOperators:
             with pytest.raises(ToleranceError, match=r"mass of user over \(.*\) not resolved"):
                 maximal()
 
+    def test_mass_the_rule_cannot_resolve_is_a_tolerance_error(self):
+        # 1e9 x oscillates ~1.6e8 times over (0, 1): every panel cap is reached before the rule settles
+        f = TestFunction.user(lambda x: 1.0 + 0.5 * math.sin(1e9 * x), (Piece("plain", 0.0, 1.0),))
+        message = r"^mass of user over \(0, 1\) not resolved \(achieved relative error inf\)$"
+        with pytest.raises(ToleranceError, match=message) as e:
+            interval_mass(f, 0.0, 1.0)
+        assert e.value.achieved == math.inf
+
     @pytest.mark.parametrize("name", ["indicator", "f_delta", "h_delta", "big_r", "example3"])
     def test_lockstep_search_matches_scalar_loop(self, name):
         f = MASS_FORMS[name][0]
