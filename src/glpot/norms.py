@@ -150,14 +150,14 @@ def _log_singular_integrals(f: TestFunction, piece: Piece, ps: np.ndarray, y_lo:
     hi = np.concatenate([below[:, 1:], outward_left[:, :-1], outward_right[:, 1:]], axis=1)
     y_scale = np.where(in_log, 1.0, y_peak) if logs else y_peak  # of the m term, which is 0 on rows in ln y
 
-    def y_at(rows, v):  # y at the row coordinate v = y_peak + s
+    def y_at(v, in_ln_y):  # y at the row coordinate v = y_peak + s, which is ln y on the rows in_ln_y
         if not logs:
             return v
         with np.errstate(over="ignore"):  # past |x| = e^700 a user density follows its annotation anyway
-            return np.where(in_log[rows], np.exp(v), v)
+            return np.where(in_ln_y, np.exp(v), v)
 
     extra = _log_extra(f, piece)
-    extra_peak = np.zeros(len(ps)) if extra is None else extra(y_at(slice(None), y_peak))
+    extra_peak = np.zeros(len(ps)) if extra is None else extra(y_at(y_peak, in_log))
     if f.evaluator is not None:  # a density that is 0 at the peak: scale by its annotation there
         extra_peak[extra_peak == -np.inf] = 0.0
 
@@ -166,7 +166,7 @@ def _log_singular_integrals(f: TestFunction, piece: Piece, ps: np.ndarray, y_lo:
         if piece.log_power != 0.0:
             g += m[rows, None] * np.log1p(s / y_scale[rows, None])
         if extra is not None:
-            g += ps[rows, None] * (extra(y_at((rows, None), y_peak[rows, None] + s)) - extra_peak[rows, None])
+            g += ps[rows, None] * (extra(y_at(y_peak[rows, None] + s, in_log[rows, None])) - extra_peak[rows, None])
         return g
 
     value, error = integrate_batch(lambda rows, s: np.exp(exponent(rows, s)), lo, hi)
