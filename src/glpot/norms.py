@@ -113,9 +113,11 @@ def _log_singular_integrals(f: TestFunction, piece: Piece, ps: np.ndarray, y_lo:
     """
     c = np.array([piece.rate(p) for p in ps])
     m = piece.log_power * ps
-    in_log = (c == 0.0) & (m < -1.0) & (True if length is None else np.isinf(length))
-    logs = in_log.any()
-    if logs:
+    in_log = None  # the rows run in ln y, if any: they need a negative log power
+    if piece.log_power < 0.0:
+        in_log = (c == 0.0) & (m < -1.0) & (True if length is None else np.isinf(length))
+        in_log = in_log if in_log.any() else None
+    if in_log is not None:
         if y_lo is None:  # the range path gives the other rows of the whole piece the same bits
             y_lo, length = np.full(len(ps), piece.y0), np.full(len(ps), math.inf)
         with np.errstate(divide="ignore"):  # y_lo = 0, where y^m is not integrable: nan below
@@ -148,16 +150,16 @@ def _log_singular_integrals(f: TestFunction, piece: Piece, ps: np.ndarray, y_lo:
     below = start[:, None] * (1.0 - _TOWARD_Y0 / 2.0)
     lo = np.concatenate([below[:, :-1], outward_left[:, 1:], outward_right[:, :-1]], axis=1)
     hi = np.concatenate([below[:, 1:], outward_left[:, :-1], outward_right[:, 1:]], axis=1)
-    y_scale = np.where(in_log, 1.0, y_peak) if logs else y_peak  # of the m term, which is 0 on rows in ln y
+    y_scale = y_peak if in_log is None else np.where(in_log, 1.0, y_peak)  # of the m term, 0 on rows in ln y
 
-    def y_at(v, in_ln_y):  # y at the row coordinate v = y_peak + s, which is ln y on the rows in_ln_y
-        if not logs:
+    def y_at(v, rows):  # y at the coordinate v = y_peak + s of rows; on the rows in ln y, v is ln y
+        if in_log is None:
             return v
         with np.errstate(over="ignore"):  # past |x| = e^700 a user density follows its annotation anyway
-            return np.where(in_ln_y, np.exp(v), v)
+            return np.where(in_log[rows], np.exp(v), v)
 
     extra = _log_extra(f, piece)
-    extra_peak = np.zeros(len(ps)) if extra is None else extra(y_at(y_peak, in_log))
+    extra_peak = np.zeros(len(ps)) if extra is None else extra(y_at(y_peak, slice(None)))
     if f.evaluator is not None:  # a density that is 0 at the peak: scale by its annotation there
         extra_peak[extra_peak == -np.inf] = 0.0
 
@@ -166,7 +168,7 @@ def _log_singular_integrals(f: TestFunction, piece: Piece, ps: np.ndarray, y_lo:
         if piece.log_power != 0.0:
             g += m[rows, None] * np.log1p(s / y_scale[rows, None])
         if extra is not None:
-            g += ps[rows, None] * (extra(y_at(y_peak[rows, None] + s, in_log[rows, None])) - extra_peak[rows, None])
+            g += ps[rows, None] * (extra(y_at(y_peak[rows, None] + s, (rows, None))) - extra_peak[rows, None])
         return g
 
     value, error = integrate_batch(lambda rows, s: np.exp(exponent(rows, s)), lo, hi)
