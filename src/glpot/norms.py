@@ -270,15 +270,14 @@ def lp_norm_closed_form(f: TestFunction, p: float) -> float:
     check_lp_convergence(f, p)
     if f.evaluator is not None or f.slow is not None:
         raise DomainError(f"no closed-form norm for {f.label}")
-    log_power = -math.inf
+    logs = []
     for piece in f.pieces:
         if piece.role == "plain":
-            lv = math.log(piece.hi - piece.lo)
+            logs.append(math.log(piece.hi - piece.lo))
         else:
             m, c = piece.log_power * p, piece.rate(p)
-            lv = (-m - 1.0) * math.log(c) + log_upper_gamma(m + 1.0, c * piece.y0)
-        log_power = np.logaddexp(log_power, lv)
-    return f.coefficient * math.exp(log_power / p)
+            logs.append((-m - 1.0) * math.log(c) + log_upper_gamma(m + 1.0, c * piece.y0))
+    return f.coefficient * math.exp(functools.reduce(np.logaddexp, logs) / p)
 
 
 # ---------------------------------------------------------------------------
