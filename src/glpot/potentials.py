@@ -584,11 +584,12 @@ def _log_piece_integral(f: TestFunction, piece: Piece, kernel: KernelSpec, ln_x:
         with np.errstate(all="ignore"):  # branches np.where discards
             w_hi = np.where(live, np.minimum(w_hi, r + np.log(-np.expm1(-r))), -np.inf)
         w_lo = np.where(live, w_lo, np.inf)
-    span = np.full(ln_x.shape, np.inf)  # ln(y_hi / y_lo) where the window cuts the range short, else inf
-    if kernel.reach != math.inf:
+    span = None  # ln(y_hi / y_lo) where the window cuts the range short, else inf; None if it cuts none
+    cut_lo, cut_hi = (w_lo > s_lo, w_hi < s_hi) if kernel.reach != math.inf else (None, None)
+    if cut_lo is not None and (cut_lo | cut_hi).any():
         # from y_hi - y_lo, so that a sliver keeps its last digits: each end is a + b in |y|, a piece end
         # or a window edge |x| - R, |x| + R (sigma > 0) or R - |x| (sigma < 0), with b the part in |x|
-        reach, cut_lo, cut_hi = kernel.reach, w_lo > s_lo, w_hi < s_hi
+        reach = kernel.reach
         with np.errstate(all="ignore"):  # |x| overflowing where the window leaves nothing, and ranges it leaves whole
             x_abs = np.exp(ln_x)
             a_lo, b_lo = np.where(cut_lo, -reach, inner), np.where(cut_lo, x_abs, 0.0)
@@ -682,9 +683,10 @@ def _log_piece_integral(f: TestFunction, piece: Piece, kernel: KernelSpec, ln_x:
         (k_low, False, np.minimum(b_lo, w_hi), w_lo, -1.0, kinks[0]),
         (k_up, True, np.maximum(b_hi, w_lo), w_hi, 1.0, kinks[1]),
     ):
-        # a region that is the whole of a range the window cuts short takes the range's span as its length
-        length = np.where((near == (w_hi if step < 0.0 else w_lo)) & np.isfinite(span), span, (far - near) * step)
-        region(length > 0.0, partial(outward, k, upper, step), ln_x, near, far, kink, length)
+        length = (far - near) * step
+        if span is not None:  # a region that is all of a range the window cuts short takes the range's span
+            length = np.where((near == (w_hi if step < 0.0 else w_lo)) & np.isfinite(span), span, length)
+        region(length > 0.0, partial(outward, k, upper, step), ln_x, near, far, kink, None if span is None else length)
     return total
 
 

@@ -282,7 +282,7 @@ def test_apply_kernel_matches_the_scaled_evaluator(form, kernel, x):
     edge = _window_edge_near_a_support_edge(f, k, x)
     try:
         got = apply_kernel_report(f, x, k)
-    except ToleranceError:  # a sliver thinner than the rounding of x -+ radius lets it resolve
+    except ToleranceError:  # a sliver too thin to resolve once x -+ radius is rounded
         assert edge
         return
     want = math.exp(log_potential_far(f, k, math.log(abs(x)), math.copysign(1.0, x)))
