@@ -367,10 +367,13 @@ def apply_kernel_report(
     error is the rows' G20/K41 estimates, the bound of each cut tail,
     what the rounding of each row end can move, a rounding floor and the
     kernel's own evaluation error; past ``spec.rel_tol`` of the value it
-    raises ToleranceError.  A subnormal x next to a catalog density's
-    singularity at 0 leaves too few floats between the two for these rows;
-    under a power kernel its value comes from the scaled evaluator, which
-    works in ln|x|, with SCALED_LN_U_ERR as its relative error.
+    raises ToleranceError.  Two kinds of x leave too few floats for these
+    rows: a subnormal x next to a catalog density's singularity at 0, and a
+    truncated kernel's window edge x -+ radius that cuts a sliver off the
+    support (see :func:`_window_sliver`).  Under a power kernel the value of
+    a catalog density there comes from the scaled evaluator (see
+    :func:`_scaled_report`); a sliver of any other density is a
+    ToleranceError that names it.
     """
     if not math.isfinite(x):
         raise DomainError(f"potential of {f.label}: x must be finite, got {x}")
@@ -378,13 +381,11 @@ def apply_kernel_report(
     _check_apply_convergence(f, x, kernel)
     subnormal = 0.0 < abs(x) < sys.float_info.min
     if subnormal and f.origin_exponents != (0.0, 0.0) and f.evaluator is None and kernel.variant != "bessel":
-        value = math.exp(log_potential_far(f, kernel, math.log(abs(x)), math.copysign(1.0, x)))
-        if SCALED_LN_U_ERR > spec.rel_tol:
-            raise ToleranceError(f"potential at x={x:.17g} too inaccurate", achieved=SCALED_LN_U_ERR)
-        return IntegralResult(value, SCALED_LN_U_ERR * value)
+        return _scaled_report(f, x, kernel, spec, "")
     rows = [_row(f, x, kernel, piece, lo, hi) for piece, lo, hi in _subpieces(f, x, kernel)]
-    if not rows:
-        return _NOTHING_IN_REACH
+    if not rows:  # nothing within reach, unless the window's edge rounded onto an end of the support
+        sliver = _window_sliver(f, x, kernel, spec)
+        return _NOTHING_IN_REACH if sliver is None else _sliver_report(f, x, kernel, spec, sliver)
     n = len(rows)
     # each cut row once more, as the single panel (cut, cut + 1/rate): see the tail below
     rows += [(p, [edges[-1], edges[-1] + 1.0 / rate], rate) for p, edges, rate in rows if not math.isnan(rate)]
@@ -447,11 +448,68 @@ def apply_kernel_report(
     # integrand there, its mean over the end's panel, times that shift bounds what the shift moves
     ends = np.abs(value[n + n_tails :]) @ np.array(shifts)
     err = float(error[:n].sum() + tail + _EPS * ends) + (_ROUNDING + kernel.rel_err) * abs(total)
-    if not (math.isfinite(total) and math.isfinite(err)):
-        raise ToleranceError(f"potential at x={x:.17g} not resolved: value {total}, error {err}", achieved=math.inf)
-    if total != 0.0 and err / abs(total) > spec.rel_tol:
+    finite = math.isfinite(total) and math.isfinite(err)
+    if not finite or (total != 0.0 and err / abs(total) > spec.rel_tol):
+        sliver = _window_sliver(f, x, kernel, spec)
+        if sliver is not None:
+            return _sliver_report(f, x, kernel, spec, sliver)
+        if not finite:
+            raise ToleranceError(f"potential at x={x:.17g} not resolved: value {total}, error {err}", achieved=math.inf)
         raise ToleranceError(f"potential at x={x:.17g} too inaccurate", achieved=err / abs(total))
     return IntegralResult(total, err)
+
+
+def _two_sum(a: float, b: float) -> tuple[float, float]:
+    """(s, e) with s = fl(a + b) and a + b = s + e exactly (Knuth's TwoSum)."""
+    s = a + b
+    b_part = s - a
+    return s, (a - (s - b_part)) + (b - b_part)
+
+
+def _window_sliver(f: TestFunction, x: float, kernel: KernelSpec, spec: QuadratureSpec) -> Optional[str]:
+    """The sliver a truncated kernel's window (x - radius, x + radius) cuts off a piece, if there is one.
+
+    A sliver lies between a window edge and a piece end inside the window,
+    and is narrower than eps (|x| + radius) / rel_tol: what the rounding of
+    the edge, eps (|x| + radius), moves of it passes the tolerance.  Its
+    width comes from the exact edge, so one the rounding closed is found.
+    """
+    if kernel.variant != "truncated":
+        return None
+    widest = _EPS * (abs(x) + kernel.radius) / spec.rel_tol
+    for side in (1.0, -1.0):
+        edge, below = _two_sum(x, side * kernel.radius)  # the edge is edge + below exactly
+        for piece in f.pieces:
+            end = piece.lo if side > 0.0 else piece.hi  # the end the window reaches past
+            width = side * ((edge - end) + below)
+            if 0.0 < width <= widest and side * (end - x) > 0.0:
+                return f"the window edge x {'+' if side > 0.0 else '-'} radius cuts a sliver {width:.3g} wide at {end:.17g}"
+    return None
+
+
+def _sliver_report(f: TestFunction, x: float, kernel: KernelSpec, spec: QuadratureSpec, sliver: str) -> IntegralResult:
+    """The potential at x where the window cuts a sliver: from the scaled evaluator for a catalog density."""
+    if f.evaluator is not None:
+        raise ToleranceError(f"potential at x={x:.17g} not resolved: {sliver}", achieved=math.inf)
+    return _scaled_report(f, x, kernel, spec, f": {sliver}")
+
+
+def _scaled_report(f: TestFunction, x: float, kernel: KernelSpec, spec: QuadratureSpec, why: str) -> IntegralResult:
+    """u(x) of a catalog density under a power kernel from :func:`log_potential_far`, which works in ln|x|.
+
+    Its error is SCALED_LN_U_ERR of it, plus, where e^ln|x| is not |x|, how
+    far u moves from there to e^ of the next ln|x| past |x|: next to a
+    sliver, u moves by many digits over those few ulps of x.
+    """
+    ln_x = math.log(abs(x))
+    read = float(np.exp(ln_x))  # the |x| the scaled evaluator reads
+    lns = [ln_x] if read == abs(x) else [ln_x, math.nextafter(ln_x, math.copysign(math.inf, abs(x) - read))]
+    values = np.exp(log_potential_far(f, kernel, np.array(lns), math.copysign(1.0, x)))
+    value = float(values[0])
+    err = SCALED_LN_U_ERR * value + float(abs(values[-1] - value))
+    if err > spec.rel_tol * value:
+        raise ToleranceError(f"potential at x={x:.17g} too inaccurate{why}", achieved=err / value if value else math.inf)
+    return IntegralResult(value, err)
 
 
 def apply_kernel(f: TestFunction, x: float, kernel: KernelSpec, spec: QuadratureSpec | None = None) -> float:
@@ -470,24 +528,37 @@ def apply_kernel(f: TestFunction, x: float, kernel: KernelSpec, spec: Quadrature
 # sigma = +1 when the piece lies on x's side.  D is the density's log factor
 # |ln|y'||^delta S(|ln|y'||) (1 for a plain piece, whose power is 0) and W
 # the kernel's, clipped to the truncation window.  One region table serves
-# every piece.  Away from z = 0 and z = 1 the integral is taken in w = ln z
-# on panels of width 1, 8, 64, ... outward from the end next to z = 1, cut
-# where w is unbounded at the decaying-tail rule's truncation point.  An
-# end with no log factor is one power-substituted panel: the density end
-# z -> 0 of a pure power under a kernel without one, and the kernel end
-# z -> 1 of such a kernel.  A log factor there is a log singularity in the
-# substituted variable, so such an end is integrated in logs instead: the
-# density end is the outward region in w run on to w = -inf, and the kernel
-# end of a log kernel, |1 - z| = e^top v, takes the same doubling panels in
+# every piece: a kernel end on each side of z = 1 (|1 - z| < 1/2) and an
+# outward region below and above it, in w = ln z.  A range shorter than 1/8
+# in w that straddles z = 1/2 or 3/2 (z = 1 when sigma = -1) is all one
+# outward region, which takes its length from its span in |y|.
+#
+# An outward region is one of two things.  Where it has no log factor (no
+# density log power or slow factor, no kernel log factor), e^(k w) does not
+# grow outward (a = -k step >= 0, k w from z^(1-power) below z = 1 and
+# z^(alpha-power) above it) and it is longer than one panel and than 1/a
+# (so that its width 1 - e^(-a length) in q^a keeps its digits), it is one
+# power-substituted panel in q = e^-|w|: its integrand e^(k w)(1 - sigma q)^
+# (alpha-1) dw is the incomplete-beta integrand q^(a-1)(1 - sigma q)^(alpha-1)
+# dq (DLMF 8.17), which runs down to q = 0 on an unbounded range, so it needs
+# no tail cut (at a = 0 the power is 1/q, whose integral is the length, and
+# the panel takes the smooth rest).  Every other region takes panels of width
+# 1, 8, 64, ... outward from the end next to z = 1 (the last one taking a
+# rest under 1/8 of its width), cut where w is unbounded at the
+# decaying-tail rule's truncation point: one that grows outward has its
+# bump at the near end, which one q-panel's nodes miss; one panel or less
+# has its range to the last digits only as a length in w, not as
+# e^-length; and a log factor is a log singularity in q.  The kernel end of
+# a kernel without a log factor is one power-substituted panel in |1 - z|;
+# that of a log kernel, |1 - z| = e^top v, takes the doubling panels in
 # tau = -alpha ln v (weight e^-tau), with ln v = -tau/alpha passed to the
 # integrand.  A log kernel's factor has a kink at |x - y'| = 1, where
 # ln|1 - sigma z| = -L; every region whose range holds it gets a panel edge
 # there.  Each region is evaluated for all points at once and returns the
 # log of its share of u at each.  Its scale (|x|^(alpha - power), the
 # substituted panel's width to its exponent, and e^(k w) at the end where it
-# peaks, k w from z^(1-power) below z = 1 and z^(alpha-power) above it) is
-# summed in logs through ln|y'| at that end, so nothing under- or overflows
-# and no two large logs cancel at any L.
+# peaks) is summed in logs through ln|y'| at that end, so nothing under- or
+# overflows and no two large logs cancel at any L.
 
 _LN_HALF, _LN_3_2 = math.log(0.5), math.log(1.5)
 
@@ -531,11 +602,17 @@ def _log_outward(make, k: float, near: np.ndarray, far: np.ndarray, step: float,
     Panels of width 1, 8, 64, ... from near and, where e^(k w) peaks at
     far, from far as well, so that the peak never falls in a wide panel;
     one more edge at kink where it lies inside the range (nan: nowhere).
-    An infinite far is cut at the decaying-tail rule's truncation point.
+    A range that ends less than 1/8 of its last full panel past an edge
+    takes that rest into the panel.  An infinite far is cut at the
+    decaying-tail rule's truncation point.
     length, where finite, is (far - near) step to more digits than that
     difference keeps.  make(anchor, sign) is the integrand in
     s = sign (w - anchor) >= 0 with its log scale, anchored at the end
-    where e^(k w) peaks: the nodes there stay exact at any |w|.
+    where e^(k w) peaks: the nodes there stay exact at any |w|.  A range
+    shorter than eps is integrated in s / length with ln length in its
+    scale: its integrand can be as small as a power of its length (a log
+    factor vanishing at one end), and their product would underflow where
+    its log does not.
     """
     if np.isinf(far).any():
         far = np.where(np.isinf(far), near + step * tail_cutoff(-k * step, degree, 0.0), far)
@@ -543,8 +620,11 @@ def _log_outward(make, k: float, near: np.ndarray, far: np.ndarray, step: float,
     cuts = [0.0, 1.0]
     while cuts[-1] < length.max():
         cuts.append(8.0 * cuts[-1] + 1.0)
+    cuts = np.array(cuts)
     flip = k * far > k * near
-    edges = np.minimum(np.array(cuts), length[:, None])
+    edges = np.minimum(cuts, length[:, None])
+    sliver = (cuts[1:] < length[:, None]) & (length[:, None] < cuts[1:] + (cuts[1:] - cuts[:-1]) / 8.0)
+    edges[:, 1:] = np.where(sliver, length[:, None], edges[:, 1:])
     edges = np.column_stack([edges, np.where(flip[:, None], length[:, None] - edges, 0.0)])
     if kink is not None:
         at = np.clip(np.nan_to_num((kink - near) * step, nan=0.0), 0.0, length)
@@ -553,7 +633,10 @@ def _log_outward(make, k: float, near: np.ndarray, far: np.ndarray, step: float,
     lo, hi = edges[:, :-1], edges[:, 1:]
     lo, hi = np.where(flip[:, None], length[:, None] - hi, lo), np.where(flip[:, None], length[:, None] - lo, hi)
     fn, scale = make(np.where(flip, far, near), np.where(flip, -step, step))
-    return scale + _log(_resolved(integrate_batch(fn, lo, hi)))
+    unit = np.where(length < _EPS, length, 1.0)  # 1 elsewhere, which leaves every node and sum as it is
+    value = _resolved(integrate_batch(lambda rows, v: fn(rows, v * unit[rows, None]), lo / unit[:, None],
+                                      hi / unit[:, None]))
+    return scale + np.log(unit) + _log(value)
 
 
 def _log_piece_integral(f: TestFunction, piece: Piece, kernel: KernelSpec, ln_x: np.ndarray, sigma: float,
@@ -596,16 +679,13 @@ def _log_piece_integral(f: TestFunction, piece: Piece, kernel: KernelSpec, ln_x:
             a_hi, b_hi = np.where(cut_hi, reach, outer), np.where(cut_hi, sigma * x_abs, 0.0)
             span = np.where(cut_lo | cut_hi, np.log1p(((a_hi - a_lo) + (b_hi - b_lo)) / (a_lo + b_lo)), np.inf)
 
-    if not (dens or kernel_log):
-        def density_end(ln_x, w_hi):
-            # z = e^top v, weight v^-power; the rest, (1 - sigma z)^(alpha-1), is smooth
-            top = np.minimum(_LN_HALF, w_hi)
-            e_top = np.exp(top)
-            return _log_power_panel(lambda rows, v: (1.0 - sigma * e_top[rows, None] * v) ** am1, -power,
-                                    np.zeros(len(ln_x)), am1 * ln_x + k_low * (ln_x + top))
-
-        region(w_lo == -np.inf, density_end, ln_x, w_hi)
-        w_lo = np.where(w_lo == -np.inf, _LN_HALF, w_lo)
+    # where the kernel ends give way to the outward regions (z = 1/2 and 3/2), or the outward regions to each
+    # other (z = 1, sigma < 0); a range shorter than 1/8 across one is not split there, since each part would
+    # take its length from a difference of logs, and is one outward region, whose length span keeps
+    b_lo, b_hi = (_LN_HALF, _LN_3_2) if sigma > 0.0 else (0.0, 0.0)
+    narrow = w_hi - w_lo < 0.125
+    b_lo = np.where(narrow & (w_lo < b_lo) & (b_lo < w_hi), w_hi, b_lo)
+    b_hi = np.where(narrow & (w_lo < b_hi) & (b_hi < w_hi), w_lo if sigma > 0.0 else w_hi, b_hi)
 
     def kernel_end(dirn, ln_x, top, ln_v_lo):
         # |1 - z| = e^top v on the side dirn of z = 1, weight v^(alpha-1)
@@ -639,9 +719,9 @@ def _log_piece_integral(f: TestFunction, piece: Piece, kernel: KernelSpec, ln_x:
         ends = []
         with np.errstate(all="ignore"):  # branches and rows the masks discard
             for dirn, covered, edge, u_lo in (
-                (-1.0, (s_lo < 0.0) & (s_hi > _LN_HALF), np.where(s_lo > _LN_HALF, np.log(-np.expm1(s_lo)), 0.0),
+                (-1.0, (s_lo < 0.0) & (s_hi > b_lo), np.where(s_lo > _LN_HALF, np.log(-np.expm1(s_lo)), 0.0),
                  np.where(s_hi < 0.0, -np.expm1(s_hi), 0.0)),
-                (1.0, (s_hi > 0.0) & (s_lo < _LN_3_2), np.where(s_hi < _LN_3_2, np.log(np.expm1(s_hi)), 0.0),
+                (1.0, (s_hi > 0.0) & (s_lo < b_hi), np.where(s_hi < _LN_3_2, np.log(np.expm1(s_hi)), 0.0),
                  np.where(s_lo > 0.0, np.expm1(s_lo), 0.0)),
             ):
                 top = np.minimum(np.minimum(_LN_HALF, r), edge)
@@ -671,6 +751,20 @@ def _log_piece_integral(f: TestFunction, piece: Piece, kernel: KernelSpec, ln_x:
     def outward(k, upper, step, ln_x, near, far, kink, length):
         return _log_outward(partial(make, k, upper, ln_x), k, near, far, step, delta + kernel.beta, kink, length)
 
+    def power_region(k, upper, step, ln_x, near, length):
+        # in q = e^-|w| = q_near v, q_near = e^-|near|, the region is q_near^a, which the scale takes as
+        # e^(k near), times the integral of v^(a-1)(1 - sigma q_near v)^(alpha-1) over v in (e^-length, 1)
+        q_near = np.exp(-step * near)
+        scale = (0.0 if upper else am1 * ln_x) + k * (ln_x + near)
+        a = -k * step
+        if a > 0.0:
+            return _log_power_panel(lambda rows, v: (1.0 - sigma * q_near[rows, None] * v) ** am1, a - 1.0,
+                                    np.exp(-length), scale)
+        # a = 0: the integral of 1/v, which is the length, plus one panel of the smooth rest
+        rest = integrate_batch(lambda rows, v: np.expm1(am1 * np.log1p(-sigma * q_near[rows, None] * v)) / v,
+                               np.exp(-length)[:, None], np.ones((len(near), 1)))
+        return scale + np.log(length + _resolved(rest))
+
     kinks = (None, None)
     if kernel_log:  # w where ln|1 - sigma z| = -L, below and above z = 1 (nan where there is none)
         with np.errstate(all="ignore"):  # expm1 overflows where there is no kink
@@ -678,7 +772,6 @@ def _log_piece_integral(f: TestFunction, piece: Piece, kernel: KernelSpec, ln_x:
                 kinks = np.log(-np.expm1(-ln_x)), np.logaddexp(0.0, -ln_x)
             else:
                 kinks = (np.log(-np.expm1(ln_x)) - ln_x,) * 2
-    b_lo, b_hi = (_LN_HALF, _LN_3_2) if sigma > 0.0 else (0.0, 0.0)
     for k, upper, near, far, step, kink in (
         (k_low, False, np.minimum(b_lo, w_hi), w_lo, -1.0, kinks[0]),
         (k_up, True, np.maximum(b_hi, w_lo), w_hi, 1.0, kinks[1]),
@@ -686,7 +779,13 @@ def _log_piece_integral(f: TestFunction, piece: Piece, kernel: KernelSpec, ln_x:
         length = (far - near) * step
         if span is not None:  # a region that is all of a range the window cuts short takes the range's span
             length = np.where((near == (w_hi if step < 0.0 else w_lo)) & np.isfinite(span), span, length)
-        region(length > 0.0, partial(outward, k, upper, step), ln_x, near, far, kink, None if span is None else length)
+        doubling = length > 0.0
+        a = -k * step
+        if not (dens or kernel_log) and a >= 0.0:  # see the comment above _LN_HALF
+            q_panel = length > max(1.0, 1.0 / a if a > 0.0 else 0.0)
+            region(q_panel, partial(power_region, k, upper, step), ln_x, near, length)
+            doubling &= ~q_panel
+        region(doubling, partial(outward, k, upper, step), ln_x, near, far, kink, None if span is None else length)
     return total
 
 

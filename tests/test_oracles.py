@@ -4,13 +4,15 @@ import functools
 import math
 
 import mpmath as mp
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from glpot import TestFunction, apply_kernel_report, log_potential_far, log_potential_near, lp_norm_report, parse_kernel_spec
 from glpot.catalog import Piece
 from glpot.errors import ToleranceError
+from glpot.potentials import SCALED_LN_U_ERR
 from glpot.cli import parse_form_spec
 
 
@@ -226,6 +228,13 @@ RIESZ, LOG_RIESZ, TRUNCATED = "riesz:0.5", "log_riesz:0.5,1,1", "truncated:0.5,0
         ("big_r:0.02,3,2", LOG_RIESZ, "far", 1.0, 0.7),
         ("big_r:0.5,0.5,1", "truncated:0.5,2,3", "near", 1.0, 2000.0),
         ("g_delta:3", LOG_RIESZ, "far", 1.0, 0.7),
+        # log-free outward regions, each one power-substituted panel in q = e^-|w|
+        *(
+            (form, RIESZ, region, side, depth)
+            for form in ("f_delta:0.5,0", "g_delta:0")
+            for region, side, depth in [("far", 1.0, 1.0), ("near", -1.0, 1.0), ("far", -1.0, 40.0),
+                                        ("near", 1.0, 40.0), ("far", 1.0, 700.0), ("near", -1.0, 700.0)]
+        ),
         # x where |x - y| = 1 for some y in the support: the kink of a log kernel's factor
         *(
             (form, kernel, "far", math.copysign(1.0, x), math.log(abs(x)))
@@ -242,6 +251,68 @@ RIESZ, LOG_RIESZ, TRUNCATED = "riesz:0.5", "log_riesz:0.5,1,1", "truncated:0.5,0
 def test_scaled_evaluators_against_mpmath(form, kernel, region, side, depth):
     got, want = _scaled(form, kernel, region, side, depth)
     _assert_close_in_u(got, want)
+
+
+@pytest.mark.parametrize("ln_x", [1.0, -1.0, 40.0, -40.0, 700.0, -700.0, 5e4, -5e4])
+@pytest.mark.parametrize("side", [1.0, -1.0])
+@pytest.mark.parametrize("lo, hi", [(0.0, 1.0), (-0.5, 2.0)])
+def test_indicator_potentials_at_deep_points_against_the_closed_form(lo, hi, side, ln_x):
+    # no region of an indicator under riesz:0.5 has a log factor; u = 2 (sqrt(x - lo) + sqrt(hi - x)) on the
+    # support, and 2 (hi - lo) / (sqrt|x - lo| + sqrt|x - hi|) off it
+    with mp.workdps(40):
+        x = side * mp.exp(ln_x)
+        if lo < x < hi:
+            u = 2 * (mp.sqrt(x - lo) + mp.sqrt(hi - x))
+        else:
+            u = 2 * (hi - lo) / (mp.sqrt(abs(x - lo)) + mp.sqrt(abs(x - hi)))
+        want = float(mp.log(u))
+    _assert_close_in_u(log_potential_far(TestFunction.indicator(lo, hi), parse_kernel_spec(RIESZ), ln_x, side), want)
+
+
+@pytest.mark.parametrize("k", [10, 30, 40, 51])
+def test_a_window_sliver_across_the_end_of_the_kernel_region(k):
+    # at x = 2 - 2^-k the window (x - 1, x + 1) keeps (1 - 2^-k, 1) of indicator(0,1), which straddles
+    # z = |y|/x = 1/2, where the kernel end meets the outward region; u = 2 (1 - sqrt(1 - 2^-k)).  The
+    # scaled evaluator split it there and read it 6.4e-10 off at k = 30, and apply_kernel_report raised
+    # ToleranceError for k >= 30
+    f, kernel, x = parse_form_spec("indicator:0,1"), parse_kernel_spec("truncated:0.5,0,1"), 2.0 - 2.0**-k
+    want = 2.0 * 2.0**-k / (1.0 + math.sqrt(1.0 - 2.0**-k))
+    assert abs(math.exp(log_potential_far(f, kernel, math.log(x), 1.0)) - want) <= 1e-12 * want
+    got = apply_kernel_report(f, x, kernel)
+    assert abs(got.value - want) <= min(got.error, 1e-12 * want)
+
+
+@pytest.mark.parametrize("form, x", [("f_delta:0.5,0", 1.0 / math.e + 1.0 - 2.0**-50), ("g_delta:0", math.e - 1.0 + 2.0**-50)])
+def test_a_window_sliver_at_a_piece_end(form, x):
+    # the window edge x -+ 1 lies 2^-50 inside the piece's end: one power-substituted panel that took such a
+    # sliver's range from exp(-length) lost up to 36% of u
+    f, kernel = parse_form_spec(form), parse_kernel_spec("truncated:0.5,0,1")
+    (piece,) = f.pieces
+    assert float(np.exp(math.log(x))) == x  # the scaled evaluator reads this x exactly
+    with mp.workdps(40):
+        y0 = mp.mpf(x)
+        a, b = (y0 - 1, mp.mpf(piece.hi)) if piece.role == "origin" else (mp.mpf(piece.lo), y0 + 1)
+        u = f.coefficient * mp.quad(lambda y: y**-piece.power * abs(y0 - y) ** -0.5, [a, b])
+        want = float(mp.log(u))
+    _assert_close_in_u(log_potential_far(f, kernel, math.log(x), 1.0), want)
+
+
+def _mp_log_example3_sliver(x) -> float:
+    """ln u for example3(0.7,1) x truncated:0.5,0,1 at 0 < x < 1, where the window keeps (1, 1 + x)."""
+    with mp.workdps(40):
+        x = mp.mpf(x)
+        # y = 1 + x t: |y|^-0.7 (ln y)^0.3 |x - y|^-0.5 dy
+        u = mp.quad(lambda t: (1 + x * t) ** -0.7 * mp.log1p(x * t) ** 0.3 * (1 + x * t - x) ** -0.5 * x, [0, 1])
+        return float(mp.log(TestFunction.example3(0.7, 1.0).coefficient * u))
+
+
+def test_a_region_whose_integral_underflows():
+    # at x = 1e-300 the window keeps (1, 1 + x) of example3(0.7,1), where its log factor (ln y)^0.3 vanishes:
+    # u ~ x^1.3 / 1.3 underflows, and the scaled evaluator read ln u = -inf
+    ln_x = math.log(1e-300)
+    got = log_potential_far(parse_form_spec("example3:0.7,1"), parse_kernel_spec("truncated:0.5,0,1"), ln_x, 1.0)
+    want = _mp_log_example3_sliver(mp.exp(ln_x))
+    assert abs(got - want) <= SCALED_LN_U_ERR, (got, want)
 
 
 # ---------------------------------------------------------------------------
@@ -276,6 +347,9 @@ def _window_edge_near_a_support_edge(f, k, x) -> bool:
 @pytest.mark.parametrize("form", SWEEP_FORMS)
 @settings(max_examples=12, deadline=None)
 @given(x=st.floats(-5.0, 5.0).filter(lambda v: abs(v) > 1e-300))  # halving (0, x) needs x/2 > 0
+# one power-substituted panel over a region whose e^(k w) grows outward missed indicator(-0.5,2)'s near-end
+# bump, about 1e-10 of u there, with G20 and K41 agreeing
+@example(x=4.672673782806763e-20)
 def test_apply_kernel_matches_the_scaled_evaluator(form, kernel, x):
     # two paths to the same number: sub-pieces of the support in x, and the region table in ln|y|/|x|
     f, k = parse_form_spec(form), parse_kernel_spec(kernel)
@@ -348,10 +422,22 @@ def test_window_edge_next_to_the_density_singularity(form, x):
     assert abs(got.value - want) <= min(got.error, 1e-13 * want)
 
 
-def test_a_sliver_below_the_rounding_raises():
-    # at x = 2^-52 the window keeps (1, 1 + 2^-52), one ulp of y: rounding decides the value
-    with pytest.raises(ToleranceError, match=r"potential at x=2\.2204460492503131e-16 too inaccurate"):
-        apply_kernel_report(parse_form_spec("example3:0.7,1"), 2.0**-52, parse_kernel_spec("truncated:0.5,0,1"))
+def test_a_sliver_below_the_rounding_reads_the_scaled_evaluator():
+    # the window keeps (1, 1 + x) of example3(0.7,1): below x = 2^-53, x + 1 rounds to 1 and no sub-piece was
+    # left, so the value read 0 with error 0; at 2^-52 the sliver is one ulp of y and the rows raised
+    f, kernel = parse_form_spec("example3:0.7,1"), parse_kernel_spec("truncated:0.5,0,1")
+    for x in (1e-17, 5e-17, 2.0**-53, 2.0**-52):
+        got = apply_kernel_report(f, x, kernel)
+        want = math.exp(_mp_log_example3_sliver(x))
+        assert abs(got.value - want) <= min(got.error, 2e-12 * want), x
+
+
+@pytest.mark.parametrize("x, lo, hi", [(2.0 - 2.0**-30, 0.0, 1.0), (1e-17, 1.0, 2.0)])
+def test_a_sliver_of_a_user_density_names_it(x, lo, hi):
+    # no scaled evaluator reads a user density, so a sliver the rows cannot resolve is a ToleranceError
+    f = TestFunction.user(evaluator=lambda y: 1.0, pieces=(Piece("plain", lo, hi),))
+    with pytest.raises(ToleranceError, match=r"the window edge x [-+] radius cuts a sliver"):
+        apply_kernel_report(f, x, parse_kernel_spec("truncated:0.5,0,1"))
 
 
 @pytest.mark.parametrize("x", [2.0, -3.0])
