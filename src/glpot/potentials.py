@@ -536,23 +536,25 @@ def apply_kernel(f: TestFunction, x: float, kernel: KernelSpec, spec: Quadrature
 # An outward region is one of two things.  Where it has no log factor (no
 # density log power or slow factor, no kernel log factor), e^(k w) does not
 # grow outward (a = -k step >= 0, k w from z^(1-power) below z = 1 and
-# z^(alpha-power) above it), a is 0, 1 or at most 1/2, and it is longer
-# than one panel and than 1/a (so that its width 1 - e^(-a length) in q^a
-# keeps its digits), it is one power-substituted panel in q = e^-|w|: its
-# integrand e^(k w)(1 - sigma q)^(alpha-1) dw is the incomplete-beta
-# integrand q^(a-1)(1 - sigma q)^(alpha-1) dq (DLMF 8.17), which runs down
-# to q = 0 on an unbounded range, so it needs no tail cut (at a = 0 the
-# power is 1/q, whose integral is the length, and the panel takes the
-# smooth rest).  Every other region takes panels of width 1, 8, 64, ...
-# outward from the end next to z = 1 (the last one taking a rest under 1/8
-# of its width), cut where w is unbounded at the decaying-tail rule's
-# truncation point: one that grows outward has its bump at the near end,
-# which one q-panel's nodes miss; one panel or less has its range to the
-# last digits only as a length in w, not as e^-length; at a in (1/2, 1) or
-# a > 1, q = t^(1/a) leaves a t^(1/a) term with 1/a < 2, whose second
-# derivative is unbounded at t = 0 and takes many bisections (twice the
-# doubling panels' node values for g_delta(0) x riesz:0.3, a = 0.7); and a
-# log factor is a log singularity in q.  The kernel end of
+# z^(alpha-power) above it), 1/a is whole (a = 0 included) or the range is
+# unbounded and a <= 1/2, and it is longer than one panel and than 1/a (so
+# that its width 1 - e^(-a length) in q^a keeps its digits), it is one
+# power-substituted panel in q = e^-|w|: its integrand e^(k w)(1 - sigma q)^
+# (alpha-1) dw is the incomplete-beta integrand q^(a-1)(1 - sigma q)^(alpha-1)
+# dq (DLMF 8.17), which runs down to q = 0 on an unbounded range, so it
+# needs no tail cut (at a = 0 the power is 1/q, whose integral is the
+# length, and the panel takes the smooth rest).  Every other region takes
+# panels of width 1, 8, 64, ... outward from the end next to z = 1 (the
+# last one taking a rest under 1/8 of its width), cut where w is unbounded
+# at the decaying-tail rule's truncation point: one that grows outward has
+# its bump at the near end, which one q-panel's nodes miss; one panel or
+# less has its range to the last digits only as a length in w, not as
+# e^-length; and a log factor is a log singularity in q.  Where 1/a is not
+# whole, q = t^(1/a) leaves a t^(1/a) term that takes bisections at t = 0,
+# many where 1/a < 2: they cost less than the doubling panels only on an
+# unbounded range, whose doubling run reaches out to ~32/a (g_delta(0) x
+# riesz:0.3, a = 0.7, took twice the node values as a q-panel, and
+# f_delta(0.9,0)'s finite upper region, a = 0.4, 1.9 times).  The kernel end of
 # a kernel without a log factor is one power-substituted panel in |1 - z|;
 # that of a log kernel, |1 - z| = e^top v, takes the doubling panels in
 # tau = -alpha ln v (weight e^-tau), with ln v = -tau/alpha passed to the
@@ -785,8 +787,9 @@ def _log_piece_integral(f: TestFunction, piece: Piece, kernel: KernelSpec, ln_x:
             length = np.where((near == (w_hi if step < 0.0 else w_lo)) & np.isfinite(span), span, length)
         doubling = length > 0.0
         a = -k * step
-        if not (dens or kernel_log) and (a in (0.0, 1.0) or 0.0 < a <= 0.5):  # see the comment above _LN_HALF
-            q_panel = length > max(1.0, 1.0 / a if a > 0.0 else 0.0)
+        if not (dens or kernel_log) and a >= 0.0:  # see the comment above _LN_HALF
+            whole = a == 0.0 or abs(1.0 / a - round(1.0 / a)) < 1e-9  # 1/a, to rounding
+            q_panel = (length > max(1.0, 1.0 / a if a > 0.0 else 0.0)) & (whole | ((a <= 0.5) & np.isinf(far)))
             region(q_panel, partial(power_region, k, upper, step), ln_x, near, length)
             doubling &= ~q_panel
         region(doubling, partial(outward, k, upper, step), ln_x, near, far, kink, None if span is None else length)
