@@ -639,10 +639,16 @@ def _log_outward(make, k: float, near: np.ndarray, far: np.ndarray, step: float,
     lo, hi = edges[:, :-1], edges[:, 1:]
     lo, hi = np.where(flip[:, None], length[:, None] - hi, lo), np.where(flip[:, None], length[:, None] - lo, hi)
     fn, scale = make(np.where(flip, far, near), np.where(flip, -step, step))
-    unit = np.where(length < _EPS, length, 1.0)  # 1 elsewhere, which leaves every node and sum as it is
-    value = _resolved(integrate_batch(lambda rows, v: fn(rows, v * unit[rows, None]), lo / unit[:, None],
-                                      hi / unit[:, None]))
-    return scale + np.log(unit) + _log(value)
+    if (length < _EPS).any():
+        unit = np.where(length < _EPS, length, 1.0)  # 1 elsewhere, which leaves every node as it is
+        lo, hi, scale = lo / unit[:, None], hi / unit[:, None], scale + np.log(unit)
+        fn = partial(_in_units, fn, unit)
+    return scale + _log(_resolved(integrate_batch(fn, lo, hi)))
+
+
+def _in_units(fn, unit: np.ndarray, rows: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """fn(rows, s) at s = v unit, unit one per row."""
+    return fn(rows, v * unit[rows, None])
 
 
 def _log_piece_integral(f: TestFunction, piece: Piece, kernel: KernelSpec, ln_x: np.ndarray, sigma: float,
