@@ -18,10 +18,9 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable, Optional
 
-from scipy.optimize import brentq
-
 from .errors import DomainError
 from .psi import SlowlyVarying
+from .special import least_double
 
 E = math.e
 INV_E = 1.0 / math.e
@@ -288,7 +287,8 @@ def _branches(piece: Piece, slow: Optional[SlowlyVarying]) -> tuple[MonotoneBran
     In y = |ln|x||, ln|f| = -+power y + log_power ln y + kappa ln(1 + ln(1 + y))
     (- on a tail, + at the origin).  Without a slow factor (kappa = 0) a tail
     turns at y = log_power/power and an origin piece never; with one, the
-    turning points are located by a sign scan of the derivative and brentq.
+    turning points are located by a sign scan of the derivative, each to the
+    double by :func:`~glpot.special.least_double`.
     The scan stops at y = (|log_power| + |kappa|)/power, past which the power
     term alone sets the derivative's sign.  A slow factor given as a callable
     has no kappa, and its piece no branches.
@@ -315,7 +315,7 @@ def _branches(piece: Piece, slow: Optional[SlowlyVarying]) -> tuple[MonotoneBran
             if d1 == 0.0:
                 turns.append(y1)
             elif d1 * d2 < 0.0:
-                turns.append(float(brentq(dlog, y1, y2, xtol=1e-12)))
+                turns.append(least_double(lambda y: math.copysign(1.0, d2) * dlog(y), y1, y2))
     side = 1.0 if piece.hi > 0.0 else -1.0
     along = side * outward > 0.0  # x grows with y
     finite_end, singular_end = (piece.lo, piece.hi) if along else (piece.hi, piece.lo)

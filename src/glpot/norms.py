@@ -24,12 +24,11 @@ import sys
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .catalog import MonotoneBranch, Piece, TestFunction
 from .errors import DivergenceError, DomainError, ToleranceError
 from .quadrature import QuadratureSpec, integrate_batch, tail_cutoff
-from .special import log_upper_gamma
+from .special import least_double, log_upper_gamma
 
 
 class NormResult(NamedTuple):
@@ -55,7 +54,8 @@ def check_lp_convergence(f: TestFunction, p: float) -> None:
 
 
 _EPS = sys.float_info.epsilon
-_LOG_TINY = math.log(sys.float_info.min * _EPS)  #: ln of the smallest positive float
+_TINY = sys.float_info.min * _EPS  #: the smallest positive float
+_LOG_TINY = math.log(_TINY)
 #: panel ends from a range's start y_lo to halfway up to the peak, as fractions of that range:
 #: halving toward y_lo, where the slow factor and, at y_lo = 0 (a piece ending at
 #: |x| = 1), y^m vary on the scale of y_lo or less
@@ -284,90 +284,46 @@ def lp_norm_closed_form(f: TestFunction, p: float) -> float:
 # distribution function and rearrangement
 # ---------------------------------------------------------------------------
 
-_BRENT_TOL = 1e-10
 #: geometric levels of :func:`weak_lp_quasinorm`'s grid
 _WEAK_GRID_SIZE = 1000
 
 
+def _log_ratio(a: float, b: float) -> float:
+    """ln(a/b) for a, b >= 0, with the sign of a - b: nonzero wherever a != b.
+
+    Within a factor 2 it is log1p of the exact difference a - b over b, so it
+    keeps its relative digits next to a = b, where the root searches end.
+    """
+    if a == 0.0 or b == math.inf:
+        return -math.inf if a != b else 0.0
+    if b == 0.0 or a == math.inf:
+        return math.inf
+    if 0.5 <= a / b <= 2.0:
+        return math.log1p((a - b) / b)
+    return math.log(a) - math.log(b)
+
+
 def _branch_endpoint_values(f: TestFunction, br: MonotoneBranch) -> tuple[float, float]:
-    """(limit at lo, limit at hi) of |f| along a monotone branch."""
+    """(limit at lo, limit at hi) of |f| along a monotone branch: |f| at the double next to a finite regular end."""
 
     def val_near(point: float, inward: float) -> float:
         if math.isinf(point):
             return 0.0  # catalog tails decay to zero
         if point == 0.0 and f.origin_exponents[0] > 0.0:
             return math.inf
-        x = point + inward * 1e-13 * max(1.0, abs(point))
-        v = abs(f(x))
-        if v == 0.0:
-            step = 1e-9
-            for _ in range(40):
-                v = abs(f(point + inward * step))
-                if v > 0.0:
-                    break
-                step *= 4.0
-        return v
+        return abs(f(math.nextafter(point, inward)))
 
-    return val_near(br.lo, +1.0), val_near(br.hi, -1.0)
-
-
-def _probe_points(endpoint: float, other: float, inward: float):
-    """Points approaching `endpoint` from inside the branch.
-
-    Infinite endpoints are approached by doubling outward; finite ones by
-    offsets shrinking geometrically (which chases blow-up crossings that sit
-    arbitrarily close to a singular endpoint)."""
-    if math.isinf(endpoint):
-        ref = abs(other) if not math.isinf(other) else 1.0
-        pt = math.copysign(max(2.0, 2.0 * ref + 2.0), endpoint)
-        for _ in range(1100):
-            yield pt
-            pt *= 2.0
-    else:
-        ref = max(1.0, abs(endpoint), abs(other) if not math.isinf(other) else 1.0)
-        eps = 1e-13 * ref
-        for _ in range(120):
-            yield endpoint + inward * eps
-            eps *= 1e-3
-            if eps < 1e-290:
-                return
-
-
-def _invert_on_branch(f: TestFunction, br: MonotoneBranch, level: float) -> float:
-    """Solve |f(x)| = level on a monotone branch by bracketed root-finding.
-
-    The caller guarantees the level lies strictly between the branch's
-    endpoint limits, so each bracket end only needs a probe of its own sign.
-    """
-
-    def g(x: float) -> float:
-        return abs(f(x)) - level
-
-    small_end = br.lo if br.increasing else br.hi
-    big_end = br.hi if br.increasing else br.lo
-
-    def find(endpoint: float, want_negative: bool) -> float:
-        inward = 1.0 if endpoint == br.lo else -1.0
-        for pt in _probe_points(endpoint, br.lo if endpoint == br.hi else br.hi, inward):
-            val = g(pt)
-            if val == 0.0:
-                return pt
-            if (val < 0.0) == want_negative:
-                return pt
-        raise DomainError(f"could not bracket level {level:g} on branch ({br.lo:g}, {br.hi:g})")
-
-    a = find(small_end, want_negative=True)
-    b = find(big_end, want_negative=False)
-    if g(a) == 0.0:
-        return a
-    if g(b) == 0.0:
-        return b
-    lo_pt, hi_pt = min(a, b), max(a, b)
-    return float(brentq(g, lo_pt, hi_pt, xtol=1e-280, rtol=1e-12, maxiter=500))
+    return val_near(br.lo, br.hi), val_near(br.hi, br.lo)
 
 
 def distribution_function(f: TestFunction, level: float) -> float:
-    """Measure of {x : |f(x)| > level}; may be math.inf."""
+    """Measure of {x : |f(x)| > level}; may be math.inf.
+
+    On a branch that crosses the level, the crossing is the least double
+    past which |f| <= level (falling) or |f| >= level (rising), by
+    :func:`~glpot.special.least_double`; the two differ only where |f|
+    equals the level, a set of measure 0.
+    """
     if level <= 0.0:
         raise DomainError(f"level must be positive, got {level}")
     if f.evaluator is None and all(piece.role == "plain" for piece in f.pieces):
@@ -382,42 +338,19 @@ def distribution_function(f: TestFunction, level: float) -> float:
             if math.isinf(br.hi) or math.isinf(br.lo):
                 return math.inf
             total += br.hi - br.lo
-        elif above_lo or above_hi:
-            x_cross = _invert_on_branch(f, br, level)
-            total += (x_cross - br.lo) if above_lo else (br.hi - x_cross)
+        elif above_lo:
+            total += least_double(lambda x: _log_ratio(level, abs(f(x))), br.lo, br.hi) - br.lo
+        elif above_hi:
+            total += br.hi - least_double(lambda x: _log_ratio(abs(f(x)), level), br.lo, br.hi)
     return total
 
 
 def decreasing_rearrangement(f: TestFunction, t: float) -> float:
-    """f*(t) = inf{level : m_f(level) <= t}, by bisection on the level."""
+    """f*(t) = inf{level : m_f(level) <= t}: the least positive double with m_f <= t, 0 if that holds at all."""
     if t <= 0.0:
         raise DomainError(f"t must be positive, got {t}")
-    hi = 1.0
-    for _ in range(200):
-        if distribution_function(f, hi) <= t:
-            break
-        hi *= 2.0
-    else:
-        return math.inf
-    lo = hi
-    for _ in range(1100):
-        lo *= 0.5
-        if lo < 1e-300:
-            return 0.0
-        if distribution_function(f, lo) > t:
-            break
-        hi = lo  # the bracket stays within a factor 2, so the relative width below is reached
-    else:
-        return 0.0
-    for _ in range(120):
-        mid = 0.5 * (lo + hi)
-        if distribution_function(f, mid) <= t:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo <= _BRENT_TOL * hi:
-            break
-    return hi
+    level = least_double(lambda lam: _log_ratio(t, distribution_function(f, lam)), 0.0, math.inf)
+    return 0.0 if level == _TINY else level
 
 
 def weak_lp_quasinorm(f: TestFunction, p: float) -> float:

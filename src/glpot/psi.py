@@ -16,10 +16,9 @@ import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
-from scipy.optimize import brentq
-
-from .errors import DomainError, FeasibilityError, NoRootError
+from .errors import DomainError, FeasibilityError
 from .exponents import ENDPOINT_MARGIN, MultiIndex, PotentialParams, _check_multiindex
+from .special import least_double
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -194,7 +193,11 @@ class PowerPsiSpec:
 
 
 def power_psi(a: float, b: float, beta: float, gamma: float) -> PsiFunction:
-    """Build the power weight; for b = inf the crossover is found by bracketed root-finding."""
+    """Build the power weight; for b = inf the crossover is the double where the two pieces meet.
+
+    There -beta ln(h - a) + gamma ln h falls from +inf at a to -inf at inf, so it
+    has one root, which :func:`~glpot.special.least_double` finds over (a, inf).
+    """
     PowerPsiSpec(a, b, beta, gamma)  # checks the parameters
     if b != math.inf:
         fn = lambda p: (p - a) ** -beta * (b - p) ** -gamma
@@ -203,10 +206,7 @@ def power_psi(a: float, b: float, beta: float, gamma: float) -> PsiFunction:
     def continuity_gap(h: float) -> float:
         return -beta * math.log(h - a) + gamma * math.log(h)
 
-    lo, hi = a + 1e-9, a + 1e6
-    if continuity_gap(lo) * continuity_gap(hi) > 0.0:
-        raise NoRootError(f"continuity equation has no sign change on ({lo}, {hi})")
-    h = float(brentq(continuity_gap, lo, hi, rtol=1e-12, maxiter=200))
+    h = least_double(lambda h: -continuity_gap(h), a, math.inf)
 
     def fn(p: float) -> float:
         if p < h:

@@ -1,15 +1,21 @@
-"""Special functions implemented to double precision.
+"""Special functions implemented to double precision, and the one root search over the doubles.
 
 The upper incomplete gamma function, computed by the classical series /
 continued-fraction pair, and its logarithm.  ``log_upper_gamma`` serves the
 closed-form norms; ``upper_gamma`` has no caller in the package (the
 interval masses use scipy's ``gammaincc`` on arrays) and stays as the
 independent reference the tests check ``gammaincc`` against.
+
+``least_double`` finds every root glpot needs: the crossings of the
+distribution function, the level of the decreasing rearrangement, the
+turning points of a slow factor and the crossover of the power weight.
 """
 
 from __future__ import annotations
 
 import math
+import struct
+from typing import Callable
 
 from .errors import DomainError, ToleranceError
 
@@ -92,3 +98,58 @@ def log_upper_gamma(s: float, x: float) -> float:
         return math.log1p(-_lower_regularized_series(s, x)) + math.lgamma(s)
     # ln h - x + s ln x: no exp, so nothing underflows for large x
     return math.log(_upper_cf(s, x)) - x + s * math.log(x)
+
+
+_AS_DOUBLE, _AS_INT = struct.Struct("<d"), struct.Struct("<q")
+
+
+def _rank(x: float) -> int:
+    """x's position in the order of all doubles: 0 at +-0, +-1 at the least subnormals, +-2^63 - 2^52 at +-inf."""
+    i = _AS_INT.unpack(_AS_DOUBLE.pack(x))[0]
+    return i if i >= 0 else -(i & 0x7FFF_FFFF_FFFF_FFFF)
+
+
+def _double(rank: int) -> float:
+    """The double of a rank: the inverse of _rank (-0 comes back as +0)."""
+    x = _AS_DOUBLE.unpack(_AS_INT.pack(abs(rank)))[0]
+    return x if rank >= 0 else -x
+
+
+def least_double(g: Callable[[float], float], lo: float, hi: float) -> float:
+    """The least double x in (lo, hi] with g(x) >= 0, where that test turns true once from lo to hi.
+
+    g is taken to be negative at lo and >= 0 at hi without being called
+    there, so an end may be singular or infinite; hi comes back where the
+    test is false at every double between.  The bracket is kept as the
+    ranks of its ends (:func:`_rank`), so one bracket spans zero, the
+    subnormals and +-max with no change of variable and no tolerance: the
+    search stops at two neighbouring doubles, the answer exact to the test.
+    Each step takes the Illinois secant point of g's values in rank space,
+    where a rank grows like ln|x|, so g should be a log ratio where the
+    test compares magnitudes; it takes the midpoint of the ranks until
+    both ends have finite values and after a step that did not halve the
+    bracket.  So the search ends within about 128 calls of g.
+    """
+    a, b = _rank(lo), _rank(hi)
+    g_a = g_b = math.nan  # not called at the ends
+    kept = 0  # which end the last step kept: -1 the lower, 1 the upper
+    before = last = 2 * (b - a)  # the width two steps back and one step back
+    while b - a > 1:
+        width = b - a
+        if 2 * width > before + 1 or not 0.0 < g_b - g_a < math.inf:  # nan until both ends have values
+            r = a + width // 2
+        else:
+            r = min(max(b - round(g_b / (g_b - g_a) * width), a + 1), b - 1)
+        value = g(_double(r))
+        if value >= 0.0:
+            b, g_b = r, value
+            if kept == -1:  # the lower end kept twice: Illinois halves its value
+                g_a *= 0.5
+            kept = -1
+        else:
+            a, g_a = r, value
+            if kept == 1:
+                g_b *= 0.5
+            kept = 1
+        before, last = last, width
+    return _double(b)

@@ -81,6 +81,11 @@ class TestPowerPsi:
         assert psi(1.2) == pytest.approx((0.2) ** -1.0, rel=1e-12)
         assert psi(10.0) == pytest.approx(10.0, rel=1e-12)
 
+    def test_crossover_to_the_double(self):
+        # (h - 1)^-1 = h^(1/2): h^3 - 2h^2 + h - 1 = 0, whose real root mpmath gives as 1.7548776662466927
+        h = power_psi(1.0, math.inf, 1.0, -0.5).crossover
+        assert abs(h - 1.7548776662466927) <= 2.0 * math.ulp(1.7548776662466927)
+
     def test_spec_validation(self):
         with pytest.raises(DomainError):
             PowerPsiSpec(1.0, math.inf, 1.0, 1.0)  # needs gamma < 0

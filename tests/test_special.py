@@ -80,3 +80,22 @@ def test_upper_gamma_against_mpmath(s):
         for x in (0.0, 1e-6, 1e-3, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 30.0, 49.0, 51.0, 100.0, 300.0, 700.0):
             want = float(mp.gammainc(mp.mpf(s), mp.mpf(x)))
             assert upper_gamma(s, x) == pytest.approx(want, rel=1e-12), (s, x)
+
+
+@pytest.mark.parametrize("root", [-1e300, -3e-310, 0.0, 5e-324, 1.5, 1e308])
+@pytest.mark.parametrize("steer", ["value", "sign"])
+def test_least_double_is_exact_over_the_whole_line(root, steer):
+    # one bracket (-inf, inf) holds every case, subnormals and signed zeros among them
+    calls = []
+
+    def g(x):
+        calls.append(x)
+        return x - root if steer == "value" else math.copysign(1.0, x - root)
+
+    assert special.least_double(g, -math.inf, math.inf) == root
+    assert len(calls) <= 192  # at most three calls per halving of the 2^64 ranks
+
+
+def test_least_double_returns_hi_where_the_test_is_false_throughout():
+    assert special.least_double(lambda x: -1.0, 1.0, 2.0) == 2.0
+    assert special.least_double(lambda x: -1.0, 0.0, math.nextafter(0.0, 1.0)) == 5e-324

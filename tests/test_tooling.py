@@ -73,3 +73,15 @@ def test_tracer_counts_the_table_calls_of_a_potential_norm():
     finally:
         tracer.uninstall()
     assert tracer.metrics()["grand.table_points"] > 0
+
+
+def test_no_module_finds_roots_through_scipy():
+    # every root search is special.least_double
+    src = Path(glpot.__file__).parent
+    found = [
+        f"{path.name}:{number}: {line.strip()}"
+        for path in sorted(src.glob("*.py"))
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if re.search(r"scipy\.optimize|\bbrentq\b", line)
+    ]
+    assert found == []
