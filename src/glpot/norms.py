@@ -55,7 +55,7 @@ def check_lp_convergence(f: TestFunction, p: float) -> None:
 
 _EPS = sys.float_info.epsilon
 _TINY = sys.float_info.min * _EPS  #: the smallest positive float
-_LOG_TINY = math.log(_TINY)
+_LOG_MIN = math.log(sys.float_info.min)  #: ln of the smallest normal float
 #: panel ends from a range's start y_lo to halfway up to the peak, as fractions of that range:
 #: halving toward y_lo, where the slow factor and, at y_lo = 0 (a piece ending at
 #: |x| = 1), y^m vary on the scale of y_lo or less
@@ -66,9 +66,10 @@ def _log_extra(f: TestFunction, piece: Piece):
     """y -> ln|f| minus the piece's annotation coefficient |x|^-power |ln|x||^log_power, or None if 0.
 
     For a catalog form that is ln S(y) of a varying slow factor.  A user
-    density is evaluated while |x| = e^(-+y) is representable and follows
-    its annotation beyond.  Where it is 0 it is a true zero, -inf, unless its
-    annotation underflows there too.
+    density is called only where |x| = e^(-+y) is representable and its
+    annotation is a normal float, and follows its annotation elsewhere: past
+    either limit its value is no longer a number to compare with.  Where it
+    is called and is 0 it is a true zero, -inf.
     """
     if f.evaluator is None:
         if f.slow is None:
@@ -80,14 +81,15 @@ def _log_extra(f: TestFunction, piece: Piece):
     density = np.vectorize(f, otypes=[float])
 
     def extra(y):
-        near = y <= 700.0
-        with np.errstate(divide="ignore"):
-            log_abs = np.log(np.abs(density(sign_x * np.exp(sign_y * np.minimum(y, 700.0)))))
         annotation = math.log(f.coefficient) - sign_y * piece.power * y
         if piece.log_power != 0.0:
             annotation = annotation + piece.log_power * np.log(y)
-        underflow = (log_abs == -np.inf) & (annotation < _LOG_TINY)
-        return np.where(near & ~underflow, log_abs - annotation, 0.0)
+        called = (y <= 700.0) & (annotation >= _LOG_MIN)
+        out = np.zeros(y.shape)
+        if called.any():
+            with np.errstate(divide="ignore"):
+                out[called] = np.log(np.abs(density(sign_x * np.exp(sign_y * y[called])))) - annotation[called]
+        return out
 
     return extra
 
@@ -111,34 +113,30 @@ def _log_singular_integrals(f: TestFunction, piece: Piece, ps: np.ndarray, y_lo:
     is integrated in ln y instead, where y^m dy = e^((m + 1) ln y) d ln y: its
     rate there is -(m + 1) and its power 0.
     """
+    if y_lo is None:
+        y_lo, length = np.full(len(ps), piece.y0), np.full(len(ps), math.inf)
     c = np.array([piece.rate(p) for p in ps])
     m = piece.log_power * ps
+    infinite = np.isinf(length)
     in_log = None  # the rows run in ln y, if any: they need a negative log power
     if piece.log_power < 0.0:
-        in_log = (c == 0.0) & (m < -1.0) & (True if length is None else np.isinf(length))
+        in_log = (c == 0.0) & (m < -1.0) & infinite
         in_log = in_log if in_log.any() else None
     if in_log is not None:
-        if y_lo is None:  # the range path gives the other rows of the whole piece the same bits
-            y_lo, length = np.full(len(ps), piece.y0), np.full(len(ps), math.inf)
         with np.errstate(divide="ignore"):  # y_lo = 0, where y^m is not integrable: nan below
             y_lo = np.where(in_log, np.log(y_lo), y_lo)
         c, m = np.where(in_log, -1.0 - m, c), np.where(in_log, 0.0, m)
-    decays = c > 0.0
-    if not (decays if length is None else decays[np.isinf(length)]).all():
+    if not (c[infinite] > 0.0).all():
         raise DomainError(f"|{f.label}|_p: the batched rule needs |f|^p to decay exponentially in |ln|x||")
-    if y_lo is None:  # the whole piece, every norm's: e^(-c y) y^m peaks at m/c, or at y0 where that is below
-        y0 = piece.y0
-        y_peak = np.where(m > 0.0, np.maximum(y0, m / c), y0)
-        start, cut_rate = y0 - y_peak, c
-        right = np.array([tail_cutoff(ci, mi, y0) for ci, mi in zip(c, m)]) - y_peak
-    else:  # part of it: the peak is clipped to the range, and at its far end y_hi where c <= 0
-        infinite, y_hi = np.isinf(length), y_lo + length
-        with np.errstate(divide="ignore", invalid="ignore"):
-            y_peak = np.where(c <= 0.0, y_hi, np.where(m > 0.0, np.maximum(y_lo, np.minimum(m / c, y_hi)), y_lo))
-        start = np.where(y_peak == y_hi, -length, y_lo - y_peak)  # a peak at the far end: its s is 0, exactly
-        cut_rate = np.where(infinite, c, math.inf)  # no tail is cut from a finite range
-        cut = np.array([tail_cutoff(ci, mi, yi) if inf else 0.0 for ci, mi, yi, inf in zip(c, m, y_lo, infinite)])
-        right = np.where(infinite, cut - y_peak, start + length)
+    # e^(-c y) y^m peaks at m/c, clipped to the range, and at its far end y_hi where c <= 0
+    y_hi = y_lo + length
+    with np.errstate(divide="ignore", invalid="ignore"):
+        y_peak = np.where(c <= 0.0, y_hi, np.where(m > 0.0, np.maximum(y_lo, np.minimum(m / c, y_hi)), y_lo))
+    start = np.where(y_peak == y_hi, -length, y_lo - y_peak)  # a peak at the far end: its s is 0, exactly
+    cut_rate = np.where(infinite, c, math.inf)  # no tail is cut from a finite range
+    cut = [tail_cutoff(ci, mi, yi) if inf else 0.0
+           for ci, mi, yi, inf in zip(c.tolist(), m.tolist(), y_lo.tolist(), infinite.tolist())]
+    right = np.where(infinite, np.array(cut) - y_peak, start + length)
     ln_peak = np.log(y_peak, out=np.zeros_like(y_peak), where=(m != 0.0))
     left = start / 2.0
     # in s: doubling panels outward from the peak, the first min(1, 4/|c|) wide to resolve it, right

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import sys
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -169,8 +170,18 @@ class TestLpNormOracles:
         # c = 0 at p = 1: the mass of 1/(x ln^2 x) from e is 1 - 1/ln(hi); refused as not decaying before
         assert abs(interval_mass(_LOG_TAIL, E, hi) - want) <= 1e-12 * want
 
+    def test_a_density_that_overflows_far_out_follows_its_annotation(self):
+        # x ln^2 x overflows past ln x ~ 696.7, where this density reads 0, no true zero; it is called only
+        # where its value is a normal float, so the mass over (e^690, e^705) is 1/690 - 1/705, and nothing warns
+        f = TestFunction.user(lambda x: 1.0 / (x * math.log(x) ** 2), _LOG_TAIL.pieces)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = interval_mass(f, math.exp(690.0), math.exp(705.0))
+        want = 1.0 / 690.0 - 1.0 / 705.0
+        assert abs(got - want) <= 1e-12 * want
+
     def test_a_row_with_c_zero_leaves_the_other_rows_bits(self):
-        # the c = 0 row runs the whole piece through the range path, which gives the other rows the same bits
+        # every row, the c = 0 one in ln y among them, runs through the range path, so each keeps its bits
         ps = np.array([1.0, 1.5, 3.0])
         logs, rels = norms._log_singular_integrals(_LOG_TAIL, _LOG_TAIL.pieces[0], ps)
         alone = [norms._log_singular_integrals(_LOG_TAIL, _LOG_TAIL.pieces[0], ps[i : i + 1]) for i in (1, 2)]
