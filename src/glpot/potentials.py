@@ -651,6 +651,28 @@ def _in_units(fn, unit: np.ndarray, rows: np.ndarray, v: np.ndarray) -> np.ndarr
     return fn(rows, v * unit[rows, None])
 
 
+def _check_kernel_end_width(f: TestFunction, piece: Piece, alpha: float, dirn: float, ln_x: np.ndarray,
+                            top: np.ndarray, ln_v_lo: np.ndarray) -> None:
+    """ToleranceError where a narrow piece's kernel-end panel cannot hold SCALED_LN_U_ERR.
+
+    The panel runs over v in (v_lo, 1), |1 - z| = e^top v, and its width 1 - v_lo^alpha comes from the
+    two ends' |1 - z|, each from a w = ln|y| - ln|x| good to about eps (1 + |ln|x||) absolute, so
+    that ln v_lo is off by that times z/|1 - z| at each end and ln u by alpha/(v_lo^-alpha - 1) of it.
+    """
+    with np.errstate(all="ignore"):  # v_lo rounded to 1 or past it: its width is gone, inf below
+        u_far, u_near = np.exp(top), np.exp(top + ln_v_lo)
+        spread = (1.0 + dirn * u_near) / u_near + (1.0 + dirn * u_far) / u_far
+        lost = _EPS * (1.0 + np.abs(ln_x)) * spread * alpha / np.maximum(np.expm1(-alpha * ln_v_lo), 0.0)
+    worst = float(lost.max())
+    if not worst <= SCALED_LN_U_ERR:
+        x = float(ln_x[lost.argmax()])
+        raise ToleranceError(
+            f"scaled potential of {f.label} at ln|x| = {x:.17g}: the piece ({piece.lo:.17g}, {piece.hi:.17g}) "
+            f"is too narrow for its distance from x to keep its width in the kernel-end panel",
+            achieved=worst,
+        )
+
+
 def _log_piece_integral(f: TestFunction, piece: Piece, kernel: KernelSpec, ln_x: np.ndarray, sigma: float,
                         inner: float, outer: float) -> np.ndarray:
     """ln of one piece's share c^-1 u at each ln_x, whose range in |y| is (inner, outer)."""
@@ -679,7 +701,12 @@ def _log_piece_integral(f: TestFunction, piece: Piece, kernel: KernelSpec, ln_x:
         with np.errstate(all="ignore"):  # branches np.where discards
             w_hi = np.where(live, np.minimum(w_hi, r + np.log(-np.expm1(-r))), -np.inf)
         w_lo = np.where(live, w_lo, np.inf)
-    span = None  # ln(y_hi / y_lo) where the window cuts the range short, else inf; None if it cuts none
+    # ln(y_hi / y_lo) where the range keeps its digits only so (a piece narrower than 1/8 of its inner end,
+    # or where the window cuts the range short), else inf; None where neither holds at any point
+    span = None
+    narrow_piece = 0.0 < inner and outer - inner < inner / 8.0
+    if narrow_piece:
+        span = np.full(ln_x.shape, math.log1p((outer - inner) / inner))
     cut_lo, cut_hi = (w_lo > s_lo, w_hi < s_hi) if kernel.reach != math.inf else (None, None)
     if cut_lo is not None and (cut_lo | cut_hi).any():
         # from y_hi - y_lo, so that a sliver keeps its last digits: each end is a + b in |y|, a piece end
@@ -689,7 +716,8 @@ def _log_piece_integral(f: TestFunction, piece: Piece, kernel: KernelSpec, ln_x:
             x_abs = np.exp(ln_x)
             a_lo, b_lo = np.where(cut_lo, -reach, inner), np.where(cut_lo, x_abs, 0.0)
             a_hi, b_hi = np.where(cut_hi, reach, outer), np.where(cut_hi, sigma * x_abs, 0.0)
-            span = np.where(cut_lo | cut_hi, np.log1p(((a_hi - a_lo) + (b_hi - b_lo)) / (a_lo + b_lo)), np.inf)
+            whole = np.inf if span is None else span
+            span = np.where(cut_lo | cut_hi, np.log1p(((a_hi - a_lo) + (b_hi - b_lo)) / (a_lo + b_lo)), whole)
 
     # where the kernel ends give way to the outward regions (z = 1/2 and 3/2), or the outward regions to each
     # other (z = 1, sigma < 0); a range shorter than 1/8 across one is not split there, since each part would
@@ -738,6 +766,8 @@ def _log_piece_integral(f: TestFunction, piece: Piece, kernel: KernelSpec, ln_x:
             ):
                 top = np.minimum(np.minimum(_LN_HALF, r), edge)
                 ln_v_lo = np.log(u_lo) - top
+                if narrow_piece and covered.any():
+                    _check_kernel_end_width(f, piece, alpha, dirn, ln_x[covered], top[covered], ln_v_lo[covered])
                 ends.append((dirn, covered & (ln_v_lo < 0.0), top, ln_v_lo))
         for dirn, at, top, ln_v_lo in ends:
             region(at, partial(kernel_end, dirn), ln_x, top, ln_v_lo)
@@ -789,8 +819,11 @@ def _log_piece_integral(f: TestFunction, piece: Piece, kernel: KernelSpec, ln_x:
         (k_up, True, np.maximum(b_hi, w_lo), w_hi, 1.0, kinks[1]),
     ):
         length = (far - near) * step
-        if span is not None:  # a region that is all of a range the window cuts short takes the range's span
-            length = np.where((near == (w_hi if step < 0.0 else w_lo)) & np.isfinite(span), span, length)
+        if span is not None:
+            # a region that is all of a narrow range, or of one the window cuts short, takes its span; the upper
+            # region takes a range that both would call theirs, rounded to a point on their boundary
+            whole = (near == w_hi) & (w_lo < b_hi) if step < 0.0 else near == w_lo
+            length = np.where(whole & np.isfinite(span), span, length)
         doubling = length > 0.0
         a = -k * step
         if not (dens or kernel_log) and a >= 0.0:  # see the comment above _LN_HALF

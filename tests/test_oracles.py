@@ -297,6 +297,36 @@ def test_a_window_sliver_at_a_piece_end(form, x):
     _assert_close_in_u(log_potential_far(f, kernel, math.log(x), 1.0), want)
 
 
+def _mp_log_indicator(lo: float, hi: float, x: float) -> float:
+    """ln u of indicator(lo, hi) x riesz:0.5 at x: 2 |sqrt|x - lo| -+ sqrt|x - hi||, the sum inside, at 40 digits."""
+    with mp.workdps(40):
+        a, b = mp.sqrt(abs(mp.mpf(x) - lo)), mp.sqrt(abs(mp.mpf(x) - hi))
+        return float(mp.log(2 * (a + b if lo < x < hi else abs(a - b))))
+
+
+@pytest.mark.parametrize(
+    "lo, k, x",
+    [(1.0, 30, 5.0), (1.0, 30, -2.0), (3.0, 50, 0.3), (3.0, 50, 20.0), (3.0, 50, -20.0), (1e4, 38, -1e4), (3.0, 8, 3.5)],
+)
+def test_a_narrow_piece_against_the_closed_form(lo, k, x):
+    # indicator(lo, lo + 2^-k): its length in w = ln(|y|/|x|) came from a difference of logs, which read ln u
+    # 4.7e-10 off at (1, 30, 5), -inf at (3, 50, 0.3) and 0.29 off at (3, 50, 20); it is now log1p(2^-k/lo).
+    # At (1e4, 38, -1e4) both ends round to w = 0, the boundary of the two outward regions, and only one takes it.
+    # At x = 3.5 the piece is in the kernel-end panel, which holds 2^-8 of its distance from x
+    f, kernel = TestFunction.indicator(lo, lo + 2.0**-k), parse_kernel_spec(RIESZ)
+    want = _mp_log_indicator(lo, lo + 2.0**-k, x)
+    _assert_close_in_u(log_potential_far(f, kernel, math.log(abs(x)), math.copysign(1.0, x)), want)
+
+
+@pytest.mark.parametrize("k", [20, 40, 50])
+def test_a_narrow_piece_at_the_kernel_end_raises(k):
+    # the kernel-end panel takes its width 1 - v_lo^alpha from the piece's two ends' |1 - z|, each from a
+    # difference of logs: at x = 3.5 it read ln u 5.8e-10, 2.4e-4 and 0.29 off for these k
+    f = TestFunction.indicator(3.0, 3.0 + 2.0**-k)
+    with pytest.raises(ToleranceError, match=r"the piece \(3, 3\.0+\d+\) is too narrow"):
+        log_potential_far(f, parse_kernel_spec(RIESZ), math.log(3.5), 1.0)
+
+
 def _mp_log_example3_sliver(x) -> float:
     """ln u for example3(0.7,1) x truncated:0.5,0,1 at 0 < x < 1, where the window keeps (1, 1 + x)."""
     with mp.workdps(40):
