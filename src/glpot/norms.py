@@ -13,7 +13,9 @@ this integral at p = 1, one row per interval.  A plain catalog piece is
 exact.  The closed-form route expresses every catalog form without a slow
 factor through the upper incomplete gamma function and serves as an
 independent oracle.  The distribution function inverts |f| on the
-monotone branches the catalog derives from the pieces.
+monotone branches the catalog derives from the pieces, and the decreasing
+rearrangement inverts the distribution function, each root the double
+where a comparison turns, by :func:`~glpot.special.least_double`.
 """
 
 from __future__ import annotations
@@ -344,7 +346,7 @@ def distribution_function(f: TestFunction, level: float) -> float:
 
 
 def decreasing_rearrangement(f: TestFunction, t: float) -> float:
-    """f*(t) = inf{level : m_f(level) <= t}: the least positive double with m_f <= t, 0 if that holds at all."""
+    """f*(t) = inf{level : m_f(level) <= t}: the least positive double with m_f <= t, 0 where every one has it."""
     if t <= 0.0:
         raise DomainError(f"t must be positive, got {t}")
     level = least_double(lambda lam: _log_ratio(t, distribution_function(f, lam)), 0.0, math.inf)
