@@ -231,7 +231,10 @@ class TestFunction:
             elif piece.lo < x < piece.hi:
                 ax = abs(x)
                 y = abs(math.log(ax))
-                v = self.coefficient * ax**-piece.power * y**piece.log_power
+                try:
+                    v = self.coefficient * ax**-piece.power * y**piece.log_power
+                except OverflowError:  # past the largest float, next to the singularity
+                    return math.inf
                 return v if self.slow is None else v * self.slow(y)
         return 0.0
 

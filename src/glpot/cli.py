@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from .catalog import TestFunction
-from .errors import DivergenceError, DomainError, FeasibilityError, NoRootError, ToleranceError
+from .errors import DivergenceError, DomainError, FeasibilityError, ToleranceError
 from .exponents import MultiIndex, PotentialParams, sobolev_q
 from .experiments import EXPERIMENT_NAMES, ExperimentConfig, format_value, run_experiment
 from .grand import PotentialNormEvaluator, grand_norm, v_functional
@@ -292,7 +292,7 @@ def main(argv=None) -> int:
     except (DomainError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"validation error: {exc}\n")
         return 2
-    except (DivergenceError, ToleranceError, NoRootError, FeasibilityError, OverflowError) as exc:
+    except (DivergenceError, ToleranceError, FeasibilityError, OverflowError) as exc:
         sys.stderr.write(f"numeric failure: {exc}\n")
         return 3
 

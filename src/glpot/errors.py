@@ -24,9 +24,5 @@ class ToleranceError(GlpotError, ArithmeticError):
         self.achieved = achieved
 
 
-class NoRootError(GlpotError, ArithmeticError):
-    """A bracketed root search found no sign change on its bracket."""
-
-
 class FeasibilityError(GlpotError, ValueError):
     """An infimum has an empty feasible set (no argument maps into the weight's domain)."""

@@ -56,7 +56,6 @@ def check_lp_convergence(f: TestFunction, p: float) -> None:
 
 
 _EPS = sys.float_info.epsilon
-_TINY = sys.float_info.min * _EPS  #: the smallest positive float
 _LOG_MIN = math.log(sys.float_info.min)  #: ln of the smallest normal float
 #: panel ends from a range's start y_lo to halfway up to the peak, as fractions of that range:
 #: halving toward y_lo, where the slow factor and, at y_lo = 0 (a piece ending at
@@ -289,11 +288,7 @@ _WEAK_GRID_SIZE = 1000
 
 
 def _log_ratio(a: float, b: float) -> float:
-    """ln(a/b) for a, b >= 0, with the sign of a - b: nonzero wherever a != b.
-
-    Within a factor 2 it is log1p of the exact difference a - b over b, so it
-    keeps its relative digits next to a = b, where the root searches end.
-    """
+    """ln(a/b) for a, b >= 0, nonzero with the sign of a - b where a != b: near 1, log1p of the exact a - b."""
     if a == 0.0 or b == math.inf:
         return -math.inf if a != b else 0.0
     if b == 0.0 or a == math.inf:
@@ -350,7 +345,7 @@ def decreasing_rearrangement(f: TestFunction, t: float) -> float:
     if t <= 0.0:
         raise DomainError(f"t must be positive, got {t}")
     level = least_double(lambda lam: _log_ratio(t, distribution_function(f, lam)), 0.0, math.inf)
-    return 0.0 if level == _TINY else level
+    return 0.0 if level == math.ulp(0.0) else level
 
 
 def weak_lp_quasinorm(f: TestFunction, p: float) -> float:

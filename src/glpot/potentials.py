@@ -651,28 +651,6 @@ def _in_units(fn, unit: np.ndarray, rows: np.ndarray, v: np.ndarray) -> np.ndarr
     return fn(rows, v * unit[rows, None])
 
 
-def _check_kernel_end_width(f: TestFunction, piece: Piece, alpha: float, dirn: float, ln_x: np.ndarray,
-                            top: np.ndarray, ln_v_lo: np.ndarray) -> None:
-    """ToleranceError where a narrow piece's kernel-end panel cannot hold SCALED_LN_U_ERR.
-
-    The panel runs over v in (v_lo, 1), |1 - z| = e^top v, and its width 1 - v_lo^alpha comes from the
-    two ends' |1 - z|, each from a w = ln|y| - ln|x| good to about eps (1 + |ln|x||) absolute, so
-    that ln v_lo is off by that times z/|1 - z| at each end and ln u by alpha/(v_lo^-alpha - 1) of it.
-    """
-    with np.errstate(all="ignore"):  # v_lo rounded to 1 or past it: its width is gone, inf below
-        u_far, u_near = np.exp(top), np.exp(top + ln_v_lo)
-        spread = (1.0 + dirn * u_near) / u_near + (1.0 + dirn * u_far) / u_far
-        lost = _EPS * (1.0 + np.abs(ln_x)) * spread * alpha / np.maximum(np.expm1(-alpha * ln_v_lo), 0.0)
-    worst = float(lost.max())
-    if not worst <= SCALED_LN_U_ERR:
-        x = float(ln_x[lost.argmax()])
-        raise ToleranceError(
-            f"scaled potential of {f.label} at ln|x| = {x:.17g}: the piece ({piece.lo:.17g}, {piece.hi:.17g}) "
-            f"is too narrow for its distance from x to keep its width in the kernel-end panel",
-            achieved=worst,
-        )
-
-
 def _log_piece_integral(f: TestFunction, piece: Piece, kernel: KernelSpec, ln_x: np.ndarray, sigma: float,
                         inner: float, outer: float) -> np.ndarray:
     """ln of one piece's share c^-1 u at each ln_x, whose range in |y| is (inner, outer)."""
@@ -766,8 +744,16 @@ def _log_piece_integral(f: TestFunction, piece: Piece, kernel: KernelSpec, ln_x:
             ):
                 top = np.minimum(np.minimum(_LN_HALF, r), edge)
                 ln_v_lo = np.log(u_lo) - top
-                if narrow_piece and covered.any():
-                    _check_kernel_end_width(f, piece, alpha, dirn, ln_x[covered], top[covered], ln_v_lo[covered])
+                if narrow_piece:  # its panel's width 1 - v_lo^alpha comes from its ends' |1 - z|, each from a w
+                    # good to eps (1 + |ln|x||): ln v_lo is off by that times z/|1 - z| at each end, ln u by
+                    # alpha/(v_lo^-alpha - 1) of it, inf where v_lo rounded to 1 or past it
+                    u_near, u_far = np.exp(top + ln_v_lo), np.exp(top)
+                    spread = (1.0 + dirn * u_near) / u_near + (1.0 + dirn * u_far) / u_far
+                    lost = _EPS * (1.0 + np.abs(ln_x)) * spread * alpha / np.maximum(np.expm1(-alpha * ln_v_lo), 0.0)
+                    if not (lost[covered] <= SCALED_LN_U_ERR).all():
+                        raise ToleranceError(f"scaled potential of {f.label}: the piece ({piece.lo:.17g}, "
+                                             f"{piece.hi:.17g}) is too narrow for its distance from x to keep its "
+                                             "kernel-end width", achieved=float(lost[covered].max()))
                 ends.append((dirn, covered & (ln_v_lo < 0.0), top, ln_v_lo))
         for dirn, at, top, ln_v_lo in ends:
             region(at, partial(kernel_end, dirn), ln_x, top, ln_v_lo)

@@ -203,10 +203,7 @@ def power_psi(a: float, b: float, beta: float, gamma: float) -> PsiFunction:
         fn = lambda p: (p - a) ** -beta * (b - p) ** -gamma
         return PsiFunction(a, b, fn, f"power(a={a:g},b={b:g},beta={beta:g},gamma={gamma:g})")
 
-    def continuity_gap(h: float) -> float:
-        return -beta * math.log(h - a) + gamma * math.log(h)
-
-    h = least_double(lambda h: -continuity_gap(h), a, math.inf)
+    h = least_double(lambda h: beta * math.log(h - a) - gamma * math.log(h), a, math.inf)
 
     def fn(p: float) -> float:
         if p < h:

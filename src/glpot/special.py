@@ -5,10 +5,6 @@ continued-fraction pair, and its logarithm.  ``log_upper_gamma`` serves the
 closed-form norms; ``upper_gamma`` has no caller in the package (the
 interval masses use scipy's ``gammaincc`` on arrays) and stays as the
 independent reference the tests check ``gammaincc`` against.
-
-``least_double`` finds every root glpot needs: the crossings of the
-distribution function, the level of the decreasing rearrangement, the
-turning points of a slow factor and the crossover of the power weight.
 """
 
 from __future__ import annotations
@@ -118,18 +114,15 @@ def _double(rank: int) -> float:
 def least_double(g: Callable[[float], float], lo: float, hi: float) -> float:
     """The least double x in (lo, hi] with g(x) >= 0, where that test turns true once from lo to hi.
 
-    g is taken to be negative at lo and >= 0 at hi without being called
-    there, so an end may be singular or infinite; hi comes back where the
-    test is false at every double between.  The bracket is kept as the
-    ranks of its ends (:func:`_rank`), so one bracket spans zero, the
-    subnormals and +-max with no change of variable and no tolerance: the
-    search stops at two neighbouring doubles, the answer exact to the test.
-    Each step takes the Illinois secant point of g's values in rank space,
-    where a rank grows like ln|x|, so g should be a log ratio where the
-    test compares magnitudes.  It takes the midpoint of the ranks instead
-    until both ends have finite values, and wherever the last two steps
-    together did not halve the bracket, so no three calls pass without a
-    halving of its 2^64 ranks: the search ends within 192 calls of g.
+    Every root glpot finds comes from here.  g is not called at the ends, so
+    an end may be singular or infinite; hi comes back where the test is false
+    throughout.  The bracket is kept as ranks (:func:`_rank`), so it spans
+    zero, the subnormals and +-max with no tolerance and ends at two
+    neighbouring doubles.  A step takes the Illinois secant point of g in
+    rank space, where a rank grows like ln|x| (so g should be a log ratio
+    where the test compares magnitudes), and the midpoint until both ends
+    have values or where two steps did not halve the bracket: at most three
+    calls per halving of its 2^64 ranks, 192 in all.
     """
     a, b = _rank(lo), _rank(hi)
     g_a = g_b = math.nan  # not called at the ends

@@ -162,7 +162,7 @@ def _branches(ends, increasing):
 
 
 def _slow_turn(alpha, kappa):
-    """|x| = e^-y where big_r(alpha, 0, log_power(kappa)) turns: alpha + kappa/((1 + ln(1 + y))(1 + y)) = 0, at 40 digits."""
+    """|x| = e^-y where big_r(alpha, 0, log_power(kappa)) turns, alpha + kappa/((1 + ln(1 + y))(1 + y)) = 0."""
     with mp.workdps(40):
         y = mp.findroot(lambda y: mp.mpf(alpha) + mp.mpf(kappa) / ((1 + mp.log1p(y)) * (1 + y)), 2)
         return float(mp.exp(-y))

@@ -486,11 +486,13 @@ def _g_delta_rearranged(delta, t):
     [
         (TestFunction.f_delta(0.5, 0.0), 1e150, 1e-300),  # x^-1/2 > level on x < level^-2
         (TestFunction.big_r(0.5, 1.0), 1e100, _big_r_mass_above(1e100)),
+        (TestFunction.f_delta(0.99, 0.0), 1.7e308, float(mp.mpf(1.7e308) ** (-1 / mp.mpf(0.99)))),
     ],
-    ids=["f_delta(0.5,0)", "big_r(0.5,1)"],
+    ids=["f_delta(0.5,0)", "big_r(0.5,1)", "f_delta(0.99,0)"],
 )
 def test_distribution_function_next_to_a_singularity(f, level, want):
-    # the crossings sit at 1e-300 and 2e-195, deeper than any probe of a bracket search reached
+    # the crossings sit at 1e-300, 2e-195 and the subnormal 4.5e-312, where |f| overflows a double away:
+    # deeper than any probe of a bracket search reached
     assert abs(distribution_function(f, level) - want) <= math.ulp(want)
 
 
@@ -500,11 +502,13 @@ def test_distribution_function_next_to_a_singularity(f, level, want):
         (TestFunction.f_delta(0.5, 0.0), 1e-300, 1e150),  # m(level) = level^-2
         (TestFunction.g_delta(0.0), 1e300, _g_delta_rearranged(0.0, 1e300)),
         (TestFunction.g_delta(1.0), 3.0, _g_delta_rearranged(1.0, 3.0)),
+        (TestFunction.f_delta(0.99, 0.0), 1e-320, math.inf),  # m_f > 1e-320 at every finite level
     ],
-    ids=["f_delta(0.5,0)", "g_delta(0)", "g_delta(1)"],
+    ids=["f_delta(0.5,0)", "g_delta(0)", "g_delta(1)", "f_delta(0.99,0)"],
 )
 def test_rearrangement_to_the_double(f, t, want):
-    assert abs(decreasing_rearrangement(f, t) - want) <= math.ulp(want)
+    got = decreasing_rearrangement(f, t)
+    assert got == want or abs(got - want) <= math.ulp(want)
 
 
 class TestWeakQuasinorm:
