@@ -114,30 +114,33 @@ def _log_singular_integrals(f: TestFunction, piece: Piece, ps: np.ndarray, y_lo:
     is integrated in ln y instead, where y^m dy = e^((m + 1) ln y) d ln y: its
     rate there is -(m + 1) and its power 0.
     """
-    if y_lo is None:
-        y_lo, length = np.full(len(ps), piece.y0), np.full(len(ps), math.inf)
     c = np.array([piece.rate(p) for p in ps])
     m = piece.log_power * ps
-    infinite = np.isinf(length)
+    if y_lo is None:
+        y_lo, length = [piece.y0] * len(ps), [math.inf] * len(ps)
+    else:
+        y_lo, length = y_lo.tolist(), length.tolist()
     in_log = None  # the rows run in ln y, if any: they need a negative log power
     if piece.log_power < 0.0:
-        in_log = (c == 0.0) & (m < -1.0) & infinite
+        in_log = (c == 0.0) & (m < -1.0) & np.isinf(length)
         in_log = in_log if in_log.any() else None
     if in_log is not None:
         with np.errstate(divide="ignore"):  # y_lo = 0, where y^m is not integrable: nan below
-            y_lo = np.where(in_log, np.log(y_lo), y_lo)
+            y_lo = np.where(in_log, np.log(y_lo), y_lo).tolist()
         c, m = np.where(in_log, -1.0 - m, c), np.where(in_log, 0.0, m)
-    if not (c[infinite] > 0.0).all():
-        raise DomainError(f"|{f.label}|_p: the batched rule needs |f|^p to decay exponentially in |ln|x||")
-    # e^(-c y) y^m peaks at m/c, clipped to the range, and at its far end y_hi where c <= 0
-    y_hi = y_lo + length
-    with np.errstate(divide="ignore", invalid="ignore"):
-        y_peak = np.where(c <= 0.0, y_hi, np.where(m > 0.0, np.maximum(y_lo, np.minimum(m / c, y_hi)), y_lo))
-    start = np.where(y_peak == y_hi, -length, y_lo - y_peak)  # a peak at the far end: its s is 0, exactly
-    cut_rate = np.where(infinite, c, math.inf)  # no tail is cut from a finite range
-    cut = [tail_cutoff(ci, mi, yi) if inf else 0.0
-           for ci, mi, yi, inf in zip(c.tolist(), m.tolist(), y_lo.tolist(), infinite.tolist())]
-    right = np.where(infinite, np.array(cut) - y_peak, start + length)
+    rows = []  # (y_peak, start, right, cut rate) of each row, in floats: as arrays each step would be a numpy call
+    for ci, mi, lo, n in zip(c.tolist(), m.tolist(), y_lo, length):
+        # e^(-c y) y^m peaks at m/c, clipped to the range, and at its far end hi where c <= 0
+        hi = lo + n
+        peak = hi if ci <= 0.0 else max(lo, min(mi / ci, hi)) if mi > 0.0 else lo
+        start = -n if peak == hi else lo - peak  # a peak at the far end: its s is 0, exactly
+        if n < math.inf:  # no tail is cut from a finite range
+            rows.append((peak, start, start + n, math.inf))
+        elif ci > 0.0:
+            rows.append((peak, start, tail_cutoff(ci, mi, lo) - peak, ci))
+        else:
+            raise DomainError(f"|{f.label}|_p: the batched rule needs |f|^p to decay exponentially in |ln|x||")
+    y_peak, start, right, cut_rate = np.array(rows).reshape(-1, 4).T
     ln_peak = np.log(y_peak, out=np.zeros_like(y_peak), where=(m != 0.0))
     left = start / 2.0
     # in s: doubling panels outward from the peak, the first min(1, 4/|c|) wide to resolve it, right

@@ -160,6 +160,21 @@ class TestPotentialNormEvaluator:
             want = (body + tail) ** (1.0 / q)
             assert math.exp(ev.log_qnorm(q)) == pytest.approx(want, rel=5e-3)
 
+    def test_narrow_indicator_norm_against_closed_form(self):
+        # indicator(1, 1.1) is narrower than 1/8 of its inner end; its table holds points in the piece and at
+        # its ends, where the kernel-end width check read nan and failed the whole call
+        ev = PotentialNormEvaluator(TestFunction.indicator(1.0, 1.1), KernelSpec.riesz(0.5))
+
+        def u(x: float) -> float:
+            a, b = math.sqrt(abs(x - 1.0)), math.sqrt(abs(x - 1.1))
+            return 2.0 * (a + b if 1.0 < x < 1.1 else abs(a - b))
+
+        q = 4.0
+        body, _ = sp_quad(lambda x: u(x) ** q, -50.0, 50.0, points=(1.0, 1.1), limit=400)
+        # |u| ~ 0.1 |x|^(-1/2) far out
+        tail = 2.0 * 0.1**q * 50.0 ** (1.0 - q / 2.0) / (q / 2.0 - 1.0)
+        assert math.exp(ev.log_qnorm(q)) == pytest.approx((body + tail) ** (1.0 / q), rel=5e-3)
+
     def test_qnorm_consistent_across_construction(self):
         f = TestFunction.g_delta(0.0)
         a = PotentialNormEvaluator(f, KernelSpec.riesz(0.5)).log_qnorm(2.5)

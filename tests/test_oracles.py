@@ -306,13 +306,16 @@ def _mp_log_indicator(lo: float, hi: float, x: float) -> float:
 
 @pytest.mark.parametrize(
     "lo, k, x",
-    [(1.0, 30, 5.0), (1.0, 30, -2.0), (3.0, 50, 0.3), (3.0, 50, 20.0), (3.0, 50, -20.0), (1e4, 38, -1e4), (3.0, 8, 3.5)],
+    [(1.0, 30, 5.0), (1.0, 30, -2.0), (3.0, 50, 0.3), (3.0, 50, 20.0), (3.0, 50, -20.0), (1e4, 38, -1e4), (3.0, 8, 3.5),
+     (1.0, 4, 1.03125), (1.0, 4, 1.0625), (3.0, 8, 3.0)],
 )
 def test_a_narrow_piece_against_the_closed_form(lo, k, x):
     # indicator(lo, lo + 2^-k): its length in w = ln(|y|/|x|) came from a difference of logs, which read ln u
     # 4.7e-10 off at (1, 30, 5), -inf at (3, 50, 0.3) and 0.29 off at (3, 50, 20); it is now log1p(2^-k/lo).
     # At (1e4, 38, -1e4) both ends round to w = 0, the boundary of the two outward regions, and only one takes it.
-    # At x = 3.5 the piece is in the kernel-end panel, which holds 2^-8 of its distance from x
+    # At x = 3.5 the piece is in the kernel-end panel, which holds 2^-8 of its distance from x. With x in the
+    # piece or at an end, each kernel-end panel runs from x (v_lo = 0) and its width is exact: the width check
+    # read nan there and raised
     f, kernel = TestFunction.indicator(lo, lo + 2.0**-k), parse_kernel_spec(RIESZ)
     want = _mp_log_indicator(lo, lo + 2.0**-k, x)
     _assert_close_in_u(log_potential_far(f, kernel, math.log(abs(x)), math.copysign(1.0, x)), want)
@@ -325,6 +328,20 @@ def test_a_narrow_piece_at_the_kernel_end_raises(k):
     f = TestFunction.indicator(3.0, 3.0 + 2.0**-k)
     with pytest.raises(ToleranceError, match=r"the piece \(3, 3\.0+\d+\) is too narrow"):
         log_potential_far(f, parse_kernel_spec(RIESZ), math.log(3.5), 1.0)
+
+
+@pytest.mark.parametrize("radius", [0.1, 0.4])
+def test_a_narrow_piece_under_a_truncation_window(radius):
+    # indicator(3, 3.2) at x = 3.5: a window of radius 0.1 leaves the piece out (u = 0, where the width check
+    # raised), one of 0.4 keeps (3.1, 3.2), whose kernel-end panel ends at the window edge
+    f, kernel = TestFunction.indicator(3.0, 3.2), parse_kernel_spec(f"truncated:0.5,0,{radius}")
+    got = log_potential_far(f, kernel, math.log(3.5), 1.0)
+    if radius < 0.3:
+        assert got == -math.inf
+    else:
+        with mp.workdps(40):
+            want = float(mp.log(2 * (mp.sqrt(mp.mpf(radius)) - mp.sqrt(mp.mpf(3.5) - mp.mpf(3.2)))))
+        _assert_close_in_u(got, want)
 
 
 def _mp_log_example3_sliver(x) -> float:
