@@ -116,10 +116,7 @@ def _log_singular_integrals(f: TestFunction, piece: Piece, ps: np.ndarray, y_lo:
     """
     c = np.array([piece.rate(p) for p in ps])
     m = piece.log_power * ps
-    if y_lo is None:
-        y_lo, length = [piece.y0] * len(ps), [math.inf] * len(ps)
-    else:
-        y_lo, length = y_lo.tolist(), length.tolist()
+    y_lo, length = ([piece.y0] * len(ps), [math.inf] * len(ps)) if y_lo is None else (y_lo.tolist(), length.tolist())
     in_log = None  # the rows run in ln y, if any: they need a negative log power
     if piece.log_power < 0.0:
         in_log = (c == 0.0) & (m < -1.0) & np.isinf(length)

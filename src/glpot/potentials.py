@@ -744,15 +744,13 @@ def _log_piece_integral(f: TestFunction, piece: Piece, kernel: KernelSpec, ln_x:
             ):
                 top = np.minimum(np.minimum(_LN_HALF, r), edge)
                 ln_v_lo = np.log(u_lo) - top
-                if narrow_piece:  # its panel's width 1 - v_lo^alpha comes from its two ends' |1 - z|, each
-                    # from a w good to eps (1 + |ln|x||): ln v_lo is off by that times z/|1 - z| at each end, ln u
-                    # by alpha/(v_lo^-alpha - 1) of it, inf where v_lo rounded to 1 or past it. Only a width under
-                    # 1/2 is a cancelling difference: a wider one (x in the piece, at its end, or nearer its near
-                    # end than its width) passes on less than its ends' error, as any piece's kernel end next to x
-                    # does, and a panel that ends at a window edge (top = r) does not run between the piece's ends
+                if narrow_piece:  # its panel's width 1 - v_lo^alpha comes from its ends' |1 - z|, each from a w
+                    # good to eps (1 + |ln|x||): ln v_lo is off by that times z/|1 - z| at each end, ln u by
+                    # alpha/(v_lo^-alpha - 1) of it, inf where v_lo rounded to 1 or past it. Only a width under 1/2
+                    # cancels: x in the piece, at an end or next to it leaves a wider one, and a window edge (top = r)
+                    # is not an end of the piece
                     between = covered & (top < r) & (np.expm1(alpha * ln_v_lo) > -0.5)
-                    u_far = np.exp(top)
-                    spread = (1.0 + dirn * u_lo) / u_lo + (1.0 + dirn * u_far) / u_far
+                    spread = 1.0 / u_lo + np.exp(-top) + 2.0 * dirn
                     lost = _EPS * (1.0 + np.abs(ln_x)) * spread * alpha / np.maximum(np.expm1(-alpha * ln_v_lo), 0.0)
                     if not (lost[between] <= SCALED_LN_U_ERR).all():
                         raise ToleranceError(f"scaled potential of {f.label}: the piece ({piece.lo:.17g}, "
