@@ -49,7 +49,7 @@ class Piece:
         if self.role not in ("plain", "origin", "tail"):
             raise DomainError(f"unknown piece role {self.role!r}")
         if not self.lo < self.hi:  # also refuses a nan end
-            raise DomainError(f"a piece needs lo < hi, got ({self.lo:g}, {self.hi:g})")
+            raise DomainError(f"a piece needs lo < hi, got ({_end(self.lo)}, {_end(self.hi)})")
 
     @property
     def y0(self) -> float:
@@ -66,6 +66,12 @@ class Piece:
         """
         product, error = _two_product(self.power, p)
         return (1.0 - product) - error if self.role == "origin" else (product - 1.0) + error
+
+
+def _end(x: float) -> str:
+    """x as ``:g`` writes it where that reads back as x, else to all 17 digits: ends 2^-20 apart stay apart."""
+    text = f"{x:g}"
+    return text if float(text) == x else f"{x:.17g}"
 
 
 def _two_product(a: float, b: float) -> tuple[float, float]:
@@ -129,7 +135,7 @@ class TestFunction:
         if not self.pieces:
             raise DomainError(f"{self.label} needs the pieces of its support")
         for piece in self.pieces:
-            ends = f"({piece.lo:g}, {piece.hi:g})"
+            ends = f"({_end(piece.lo)}, {_end(piece.hi)})"
             if piece.role != "plain" and piece.power == 0.0 and piece.log_power == 0.0:
                 raise DomainError(f"a {piece.role} piece needs a decay hint, got {ends} with power = log_power = 0")
             if piece.role == "origin" and not (0.0 in (piece.lo, piece.hi) and math.isfinite(piece.lo + piece.hi)):
@@ -205,8 +211,8 @@ class TestFunction:
     def indicator(lo: float, hi: float) -> "TestFunction":
         """1 on [lo, hi], zero elsewhere; both ends finite."""
         if not (math.isfinite(lo) and math.isfinite(hi)):
-            raise DomainError(f"an indicator needs finite ends, got ({lo:g}, {hi:g})")
-        return _form("indicator", f"indicator([{lo:g},{hi:g}])", (Piece("plain", lo, hi),), interval=(lo, hi))
+            raise DomainError(f"an indicator needs finite ends, got ({_end(lo)}, {_end(hi)})")
+        return _form("indicator", f"indicator([{_end(lo)},{_end(hi)}])", (Piece("plain", lo, hi),), interval=(lo, hi))
 
     @staticmethod
     def user(

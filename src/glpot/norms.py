@@ -7,7 +7,11 @@ is None for a constant one).  Every exponent of a request is one row of the
 batched Gauss-Kronrod rule (:func:`~glpot.quadrature.integrate_batch`):
 doubling panels outward from the integrand's peak, cut where
 :func:`~glpot.quadrature.tail_cutoff` drops the rest, so a single p and a
-whole grand-norm grid run the same code and get the same bits.  A row may
+whole grand-norm grid run the same code and get the same bits.  Below the
+peak, panels halve toward the range's start y_lo only down to the scale
+the integrand varies on there, y_lo: a row keeps the halving panels at
+least y_lo wide and the top one, so it still tiles its range.  The
+mirror-image pieces of an even catalog form share one integral.  A row may
 cover part of a piece: the interval masses of :mod:`glpot.potentials` are
 this integral at p = 1, one row per interval.  A plain catalog piece is
 exact.  The closed-form route expresses every catalog form without a slow
@@ -27,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .catalog import MonotoneBranch, Piece, TestFunction
+from .catalog import MonotoneBranch, Piece, TestFunction, _end
 from .errors import DivergenceError, DomainError, ToleranceError
 from .quadrature import QuadratureSpec, integrate_batch, tail_cutoff
 from .special import least_double, log_upper_gamma
@@ -50,7 +54,7 @@ def check_lp_convergence(f: TestFunction, p: float) -> None:
     for piece in f.pieces:
         if not _piece_converges(piece, p):
             raise DivergenceError(
-                f"|{f.label}|_{p:g} diverges: piece {piece.role} on ({piece.lo:g}, {piece.hi:g}) "
+                f"|{f.label}|_{p:g} diverges: piece {piece.role} on ({_end(piece.lo)}, {_end(piece.hi)}) "
                 f"has local exponent {piece.power * p:g} (log order {piece.log_power * p:g})"
             )
 
@@ -58,8 +62,9 @@ def check_lp_convergence(f: TestFunction, p: float) -> None:
 _EPS = sys.float_info.epsilon
 _LOG_MIN = math.log(sys.float_info.min)  #: ln of the smallest normal float
 #: panel ends from a range's start y_lo to halfway up to the peak, as fractions of that range:
-#: halving toward y_lo, where the slow factor and, at y_lo = 0 (a piece ending at
-#: |x| = 1), y^m vary on the scale of y_lo or less
+#: halving toward y_lo, down to the scale on which the slow factor and y^m vary there, y_lo
+#: itself.  A row keeps the edges at least y_lo from its start and the top one, all 41 panels
+#: where y_lo = 0 (a piece ending at |x| = 1); the others collapse onto the start
 _TOWARD_Y0 = np.concatenate([[0.0], 2.0 ** -np.arange(40, -1, -1)])
 
 
@@ -147,6 +152,11 @@ def _log_singular_integrals(f: TestFunction, piece: Piece, ps: np.ndarray, y_lo:
     doubling = width[:, None] * (2.0 ** np.arange(n_doubling + 1) - 1.0)
     outward_right, outward_left = np.minimum(doubling, right[:, None]), np.maximum(-doubling, left[:, None])
     below = start[:, None] * (1.0 - _TOWARD_Y0 / 2.0)
+    # halving edges closer than y_lo to the start collapse onto it, and their empty panels cost nothing;
+    # the top edge stays, so the panels still tile the range.  A row in ln y starts at its peak
+    near = -start[:, None] * (_TOWARD_Y0 / 2.0) < np.array(y_lo)[:, None]
+    near[:, -1] = False
+    below = np.where(near, start[:, None], below)
     lo = np.concatenate([below[:, :-1], outward_left[:, 1:], outward_right[:, :-1]], axis=1)
     hi = np.concatenate([below[:, 1:], outward_left[:, :-1], outward_right[:, 1:]], axis=1)
     y_scale = y_peak if in_log is None else np.where(in_log, 1.0, y_peak)  # of the m term, 0 on rows in ln y
@@ -206,12 +216,20 @@ def _log_lp_integrals(f: TestFunction, ps: np.ndarray) -> tuple[np.ndarray, np.n
 
     Every p must be >= 1 and pass check_lp_convergence.  Each singular piece
     is one integrate_batch call with a row per p, so a p's column does not
-    depend on the other exponents of the request.
+    depend on the other exponents of the request.  The mirror images of an
+    even catalog form (same role, exponents and |ends|) have the same
+    integrand in y, coefficient and slow factor included, so they share one.
     """
     logs, rels = np.empty((2, len(f.pieces), len(ps)))
+    mirrored = {}  # a catalog form's singular integrals by role, exponents and |ends|
     for i, piece in enumerate(f.pieces):
-        integrals = _log_plain_integrals if piece.role == "plain" else _log_singular_integrals
-        logs[i], rels[i] = integrals(f, piece, ps)
+        if piece.role == "plain":
+            logs[i], rels[i] = _log_plain_integrals(f, piece, ps)
+            continue
+        key = (piece.role, piece.power, piece.log_power, *sorted((abs(piece.lo), abs(piece.hi))))
+        if f.evaluator is not None or key not in mirrored:  # a user density's two sides may differ
+            mirrored[key] = _log_singular_integrals(f, piece, ps)
+        logs[i], rels[i] = mirrored[key]
     return logs, rels
 
 

@@ -469,6 +469,23 @@ def test_indicator_needs_finite_ends(lo, hi):
 
 
 @pytest.mark.parametrize(
+    "lo, hi, label",
+    [(0.0, 1.0, "indicator([0,1])"), (-0.5, 2.0, "indicator([-0.5,2])"), (1e-7, 1e20, "indicator([1e-07,1e+20])"),
+     # ":g" wrote both as 3, so the label named the empty indicator([3,3])
+     (3.0, 3.0 + 2.0**-20, "indicator([3,3.0000009536743164])"), (0.1, 0.1 + 0.2, "indicator([0.1,0.30000000000000004])")],
+)
+def test_an_indicator_label_reads_back_as_its_ends(lo, hi, label):
+    assert TestFunction.indicator(lo, hi).label == label
+
+
+def test_piece_end_messages_tell_ends_apart():
+    with pytest.raises(DomainError, match=r"got \(3\.0000009536743164, 3\)"):
+        Piece("plain", 3.0 + 2.0**-20, 3.0)
+    with pytest.raises(DomainError, match=r"got \(0\.5, 3\.0000009536743164\) with power"):
+        TestFunction.user(abs, (Piece("tail", 0.5, 3.0 + 2.0**-20),))
+
+
+@pytest.mark.parametrize(
     "build, match",
     [
         (lambda: TestFunction.example3(1.0, 1.5), r"alpha must be in \(0,1\), got 1\.0"),

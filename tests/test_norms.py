@@ -30,7 +30,7 @@ from glpot import (
 )
 from glpot import norms
 from glpot.catalog import MonotoneBranch, Piece
-from glpot.quadrature import integrate_decaying
+from glpot.quadrature import integrate_decaying, tail_cutoff
 
 E = math.e
 
@@ -186,6 +186,58 @@ class TestLpNormOracles:
         logs, rels = norms._log_singular_integrals(_LOG_TAIL, _LOG_TAIL.pieces[0], ps)
         alone = [norms._log_singular_integrals(_LOG_TAIL, _LOG_TAIL.pieces[0], ps[i : i + 1]) for i in (1, 2)]
         assert [(lv[0], r[0]) for lv, r in alone] == list(zip(logs[1:], rels[1:]))
+
+    @pytest.mark.parametrize("slow", [None, SlowlyVarying.log_power(1.0)], ids=["plain", "kappa-1"])
+    def test_mirror_images_share_one_integral(self, monkeypatch, slow):
+        f = TestFunction.big_r(0.5, 1.0, slow)
+        ps = np.array([1.0, 1.5, 1.9])
+        calls = []
+        original = norms._log_singular_integrals
+        monkeypatch.setattr(norms, "_log_singular_integrals", lambda *args: calls.append(args) or original(*args))
+        logs, rels = norms._log_lp_integrals(f, ps)
+        assert len(calls) == 1
+        assert logs[0].tobytes() == logs[1].tobytes() and rels[0].tobytes() == rels[1].tobytes()
+        if slow is None:  # each side is f_delta(0.5, 1)
+            half = np.exp(norms._log_lp_integrals(TestFunction.f_delta(0.5, 1.0), ps)[0][0])
+            assert np.all(np.abs(np.exp(np.logaddexp(*logs)) - 2.0 * half) <= 1e-15 * 2.0 * half)
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 1.9])
+    def test_a_user_density_with_unequal_sides_is_not_shared(self, p):
+        # x^-1/2 on (0, 1) and 2|x|^-1/2 on (-1, 0): the same pieces up to sign, but not the same values
+        f = TestFunction.user(
+            lambda x: abs(x) ** -0.5 * (2.0 if x < 0.0 else 1.0),
+            (Piece("origin", -1.0, 0.0, power=0.5), Piece("origin", 0.0, 1.0, power=0.5)),
+        )
+        want = (1.0 + 2.0**p) / (1.0 - p / 2.0)
+        assert lp_norm(f, p) ** p == pytest.approx(want, rel=1e-13)
+
+    @pytest.mark.parametrize("y_lo", [0.0, 1e-3, 1.0, 40.0])
+    @pytest.mark.parametrize("peak", ["at", "near", "far"])
+    @pytest.mark.parametrize("length", [0.5, 50.0, math.inf])
+    def test_the_panels_of_a_row_tile_its_range(self, monkeypatch, y_lo, peak, length):
+        # at p = 2, g_delta(delta)^p is e^(-y) y^(2 delta) in y: it peaks at 2 delta, clipped to the range.
+        # Dropping the top halving panel once left part of the range out: g_delta(1) at p = 1.9 read 7% off
+        # with a reported error of 5e-15, which no error estimate can see
+        target = {"at": 0.0, "near": 1.5 * y_lo + 0.25, "far": 10.0 * y_lo + 100.0}[peak]
+        f = TestFunction.g_delta(target / 2.0)
+        panels = []
+        original = norms.integrate_batch
+        monkeypatch.setattr(norms, "integrate_batch", lambda fn, lo, hi: panels.append((lo, hi)) or original(fn, lo, hi))
+        norms._log_singular_integrals(f, f.pieces[0], np.array([2.0]), np.array([y_lo]), np.array([length]))
+        (lo, hi), = panels
+        nonempty = lo[0] != hi[0]
+        order = np.argsort(lo[0][nonempty])
+        lo, hi = lo[0][nonempty][order], hi[0][nonempty][order]
+        assert np.all(hi > lo) and np.array_equal(hi[:-1], lo[1:])  # contiguous, in s = y - y_peak
+        y_peak = min(max(target, y_lo), y_lo + length)
+        end = y_lo + length if length < math.inf else tail_cutoff(1.0, target, y_lo)
+        assert lo[0] + y_peak == pytest.approx(y_lo, abs=4e-16 * y_peak)
+        assert hi[-1] + y_peak == pytest.approx(end, abs=4e-16 * end)
+        halving = hi <= lo[0] / 2.0  # the panels below halfway from the start to the peak
+        if y_lo == 0.0 and lo[0] < 0.0:
+            assert halving.sum() == 41
+        else:  # all but the top one at least y_lo wide
+            assert np.all(hi[halving][:-1] - lo[halving][:-1] >= y_lo)
 
     def test_g0_two_norm(self):
         assert lp_norm(TestFunction.g_delta(0.0), 2.0) == pytest.approx(math.exp(-0.5), rel=1e-9)
