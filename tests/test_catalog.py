@@ -472,7 +472,8 @@ def test_indicator_needs_finite_ends(lo, hi):
     "lo, hi, label",
     [(0.0, 1.0, "indicator([0,1])"), (-0.5, 2.0, "indicator([-0.5,2])"), (1e-7, 1e20, "indicator([1e-07,1e+20])"),
      # ":g" wrote both as 3, so the label named the empty indicator([3,3])
-     (3.0, 3.0 + 2.0**-20, "indicator([3,3.0000009536743164])"), (0.1, 0.1 + 0.2, "indicator([0.1,0.30000000000000004])")],
+     (3.0, 3.0 + 2.0**-20, "indicator([3,3.0000009536743164])"),
+     (0.1, 0.1 + 0.2, "indicator([0.1,0.30000000000000004])")],
 )
 def test_an_indicator_label_reads_back_as_its_ends(lo, hi, label):
     assert TestFunction.indicator(lo, hi).label == label
