@@ -132,7 +132,7 @@ class KernelSpec:
 
     @property
     def rel_err(self) -> float:
-        """Relative error of one kernel value beyond rounding (QUADPACK does not see it)."""
+        """Relative error of one kernel value beyond rounding, which no quadrature error estimate sees."""
         return MACDONALD_REL_ERR if self.variant == "bessel" else 0.0
 
     @property
@@ -529,9 +529,18 @@ def apply_kernel(f: TestFunction, x: float, kernel: KernelSpec, spec: Quadrature
 # |ln|y'||^delta S(|ln|y'||) (1 for a plain piece, whose power is 0) and W
 # the kernel's, clipped to the truncation window.  One region table serves
 # every piece: a kernel end on each side of z = 1 (|1 - z| < 1/2) and an
-# outward region below and above it, in w = ln z.  A range shorter than 1/8
-# in w that straddles z = 1/2 or 3/2 (z = 1 when sigma = -1) is all one
-# outward region, which takes its length from its span in |y|.
+# outward region below and above it, in w = ln z.  Where the point X = e^L
+# is a normal double, every region end is its offset d = |y'| - X, exact as a
+# pair, and one double within a factor 2 of X, so in the whole kernel-end
+# zone.  Nothing is taken as a difference of two logs: a kernel end's v_lo is
+# d_near / d_far, its ln from log1p of their difference over d_near, and its
+# panel's width 1 - v_lo^alpha is -expm1(alpha ln v_lo); an outward length is
+# log1p of the ends' difference in d over the lower end's |y'|.  A range
+# across z = 1/2 or 3/2, however short, splits there like any other.  Past
+# the normal doubles the ends are ordered by w; a length between two ends
+# that are piece ends or window edges comes from their |y'|, and one to a
+# zone boundary, where a finite end of the piece would be subnormal or past
+# half the largest double, from the w's.
 #
 # An outward region is one of two things.  Where it has no log factor (no
 # density log power or slow factor, no kernel log factor), e^(k w) does not
@@ -592,27 +601,31 @@ def _resolved(result: IntegralResult) -> np.ndarray:
     return result.value
 
 
-def _log_power_panel(rest, exponent: float, v_lo: np.ndarray, scale: np.ndarray) -> np.ndarray:
-    """scale + ln of the integral of v^exponent rest(rows, v) over v in (v_lo, 1), one row per point."""
+def _log_power_panel(rest, exponent: float, ln_v_lo: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """scale + ln of the integral of v^exponent rest(rows, v) over v in (v_lo, 1), one row per point.
+
+    The panel runs over t = 1 - v^s, s = 1 + exponent, from 0 to its width
+    1 - v_lo^s, taken as -expm1(s ln v_lo): exact however near 1 v_lo lies.
+    """
     s = 1.0 + exponent
-    value = _resolved(
-        integrate_batch(lambda rows, w: rest(rows, w ** (1.0 / s)) / s, (v_lo**s)[:, None], np.ones((len(v_lo), 1)))
-    )
-    return scale + _log(value)
+    width = -np.expm1(s * ln_v_lo)
+    value = integrate_batch(lambda rows, t: rest(rows, (1.0 - t) ** (1.0 / s)) / s, np.zeros((len(width), 1)),
+                            width[:, None])
+    return scale + _log(_resolved(value))
 
 
-def _log_outward(make, k: float, near: np.ndarray, far: np.ndarray, step: float, degree: float,
-                 kink: Optional[np.ndarray] = None, length: Optional[np.ndarray] = None) -> np.ndarray:
-    """ln of the integral over w from near (next to z = 1) outward to far, in direction step.
+def _log_outward(make, k: float, near: np.ndarray, far: np.ndarray, length: np.ndarray, step: float, degree: float,
+                 kink: Optional[np.ndarray] = None) -> np.ndarray:
+    """ln of the integral over w from near (next to z = 1) outward to far, in direction step, length long.
 
     Panels of width 1, 8, 64, ... from near and, where e^(k w) peaks at
     far, from far as well, so that the peak never falls in a wide panel;
     one more edge at kink where it lies inside the range (nan: nowhere).
     A range that ends less than 1/8 of its last full panel past an edge
-    takes that rest into the panel.  An infinite far is cut at the
-    decaying-tail rule's truncation point.
-    length, where finite, is (far - near) step to more digits than that
-    difference keeps.  make(anchor, sign) is the integrand in
+    takes that rest into the panel.  length is (far - near) step as the
+    caller knows it, to more digits than that difference keeps; where it
+    is infinite (far is too), the range is cut at the decaying-tail rule's
+    truncation point.  make(anchor, sign) is the integrand in
     s = sign (w - anchor) >= 0 with its log scale, anchored at the end
     where e^(k w) peaks: the nodes there stay exact at any |w|.  A range
     shorter than eps is integrated in s / length with ln length in its
@@ -620,9 +633,10 @@ def _log_outward(make, k: float, near: np.ndarray, far: np.ndarray, step: float,
     factor vanishing at one end), and their product would underflow where
     its log does not.
     """
-    if np.isinf(far).any():
-        far = np.where(np.isinf(far), near + step * tail_cutoff(-k * step, degree, 0.0), far)
-    length = (far - near) * step if length is None else np.where(np.isinf(length), (far - near) * step, length)
+    cut = np.isinf(length)
+    if cut.any():
+        far = np.where(cut, near + step * tail_cutoff(-k * step, degree, 0.0), far)
+        length = np.where(cut, (far - near) * step, length)
     cuts = [0.0, 1.0]
     while cuts[-1] < length.max():
         cuts.append(8.0 * cuts[-1] + 1.0)
@@ -653,7 +667,15 @@ def _in_units(fn, unit: np.ndarray, rows: np.ndarray, v: np.ndarray) -> np.ndarr
 
 def _log_piece_integral(f: TestFunction, piece: Piece, kernel: KernelSpec, ln_x: np.ndarray, sigma: float,
                         inner: float, outer: float) -> np.ndarray:
-    """ln of one piece's share c^-1 u at each ln_x, whose range in |y| is (inner, outer)."""
+    """ln of one piece's share c^-1 u at each ln_x, whose range in |y| is (inner, outer).
+
+    Each region end is (d, e, w): w = ln(|y|/|x|) is its place, and d + e,
+    exact as that pair (:func:`_two_sum`), its offset |y| - X where X =
+    e^ln_x is a normal double (one double wherever |y| is within a factor
+    2 of X, so in the whole kernel-end zone), else |y| itself, and nan at a
+    zone boundary there, which only w places.  Ends are ordered by offset
+    where X is a normal double, else by w.
+    """
     alpha, power, delta = kernel.alpha, piece.power, piece.log_power
     am1, k_low, k_up = alpha - 1.0, 1.0 - power, alpha - power
     dens = piece.role != "plain" and (delta != 0.0 or f.slow is not None)
@@ -666,44 +688,73 @@ def _log_piece_integral(f: TestFunction, piece: Piece, kernel: KernelSpec, ln_x:
         if len(idx):
             total[idx] = np.logaddexp(total[idx], log_part(*(a if a is None else a[idx] for a in arrays)))
 
-    # the range in w = ln z, and the truncation window |1 - sigma z| < e^r; the kernel end keeps the unclipped range
-    w_lo, w_hi = (math.log(inner) if inner > 0.0 else -math.inf) - ln_x, math.log(outer) - ln_x
+    # the piece's ends, clipped to the truncation window |1 - sigma z| < e^r, and the boundaries between the
+    # kernel ends and the outward regions (z = 1/2 and 3/2), or between the outward regions (z = 1, sigma < 0)
     r = math.log(kernel.reach) - ln_x
-    s_lo, s_hi = w_lo, w_hi
-    if sigma > 0.0:
-        w_hi = np.minimum(w_hi, np.logaddexp(0.0, r))
-        with np.errstate(divide="ignore"):  # r >= 0: a branch np.where discards
-            w_lo = np.where(r < 0.0, np.maximum(w_lo, np.log1p(-np.exp(np.minimum(r, 0.0)))), w_lo)
-    else:
-        live = r > 0.0
-        with np.errstate(all="ignore"):  # branches np.where discards
-            w_hi = np.where(live, np.minimum(w_hi, r + np.log(-np.expm1(-r))), -np.inf)
-        w_lo = np.where(live, w_lo, np.inf)
-    # ln(y_hi / y_lo) where the range keeps its digits only so (a piece narrower than 1/8 of its inner end,
-    # or where the window cuts the range short), else inf; None where neither holds at any point
-    span = None
-    narrow_piece = 0.0 < inner and outer - inner < inner / 8.0
-    if narrow_piece:
-        span = np.full(ln_x.shape, math.log1p((outer - inner) / inner))
-    cut_lo, cut_hi = (w_lo > s_lo, w_hi < s_hi) if kernel.reach != math.inf else (None, None)
-    if cut_lo is not None and (cut_lo | cut_hi).any():
-        # from y_hi - y_lo, so that a sliver keeps its last digits: each end is a + b in |y|, a piece end
-        # or a window edge |x| - R, |x| + R (sigma > 0) or R - |x| (sigma < 0), with b the part in |x|
-        reach = kernel.reach
-        with np.errstate(all="ignore"):  # |x| overflowing where the window leaves nothing, and ranges it leaves whole
-            x_abs = np.exp(ln_x)
-            a_lo, b_lo = np.where(cut_lo, -reach, inner), np.where(cut_lo, x_abs, 0.0)
-            a_hi, b_hi = np.where(cut_hi, reach, outer), np.where(cut_hi, sigma * x_abs, 0.0)
-            whole = np.inf if span is None else span
-            span = np.where(cut_lo | cut_hi, np.log1p(((a_hi - a_lo) + (b_hi - b_lo)) / (a_lo + b_lo)), whole)
+    s_lo, s_hi = (math.log(inner) if inner > 0.0 else -math.inf) - ln_x, math.log(outer) - ln_x
+    kernel_ends, outward_regions, kinks = [], [], (None, None)
+    with np.errstate(all="ignore"):  # branches np.where discards, and the ends where a region is empty
+        x_abs = np.exp(ln_x)
+        exact = (sys.float_info.min <= x_abs) & (x_abs < math.inf)
+        every, some = exact.all(), exact.any()
+        origin = np.where(exact, x_abs, 0.0)  # offsets are from X where exact, else from 0: |y| itself
+        x_rest = x_abs - origin  # what of X the origin leaves out: 0 where exact, else X itself, 0 or inf
+        half_x = np.where(exact, 0.5 * x_abs, np.nan)
 
-    # where the kernel ends give way to the outward regions (z = 1/2 and 3/2), or the outward regions to each
-    # other (z = 1, sigma < 0); a range shorter than 1/8 across one is not split there, since each part would
-    # take its length from a difference of logs, and is one outward region, whose length span keeps
-    b_lo, b_hi = (_LN_HALF, _LN_3_2) if sigma > 0.0 else (0.0, 0.0)
-    narrow = w_hi - w_lo < 0.125
-    b_lo = np.where(narrow & (w_lo < b_lo) & (b_lo < w_hi), w_hi, b_lo)
-    b_hi = np.where(narrow & (w_lo < b_hi) & (b_hi < w_hi), w_lo if sigma > 0.0 else w_hi, b_hi)
+        def per_point(by_offset, by_w):
+            """by_offset() where exact, by_w() elsewhere, each evaluated only where some point needs it."""
+            return by_offset() if every else by_w() if not some else np.where(exact, by_offset(), by_w())
+
+        def further(a, b, sign):
+            gt = np.greater if sign > 0.0 else np.less
+            first = per_point(lambda: gt(a[0], b[0]) | ((a[0] == b[0]) & gt(a[1], b[1])), lambda: gt(a[2], b[2]))
+            return tuple(np.where(first, p, q) for p, q in zip(a, b))
+
+        def end(y, b, w):
+            # the end at |y| = y + b - origin, b an array: its offset as an exact pair, and its w
+            d, e = _two_sum(y, b)
+            return d, np.where(np.isfinite(d), e, 0.0), w
+
+        lo, hi = end(inner, -origin, s_lo), end(outer, -origin, s_hi)
+        if kernel.reach < math.inf and sigma > 0.0:  # window edges X -+ R: offsets -+R where exact
+            lo = further(lo, end(-kernel.reach, x_rest, np.log1p(-np.exp(np.minimum(r, 0.0)))), 1.0)
+            hi = further(hi, end(kernel.reach, x_rest, np.logaddexp(0.0, r)), -1.0)
+        elif kernel.reach < math.inf:  # R - X
+            window = np.where(r > 0.0, r + np.log(-np.expm1(-r)), -np.inf)
+            hi = further(hi, end(kernel.reach, -(x_abs + origin), window), -1.0)
+        b_lo, b_hi = (-half_x, 0.0, _LN_HALF), (half_x, 0.0, _LN_3_2)
+        if sigma < 0.0:
+            b_lo = b_hi = (0.0 * half_x, 0.0, 0.0)
+
+        # the kernel ends, |1 - z| from e^top v_lo to e^top on the side dirn of z = 1. Where exact, e^top = |d_far| / X
+        # and v_lo = d_near / d_far, offsets that are one double in this zone; else from the piece's unclipped w's,
+        # with the window edge as r, in which e^r keeps its digits
+        for dirn, near, far, w_near, w_far in (
+            (-1.0, lambda: np.minimum(hi[0], 0.0), lambda: np.maximum(lo[0], -half_x), s_hi, s_lo),
+            (1.0, lambda: np.maximum(lo[0], 0.0), lambda: np.minimum(hi[0], half_x), s_lo, s_hi),
+        )[: 2 if sigma > 0.0 else 0]:
+            near, far = per_point(near, lambda: 0.0), per_point(far, lambda: 0.0)
+            top = per_point(lambda: np.log(dirn * far / x_abs),
+                            lambda: np.minimum(np.minimum(_LN_HALF, r), np.log(dirn * np.expm1(w_far))))
+            ln_v_lo = per_point(lambda: -np.log1p(dirn * (far - near) / np.abs(near)),
+                                lambda: np.log(dirn * np.expm1(dirn * np.maximum(dirn * w_near, 0.0))) - top)
+            kernel_ends.append((dirn, ln_v_lo < 0.0, top, ln_v_lo))
+
+        for k, upper, step, near, far in ((k_low, False, -1.0, further(hi, b_lo, -1.0), lo),
+                                          (k_up, True, 1.0, further(lo, b_hi, 1.0), hi)):
+            # ln(|y_far| / |y_near|) step, > 0 only where far lies beyond near: log1p of the offsets' difference
+            # over the lower end's |y|, or from the w's where an end has no offset (or 3X/2 overflows)
+            low = near if step > 0.0 else far
+            ratio = ((far[0] - near[0]) + (far[1] - near[1])) / ((origin + low[0]) + low[1])
+            length = np.log1p(step * ratio)
+            length = np.where(np.isnan(length), step * (far[2] - near[2]), length)
+            outward_regions.append((k, upper, step, near[2], far[2], length))
+
+        if kernel_log:  # w where ln|1 - sigma z| = -L, below and above z = 1 (nan where there is none)
+            if sigma > 0.0:
+                kinks = np.log(-np.expm1(-ln_x)), np.logaddexp(0.0, -ln_x)
+            else:
+                kinks = (np.log(-np.expm1(ln_x)) - ln_x,) * 2
 
     def kernel_end(dirn, ln_x, top, ln_v_lo):
         # |1 - z| = e^top v on the side dirn of z = 1, weight v^(alpha-1)
@@ -718,7 +769,7 @@ def _log_piece_integral(f: TestFunction, piece: Piece, kernel: KernelSpec, ln_x:
                 ln_z = np.log1p(dirn * e_top[rows, None] * v)
                 return np.exp(-power * ln_z) * density(rows, ln_z)
 
-            return _log_power_panel(at_one, am1, np.exp(ln_v_lo), scale)
+            return _log_power_panel(at_one, am1, ln_v_lo, scale)
 
         def make(anchor, sign):
             # v = e^(-tau/alpha), v^(alpha-1) dv = e^-tau dtau / alpha; anchored at tau = 0
@@ -731,34 +782,11 @@ def _log_piece_integral(f: TestFunction, piece: Piece, kernel: KernelSpec, ln_x:
             return at_tau, scale - math.log(alpha)
 
         kink = alpha * lx_top  # tau where |1 - z| = e^-L
-        return _log_outward(make, -1.0, np.zeros(len(ln_x)), -alpha * ln_v_lo, 1.0, kernel.beta, kink)
+        tau_lo = -alpha * ln_v_lo
+        return _log_outward(make, -1.0, np.zeros(len(ln_x)), tau_lo, tau_lo, 1.0, kernel.beta, kink)
 
-    if sigma > 0.0:
-        ends = []
-        with np.errstate(all="ignore"):  # branches and rows the masks discard
-            for dirn, covered, edge, u_lo in (
-                (-1.0, (s_lo < 0.0) & (s_hi > b_lo), np.where(s_lo > _LN_HALF, np.log(-np.expm1(s_lo)), 0.0),
-                 np.where(s_hi < 0.0, -np.expm1(s_hi), 0.0)),
-                (1.0, (s_hi > 0.0) & (s_lo < b_hi), np.where(s_hi < _LN_3_2, np.log(np.expm1(s_hi)), 0.0),
-                 np.where(s_lo > 0.0, np.expm1(s_lo), 0.0)),
-            ):
-                top = np.minimum(np.minimum(_LN_HALF, r), edge)
-                ln_v_lo = np.log(u_lo) - top
-                if narrow_piece:  # its panel's width 1 - v_lo^alpha comes from its ends' |1 - z|, each from a w
-                    # good to eps (1 + |ln|x||): ln v_lo is off by that times z/|1 - z| at each end, ln u by
-                    # alpha/(v_lo^-alpha - 1) of it, inf where v_lo rounded to 1 or past it. Only a width under 1/2
-                    # cancels: x in the piece, at an end or next to it leaves a wider one, and a window edge (top = r)
-                    # is not an end of the piece
-                    between = covered & (top < r) & (np.expm1(alpha * ln_v_lo) > -0.5)
-                    spread = 1.0 / u_lo + np.exp(-top) + 2.0 * dirn
-                    lost = _EPS * (1.0 + np.abs(ln_x)) * spread * alpha / np.maximum(np.expm1(-alpha * ln_v_lo), 0.0)
-                    if not (lost[between] <= SCALED_LN_U_ERR).all():
-                        raise ToleranceError(f"scaled potential of {f.label}: the piece ({piece.lo:.17g}, "
-                                             f"{piece.hi:.17g}) is too narrow for its distance from x to keep its "
-                                             "kernel-end width", achieved=float(lost[between].max()))
-                ends.append((dirn, covered & (ln_v_lo < 0.0), top, ln_v_lo))
-        for dirn, at, top, ln_v_lo in ends:
-            region(at, partial(kernel_end, dirn), ln_x, top, ln_v_lo)
+    for dirn, at, top, ln_v_lo in kernel_ends:
+        region(at, partial(kernel_end, dirn), ln_x, top, ln_v_lo)
 
     def make(k, upper, ln_x, anchor, sign):
         lx = ln_x + anchor
@@ -778,8 +806,8 @@ def _log_piece_integral(f: TestFunction, piece: Piece, kernel: KernelSpec, ln_x:
 
         return in_w, (0.0 if upper else am1 * ln_x) + k * lx
 
-    def outward(k, upper, step, ln_x, near, far, kink, length):
-        return _log_outward(partial(make, k, upper, ln_x), k, near, far, step, delta + kernel.beta, kink, length)
+    def outward(k, upper, step, ln_x, near, far, length, kink):
+        return _log_outward(partial(make, k, upper, ln_x), k, near, far, length, step, delta + kernel.beta, kink)
 
     def power_region(k, upper, step, ln_x, near, length):
         # in q = e^-|w| = q_near v, q_near = e^-|near|, the region is q_near^a, which the scale takes as
@@ -789,29 +817,13 @@ def _log_piece_integral(f: TestFunction, piece: Piece, kernel: KernelSpec, ln_x:
         a = -k * step
         if a > 0.0:
             return _log_power_panel(lambda rows, v: (1.0 - sigma * q_near[rows, None] * v) ** am1, a - 1.0,
-                                    np.exp(-length), scale)
+                                    -length, scale)
         # a = 0: the integral of 1/v, which is the length, plus one panel of the smooth rest
         rest = integrate_batch(lambda rows, v: np.expm1(am1 * np.log1p(-sigma * q_near[rows, None] * v)) / v,
                                np.exp(-length)[:, None], np.ones((len(near), 1)))
         return scale + np.log(length + _resolved(rest))
 
-    kinks = (None, None)
-    if kernel_log:  # w where ln|1 - sigma z| = -L, below and above z = 1 (nan where there is none)
-        with np.errstate(all="ignore"):  # expm1 overflows where there is no kink
-            if sigma > 0.0:
-                kinks = np.log(-np.expm1(-ln_x)), np.logaddexp(0.0, -ln_x)
-            else:
-                kinks = (np.log(-np.expm1(ln_x)) - ln_x,) * 2
-    for k, upper, near, far, step, kink in (
-        (k_low, False, np.minimum(b_lo, w_hi), w_lo, -1.0, kinks[0]),
-        (k_up, True, np.maximum(b_hi, w_lo), w_hi, 1.0, kinks[1]),
-    ):
-        length = (far - near) * step
-        if span is not None:
-            # a region that is all of a narrow range, or of one the window cuts short, takes its span; the upper
-            # region takes a range that both would call theirs, rounded to a point on their boundary
-            whole = (near == w_hi) & (w_lo < b_hi) if step < 0.0 else near == w_lo
-            length = np.where(whole & np.isfinite(span), span, length)
+    for (k, upper, step, near, far, length), kink in zip(outward_regions, kinks):
         doubling = length > 0.0
         a = -k * step
         if not (dens or kernel_log) and a >= 0.0:  # see the comment above _LN_HALF
@@ -819,7 +831,7 @@ def _log_piece_integral(f: TestFunction, piece: Piece, kernel: KernelSpec, ln_x:
             q_panel = (length > max(1.0, 1.0 / a if a > 0.0 else 0.0)) & (whole | ((a <= 0.5) & np.isinf(far)))
             region(q_panel, partial(power_region, k, upper, step), ln_x, near, length)
             doubling &= ~q_panel
-        region(doubling, partial(outward, k, upper, step), ln_x, near, far, kink, None if span is None else length)
+        region(doubling, partial(outward, k, upper, step), ln_x, near, far, length, kink)
     return total
 
 

@@ -126,9 +126,9 @@ def test_depth_cap_raises():
     assert capped.error[0] == math.inf
     assert (capped.value[1], capped.error[1]) == (alone.value[0], alone.error[0])
     with pytest.raises(ToleranceError):
-        potentials._log_power_panel(lambda rows, v: v**-0.5, 0.0, np.zeros(1), np.zeros(1))
+        potentials._log_power_panel(lambda rows, v: v**-0.5, 0.0, np.full(1, -np.inf), np.zeros(1))
     with pytest.raises(ToleranceError):
-        potentials._log_outward(lambda anchor, sign: (lambda rows, s: s**-0.5, 0.0), -1.0, np.zeros(1), np.ones(1), 1.0, 0.0)
+        potentials._log_outward(lambda anchor, sign: (lambda rows, s: s**-0.5, 0.0), -1.0, np.zeros(1), np.ones(1), np.ones(1), 1.0, 0.0)
 
 
 def test_a_noisy_row_stops_at_the_panel_cap():

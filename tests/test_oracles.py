@@ -228,6 +228,11 @@ RIESZ, LOG_RIESZ, TRUNCATED = "riesz:0.5", "log_riesz:0.5,1,1", "truncated:0.5,0
         ("big_r:0.02,3,2", LOG_RIESZ, "far", 1.0, 0.7),
         ("big_r:0.5,0.5,1", "truncated:0.5,2,3", "near", 1.0, 2000.0),
         ("g_delta:3", LOG_RIESZ, "far", 1.0, 0.7),
+        # a truncation window's edge at a deep point, whose w = r rounds to 7e-12 near |ln|x|| = 5e4: its region's
+        # length comes from the edge's |y| (these read 5.5e-12, 6.7e-13 and 2.1e-12 off when it came from the w's)
+        ("g_delta:1", TRUNCATED, "near", 1.0, 5e4),
+        ("g_delta:3", "truncated:0.5,2,3", "near", 1.0, 2000.0),
+        ("g_delta:3", "truncated:0.5,2,3", "near", 1.0, 5e4),
         # log-free outward regions, each one power-substituted panel in q = e^-|w|
         *(
             (form, RIESZ, region, side, depth)
@@ -307,41 +312,78 @@ def _mp_log_indicator(lo: float, hi: float, x: float) -> float:
 @pytest.mark.parametrize(
     "lo, k, x",
     [(1.0, 30, 5.0), (1.0, 30, -2.0), (3.0, 50, 0.3), (3.0, 50, 20.0), (3.0, 50, -20.0), (1e4, 38, -1e4), (3.0, 8, 3.5),
-     (1.0, 4, 1.03125), (1.0, 4, 1.0625), (3.0, 8, 3.0)],
+     (1.0, 4, 1.03125), (1.0, 4, 1.0625), (3.0, 8, 3.0), (3.0, 20, 3.5), (3.0, 40, 3.5), (3.0, 50, 3.5),
+     (3.0, 39, 3.0 - 0.3 * 2.0**-39), (3.0, 51, 3.0), (1e4, 49.0 - math.log2(1e4), 10000.000000000025)],
 )
 def test_a_narrow_piece_against_the_closed_form(lo, k, x):
-    # indicator(lo, lo + 2^-k): its length in w = ln(|y|/|x|) came from a difference of logs, which read ln u
-    # 4.7e-10 off at (1, 30, 5), -inf at (3, 50, 0.3) and 0.29 off at (3, 50, 20); it is now log1p(2^-k/lo).
-    # At (1e4, 38, -1e4) both ends round to w = 0, the boundary of the two outward regions, and only one takes it.
-    # At x = 3.5 the piece is in the kernel-end panel, which holds 2^-8 of its distance from x. With x in the
-    # piece or at an end, each kernel-end panel runs from x (v_lo = 0) and its width is exact: the width check
-    # read nan there and raised
+    # indicator(lo, lo + 2^-k), against the closed form at the x the evaluator reads, e^ln|x|. Its region ends came
+    # from differences of w = ln(|y|/|x|), which read ln u 4.7e-10 off at (1, 30, 5), -inf at (3, 50, 0.3) and 0.29
+    # off at (3, 50, 20). In the kernel-end zone, at x = 3.5 for k = 20, 40 and 50, the panel's width 1 - v_lo^alpha
+    # came from the ends' |1 - z| and read 5.8e-10, 2.4e-4 and 0.29 off (then the piece was refused); at
+    # x = 3 - 0.3 2^-39 it read 3.8e-4 off. k = 51 is indicator(3, 3 + 4.4e-16), where x = 3 reads e^ln 3 = 3 + 2^-51,
+    # the piece's upper end: both ends' w rounded to one double, and ln u read -inf. The last is
+    # indicator(1e4, 1e4 + 1e4 2^-49) a few ulps past its end, 0.65 off. Each end is now an offset from x
     f, kernel = TestFunction.indicator(lo, lo + 2.0**-k), parse_kernel_spec(RIESZ)
-    want = _mp_log_indicator(lo, lo + 2.0**-k, x)
+    read = math.copysign(float(np.exp(math.log(abs(x)))), x)
+    want = _mp_log_indicator(lo, lo + 2.0**-k, read)
     _assert_close_in_u(log_potential_far(f, kernel, math.log(abs(x)), math.copysign(1.0, x)), want)
 
 
-@pytest.mark.parametrize("k", [20, 40, 50])
-def test_a_narrow_piece_at_the_kernel_end_raises(k):
-    # the kernel-end panel takes its width 1 - v_lo^alpha from the piece's two ends' |1 - z|, each from a
-    # difference of logs: at x = 3.5 it read ln u 5.8e-10, 2.4e-4 and 0.29 off for these k
-    f = TestFunction.indicator(3.0, 3.0 + 2.0**-k)
-    with pytest.raises(ToleranceError, match=r"the piece \(3, 3\.0+\d+\) is too narrow"):
-        log_potential_far(f, parse_kernel_spec(RIESZ), math.log(3.5), 1.0)
+def _narrow_sweep_positions(lo: float, hi: float) -> np.ndarray:
+    """28 points in, at and around the piece (lo, hi): inside it, at and a few ulps past its ends, a few widths
+    away, and fractions of each end away, into the kernel-end zone and past it; the positive ones, each once."""
+    w = hi - lo
+    xs = [lo + w * t for t in (0.25, 0.5, 0.75)] + [lo, hi, 1.5 * hi]
+    for end, s, fractions in ((lo, -1.0, (2.0**-10, 0.1, 0.3, 0.45, 0.6)), (hi, 1.0, (2.0**-10, 0.1, 0.5, 1.0, 3.0))):
+        xs += [end + s * n * math.ulp(end) for n in (1, 4)]
+        xs += [end + s * w * t for t in (0.3, 1.0, 8.0, 256.0)]
+        xs += [end + s * end * t for t in fractions]
+    xs = np.unique(xs)
+    return xs[xs > 0.0]
 
 
-@pytest.mark.parametrize("radius", [0.1, 0.4])
-def test_a_narrow_piece_under_a_truncation_window(radius):
-    # indicator(3, 3.2) at x = 3.5: a window of radius 0.1 leaves the piece out (u = 0, where the width check
-    # raised), one of 0.4 keeps (3.1, 3.2), whose kernel-end panel ends at the window edge
-    f, kernel = TestFunction.indicator(3.0, 3.2), parse_kernel_spec(f"truncated:0.5,0,{radius}")
-    got = log_potential_far(f, kernel, math.log(3.5), 1.0)
-    if radius < 0.3:
+def test_narrow_pieces_in_a_sweep():
+    # indicator(lo, lo + lo 2^-j) for inner ends 0.37, 1, 3 and 1e4 and j = 3 ... 53, at the points around it and
+    # their mirror images, one call per piece and side: nothing is refused, and each of the 10,752 points is within
+    # 1e-12 in ln u of the closed form at the x the evaluator reads. When region ends were w's, a sweep of this kind
+    # found points refused by the narrow-piece check and points up to 0.65 off
+    kernel = parse_kernel_spec(RIESZ)
+    pieces = [(lo, lo + lo * 2.0**-j) for lo in (0.37, 1.0, 3.0, 1e4) for j in range(3, 54)]
+    checked = 0
+    for lo, hi in [(lo, hi) for lo, hi in pieces if hi > lo]:
+        f, xs = TestFunction.indicator(lo, hi), _narrow_sweep_positions(lo, hi)
+        for side in (1.0, -1.0):
+            for x, ln_u in zip(xs, log_potential_far(f, kernel, np.log(xs), side)):
+                _assert_close_in_u(ln_u, _mp_log_indicator(lo, hi, side * float(np.exp(math.log(x)))))
+                checked += 1
+    assert checked == 10752
+
+
+@pytest.mark.parametrize(
+    "lo, x, radius",
+    [pytest.param(3.0, 3.5, 0.1, id="0.1"), pytest.param(3.0, 3.5, 0.4, id="0.4"),
+     pytest.param(2.0, 3.3, 0.1, id="edge-past-the-end")],
+)
+def test_a_narrow_piece_under_a_truncation_window(lo, x, radius):
+    # indicator(lo, 3.2) at x: at 3.5 a window of radius 0.1 leaves the piece out (u = 0, where the width check
+    # raised), one of 0.4 keeps (3.1, 3.2), whose kernel-end panel ends at the window edge. At 3.3 the edge x - 0.1
+    # lies 4.4e-16 below 3.2: the panel took v_lo from two logs, and apply_kernel_report, which reads the scaled
+    # evaluator there, returned 1.404e-16 with error 1.4e-28, where u = 1.141e-15
+    f, kernel = TestFunction.indicator(lo, 3.2), parse_kernel_spec(f"truncated:0.5,0,{radius}")
+
+    def u(at: float) -> mp.mpf:
+        with mp.workdps(40):
+            at, r = mp.mpf(at), mp.mpf(radius)
+            return 2 * (mp.sqrt(min(r, at - lo)) - mp.sqrt(at - mp.mpf(3.2))) if at - r < 3.2 else mp.mpf(0)
+
+    got = log_potential_far(f, kernel, math.log(x), 1.0)
+    want = u(float(np.exp(math.log(x))))
+    if want == 0:
         assert got == -math.inf
     else:
-        with mp.workdps(40):
-            want = float(mp.log(2 * (mp.sqrt(mp.mpf(radius)) - mp.sqrt(mp.mpf(3.5) - mp.mpf(3.2)))))
-        _assert_close_in_u(got, want)
+        _assert_close_in_u(got, float(mp.log(want)))
+    report = apply_kernel_report(f, x, kernel)
+    assert abs(report.value - float(u(x))) <= report.error
 
 
 def _mp_log_example3_sliver(x) -> float:
