@@ -264,6 +264,14 @@ class TestFunction:
             raise DomainError(f"origin pieces of {self.label} disagree at 0: (power, log_power) in {sorted(exponents)}")
         return exponents.pop() if exponents else (0.0, 0.0)
 
+    @cached_property
+    def singular_at_zero(self) -> bool:
+        return self.origin_exponents != (0.0, 0.0)
+
+    @cached_property
+    def ln_coefficient(self) -> float:
+        return math.log(self.coefficient)
+
 
 def _check_alpha_delta(alpha: float, delta: float) -> None:
     if not (0.0 < alpha < 1.0):

@@ -30,7 +30,7 @@ import math
 import sys
 import warnings
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -122,7 +122,7 @@ class KernelSpec:
     def bessel(alpha: float) -> "KernelSpec":
         return KernelSpec("bessel", alpha)
 
-    @property
+    @cached_property
     def reach(self) -> float:
         if self.variant == "truncated":
             return self.radius
@@ -130,14 +130,28 @@ class KernelSpec:
             return BESSEL_REACH
         return math.inf
 
+    @cached_property
+    def ln_reach(self) -> float:
+        return math.log(self.reach)
+
     @property
     def rel_err(self) -> float:
         """Relative error of one kernel value beyond rounding, which no quadrature error estimate sees."""
         return MACDONALD_REL_ERR if self.variant == "bessel" else 0.0
 
-    @property
+    @cached_property
     def has_log_factor(self) -> bool:
         return self.variant in ("log_riesz", "truncated") and (self.beta > 0.0 or self.slow is not None)
+
+    @cached_property
+    def is_power(self) -> bool:
+        """K is |z|^(alpha-1) itself: regular_part is 1 everywhere."""
+        return self.variant in ("riesz", "log_riesz") and not self.has_log_factor
+
+    @cached_property
+    def end_cutoff(self) -> float:
+        """Where :func:`apply_kernel_report` cuts a kernel-end row settled from its start t = 0 on."""
+        return tail_cutoff(1.0, self.beta, 0.0)
 
     def regular_part(self, ln_abs_z) -> np.ndarray:
         """K(z) |z|^(1-alpha) elementwise, given ln|z|; K is |z|^(alpha-1) times it.
@@ -152,11 +166,11 @@ class KernelSpec:
             nu = (1.0 - self.alpha) / 2.0
             z = np.maximum(np.exp(ln_abs_z), 1e-300)  # |z|^nu K_nu(|z|) is at its limit there
             return z**nu * kve(nu, z) * np.exp(-z)
-        part = np.ones(ln_abs_z.shape)
-        if self.has_log_factor:
-            part = _log_factor(np.abs(ln_abs_z), self.beta, self.slow)
+        if self.is_power:
+            return np.ones(ln_abs_z.shape)
+        part = _log_factor(np.abs(ln_abs_z), self.beta, self.slow) if self.has_log_factor else 1.0
         if self.variant == "truncated":
-            part = np.where(ln_abs_z <= math.log(self.radius), part, 0.0)
+            part = np.where(ln_abs_z <= self.ln_reach, part, 0.0)
         return part
 
 
@@ -229,43 +243,38 @@ def _check_apply_convergence(f: TestFunction, x: float, kernel: KernelSpec) -> N
 def _subpieces(f: TestFunction, x: float, kernel: KernelSpec):
     """The pieces of the support within the kernel's reach of x as (piece, lo, hi), cut at x and, for a log
     kernel, at x -+ 1; none is empty, and none touches both x and the density's singularity at 0."""
-    at_zero = f.origin_exponents != (0.0, 0.0)  # a singularity at 0, which is a piece end and never inside one
     reach = kernel.reach
     for piece in f.pieces:
         lo = max(piece.lo, x - reach) if reach != math.inf else piece.lo
         hi = min(piece.hi, x + reach) if reach != math.inf else piece.hi
         if not hi > lo:
             continue
-        cuts = {lo, hi}
-        if lo < x < hi:
-            cuts.add(x)
+        cuts = [lo, x, hi] if lo < x < hi else [lo, hi]
         if kernel.has_log_factor:
-            for edge in (x - 1.0, x + 1.0):
-                if lo < edge < hi:
-                    cuts.add(edge)
-        ordered = sorted(cuts)
-        for c1, c2 in zip(ordered[:-1], ordered[1:]):
+            cuts = sorted({*cuts, *(edge for edge in (x - 1.0, x + 1.0) if lo < edge < hi)})
+        for c1, c2 in zip(cuts, cuts[1:]):
             # keep the kernel-singular piece finite, and never let a single
-            # piece touch both the kernel and a density singularity
+            # piece touch both the kernel and a density singularity (at 0, a piece end and never inside one)
             if c1 == x and c2 == math.inf:
                 ends = (x, x + max(1.0, 2.0 * abs(x)), math.inf)
             elif c2 == x and c1 == -math.inf:
                 ends = (-math.inf, x - max(1.0, 2.0 * abs(x)), x)
-            elif at_zero and 0.0 in (c1, c2) and abs(x - (c2 if c1 == 0.0 else c1)) < c2 - c1 < math.inf:
+            elif f.singular_at_zero and 0.0 in (c1, c2) and abs(x - (c2 if c1 == 0.0 else c1)) < c2 - c1 < math.inf:
                 # x at, or just past, the end away from the density singularity: the kernel gets its own piece
                 ends = (c1, c1 + 0.5 * (c2 - c1), c2)
             else:
-                ends = (c1, c2)
+                yield piece, c1, c2
+                continue
             # splitting a range one ulp wide, or one reaching past the largest float, leaves an empty part
             yield from ((piece, a, b) for a, b in zip(ends[:-1], ends[1:]) if b > a)
 
 
 def _doubling_edges(t_lo: float, t_hi: float, width: float) -> list[float]:
     """Panel edges from t_lo to t_hi, the panels width, 2 width, 4 width, ... wide; the last one takes the rest."""
-    edges, k = [t_lo], 1
-    while t_lo + width * (2.0 ** (k + 1) - 1.0) < t_hi:
-        edges.append(t_lo + width * (2.0**k - 1.0))
-        k += 1
+    edges, step = [t_lo], 2.0  # 2^k, exact
+    while t_lo + width * (2.0 * step - 1.0) < t_hi:
+        edges.append(t_lo + width * (step - 1.0))
+        step *= 2.0
     return edges + [t_hi]
 
 
@@ -286,6 +295,10 @@ class _RowParams(NamedTuple):
     c: float
 
 
+#: the place of each _RowParams field
+_FIELD = {name: i for i, name in enumerate(_RowParams._fields)}
+
+
 def _row(f: TestFunction, x: float, kernel: KernelSpec, piece: Piece, lo: float, hi: float) -> tuple:
     """The sub-piece (lo, hi) of piece as a row of the batched rule: (_RowParams, panel edges, rate).
 
@@ -299,7 +312,7 @@ def _row(f: TestFunction, x: float, kernel: KernelSpec, piece: Piece, lo: float,
     """
     base, power, delta, singular = 0.0, 0.0, 0.0, False
     if f.evaluator is None:
-        base, singular = math.log(f.coefficient), piece.role != "plain"
+        base, singular = f.ln_coefficient, piece.role != "plain"
         if singular:
             power, delta = piece.power, piece.log_power
     origin, v0, v1, rate = False, 0.0, 1.0, math.nan
@@ -310,8 +323,8 @@ def _row(f: TestFunction, x: float, kernel: KernelSpec, piece: Piece, lo: float,
         extra, extra_log = f.origin_exponents if x == 0.0 else (0.0, 0.0)  # x may sit on it
         s = kernel.alpha - extra
         sign, v0, v1, t_lo, base = (1.0 if lo == x else -1.0), math.log(hi - lo), -1.0 / s, 0.0, base - math.log(s)
-        near = [abs(x)] if x != 0.0 and f.origin_exponents != (0.0, 0.0) else []
-        rate, degree, start = 1.0, kernel.beta + extra_log, s * max(0.0, v0 - math.log(min([1.0] + near)))
+        near = min(1.0, abs(x)) if x != 0.0 and f.singular_at_zero else 1.0
+        rate, degree, start = 1.0, kernel.beta + extra_log, s * max(0.0, v0 - math.log(near))
     elif math.isinf(hi - lo):
         # tail: |x - y| = e^t from the finite end on, settled where |x - y| > |x|
         if piece.role != "tail":
@@ -337,7 +350,9 @@ def _row(f: TestFunction, x: float, kernel: KernelSpec, piece: Piece, lo: float,
         t_lo, t_hi = sorted((math.log(abs(lo - x)), math.log(abs(hi - x))))
         width = 1.0 / max(1.0, math.exp(t_lo)) if kernel.variant == "bessel" else 1.0
     if not math.isnan(rate):
-        t_hi, width = tail_cutoff(rate, degree, start), 1.0 / max(1.0, rate)
+        # a kernel-end row settled from t = 0 on is cut where every such row of the kernel is
+        settled = rate == 1.0 and start == 0.0 and degree == kernel.beta
+        t_hi, width = kernel.end_cutoff if settled else tail_cutoff(rate, degree, start), 1.0 / max(1.0, rate)
     # |dy/dt| is |y| on an origin row and |x - y| (over s at a kernel end) on the others
     ky, kd = (1.0 - power, kernel.alpha - 1.0) if origin else (-power, kernel.alpha)
     # the log v does not give, ln|x - y| on an origin row and ln|y| on the others, is taken to full
@@ -345,15 +360,19 @@ def _row(f: TestFunction, x: float, kernel: KernelSpec, piece: Piece, lo: float,
     # log1p(c expm1(v - v_end)), from |x - y| - 1 or |y| - 1 = c expm1(v - v_end); at a kernel end
     # on |y| = 1, v_end is -inf and |y| - 1 = c e^v
     unit, v_end, c = False, 0.0, 0.0
-    density_log = singular and (delta != 0.0 or f.slow is not None)
-    for end in (lo, hi):
-        if origin and end != 0.0 and kernel.has_log_factor and abs(x - end) == 1.0:
-            unit, v_end, c = True, math.log(abs(end)), -math.copysign(1.0, x - end) * sign * abs(end)
-        elif not origin and density_log and abs(end) == 1.0:
-            d = abs(end - x)
-            unit, v_end, c = True, (math.log(d) if d else -math.inf), math.copysign(1.0, end) * sign * (d or 1.0)
+    if origin and kernel.has_log_factor or not origin and singular and (delta != 0.0 or f.slow is not None):
+        for end in (lo, hi):
+            if origin and end != 0.0 and abs(x - end) == 1.0:
+                unit, v_end, c = True, math.log(abs(end)), -math.copysign(1.0, x - end) * sign * abs(end)
+            elif not origin and abs(end) == 1.0:
+                d = abs(end - x)
+                unit, v_end, c = True, (math.log(d) if d else -math.inf), math.copysign(1.0, end) * sign * (d or 1.0)
     params = _RowParams(v0, v1, sign, base, ky, kd, delta, origin, singular, unit, v_end, c)
     return params, _doubling_edges(t_lo, t_hi, width), rate
+
+
+#: J / (1 - 1/e) bounds a cut row's tail, J the integral of its extra row: see apply_kernel_report
+_TAIL_SHARE = 1.0 - math.exp(-1.0)
 
 
 def apply_kernel_report(
@@ -380,52 +399,82 @@ def apply_kernel_report(
     spec = spec or QuadratureSpec()
     _check_apply_convergence(f, x, kernel)
     subnormal = 0.0 < abs(x) < sys.float_info.min
-    if subnormal and f.origin_exponents != (0.0, 0.0) and f.evaluator is None and kernel.variant != "bessel":
+    if subnormal and f.singular_at_zero and f.evaluator is None and kernel.variant != "bessel":
         return _scaled_report(f, x, kernel, spec, "")
-    rows = [_row(f, x, kernel, piece, lo, hi) for piece, lo, hi in _subpieces(f, x, kernel)]
-    if not rows:  # nothing within reach, unless the window's edge rounded onto an end of the support
+    # the rows, then each cut row once more as the single panel (cut, cut + 1/rate) (see the tail below),
+    # then each end of a row that is not a cut as a panel w wide inward from it (see the end shifts below)
+    params, grid, tails, ends, shifts = [], [], [], [], []
+    has_origin = has_delta = has_unit = has_ky = False
+    x_reach = abs(x) / kernel.reach
+    for piece, lo, hi in _subpieces(f, x, kernel):
+        p, e, rate = _row(f, x, kernel, piece, lo, hi)
+        params.append(p)
+        grid.append(e)
+        has_origin, has_delta = has_origin or p.origin, has_delta or p.delta != 0.0
+        has_unit, has_ky = has_unit or p.unit, has_ky or p.ky != 0.0
+        w = min(_END_PANEL, (e[-1] - e[0]) / 2.0)
+        ends.append((p, [e[0], e[0] + w]))
+        shifts.append((1.0 + abs(e[0]) + x_reach) / w if w > 0.0 else 0.0)
+        if math.isnan(rate):
+            ends.append((p, [e[-1] - w, e[-1]]))
+            shifts.append((1.0 + abs(e[-1]) + x_reach) / w if w > 0.0 else 0.0)
+        else:
+            tails.append((p, [e[-1], e[-1] + 1.0 / rate]))
+    if not params:  # nothing within reach, unless the window's edge rounded onto an end of the support
         sliver = _window_sliver(f, x, kernel, spec)
         return _NOTHING_IN_REACH if sliver is None else _sliver_report(f, x, kernel, spec, sliver)
-    n = len(rows)
-    # each cut row once more, as the single panel (cut, cut + 1/rate): see the tail below
-    rows += [(p, [edges[-1], edges[-1] + 1.0 / rate], rate) for p, edges, rate in rows if not math.isnan(rate)]
-    n_tails = len(rows) - n
-    # and each end of a row that is not a cut, as a panel w wide inward from it: see the end shifts below
-    shifts = []
-    for p, e, rate in rows[:n]:
-        w = min(_END_PANEL, (e[-1] - e[0]) / 2.0)
-        for t_end, panel in ((e[0], [e[0], e[0] + w]), (e[-1], [e[-1] - w, e[-1]]))[: 1 + math.isnan(rate)]:
-            rows.append((p, panel, math.nan))
-            shifts.append((1.0 + abs(t_end) + abs(x) / kernel.reach) / w if w > 0.0 else 0.0)
-    n_cols = max(len(edges) for _, edges, _ in rows)
-    edges = np.array([e + e[-1:] * (n_cols - len(e)) for _, e, _ in rows])
-    params = np.array([p for p, _, _ in rows])
-    has_origin = any(p.origin for p, _, _ in rows)
-    log_factor, has_unit = any(p.delta for p, _, _ in rows), any(p.unit for p, _, _ in rows)
+    n, n_tails, n_cols = len(params), len(tails), max(map(len, grid))
+    for p, panel in tails + ends:
+        params.append(p)
+        grid.append(panel)
+    flat = []  # every row's edges, padded with its last one to n_cols
+    for e in grid:
+        flat += e
+        flat += e[-1:] * (n_cols - len(e))
+    edges = np.array(flat).reshape(len(grid), n_cols)
     slow = f.slow if f.evaluator is None else None
-    need_ln_y = log_factor or slow is not None or any(p.ky for p, _, _ in rows)
     density = None if f.evaluator is None else np.vectorize(f, otypes=[float])
+    log_factor = has_delta or slow is not None
+    uses_ky = has_origin or log_factor or has_ky  # else every ky is 0 and ln|y| is v, and ky ln|y| adds nothing
+    logs = x != 0.0 and uses_ky  # ln|y| or ln|x - y| is not v on some row
+    uses_y = density is not None or logs
+    # the integrand reads only the columns its rows need
+    read = [name for name, used in (("v0", True), ("v1", True), ("base", True), ("kd", True), ("sign", uses_y),
+                                    ("ky", uses_ky), ("origin", has_origin), ("unit", logs and has_unit),
+                                    ("v_end", logs and has_unit), ("c", logs and has_unit), ("delta", log_factor),
+                                    ("singular", slow is not None)) if used]
+    columns = np.array([p[_FIELD[name]] for name in read for p in params]).reshape(len(read), len(params))
 
     def integrand(r, t):
-        v0, v1, sign, base, ky, kd, delta, origin, singular, unit, v_end, c = params[r].T[:, :, None]  # _RowParams
-        v = v0 + v1 * t
+        col = dict(zip(read, columns.take(r, axis=1)[:, :, None]))
+        v = col["v0"] + col["v1"] * t
         exp_v = np.exp(v)
-        e = sign * exp_v
-        y, ln_y, ln_d = x + e, v, v  # at x = 0, y = sign |x - y|, so ln|y| = ln|x - y| = v
-        if x != 0.0 and (has_origin or need_ln_y):
-            o = origin > 0.0
-            if has_origin:
-                y = np.where(o, e, y)
+        ln_y, ln_d = v, v  # at x = 0, y = sign |x - y|, so ln|y| = ln|x - y| = v
+        if uses_y:
+            e = col["sign"] * exp_v
+            y = x + e
+        if logs:
             # the log v does not give: ln|x - y| on an origin row, ln|y| on the others
-            other = np.log(np.abs(np.where(o, x - y, y) if has_origin else y))
+            if has_origin:
+                o = col["origin"] > 0.0
+                y = np.where(o, e, y)
+                other = np.log(np.abs(np.where(o, x - y, y)))
+            else:
+                other = np.log(np.abs(y))
             if has_unit:
+                v_end, c = col["v_end"], col["c"]
                 shift = np.where(v_end == -np.inf, c * exp_v, c * np.expm1(v - v_end))
-                other = np.where(unit > 0.0, np.log1p(shift), other)
+                other = np.where(col["unit"] > 0.0, np.log1p(shift), other)
             ln_y, ln_d = (np.where(o, v, other), np.where(o, other, v)) if has_origin else (other, v)
-        val = np.exp(base + ky * ln_y + kd * ln_d) * kernel.regular_part(ln_d)
-        if log_factor or slow is not None:
-            factor = _log_factor(np.abs(ln_y), delta, slow)
-            val *= factor if slow is None else np.where(singular > 0.0, factor, 1.0)
+        if uses_ky:
+            val = np.exp(col["base"] + col["ky"] * ln_y + col["kd"] * ln_d)
+        else:
+            val = np.exp(col["base"] + col["kd"] * ln_d)
+        if not kernel.is_power:
+            val *= kernel.regular_part(ln_d)
+        if log_factor:
+            factor = _log_factor(np.abs(ln_y), col["delta"], slow)
+            val *= factor if slow is None else np.where(col["singular"] > 0.0, factor, 1.0)
         if density is not None:
             val = val * density(y)
         return val
@@ -441,13 +490,13 @@ def apply_kernel_report(
     # past its cut a row decays like g(t) = A t^m e^(-rate t) with rate t > 2m + 2: its tail lies between
     # J, the integral of its extra row, and 2 g(cut) / rate <= 2 J / (1 - 1/e), so J / (1 - 1/e), exact
     # for m = 0, is within itself of the tail
-    tail = value[n : n + n_tails].sum() / (1.0 - math.exp(-1.0))
+    tail = value[n : n + n_tails].sum() / _TAIL_SHARE
     total = float(value[:n].sum() + tail)
     # a row end sits where rounding put it: its t, the log of a distance, within eps (1 + |t|), and a
     # truncated kernel's window edge x -+ radius within eps |x| in y, so eps |x| / radius in t; the
     # integrand there, its mean over the end's panel, times that shift bounds what the shift moves
-    ends = np.abs(value[n + n_tails :]) @ np.array(shifts)
-    err = float(error[:n].sum() + tail + _EPS * ends) + (_ROUNDING + kernel.rel_err) * abs(total)
+    moved = np.abs(value[n + n_tails :]) @ np.array(shifts)
+    err = float(error[:n].sum() + tail + _EPS * moved) + (_ROUNDING + kernel.rel_err) * abs(total)
     finite = math.isfinite(total) and math.isfinite(err)
     if not finite or (total != 0.0 and err / abs(total) > spec.rel_tol):
         sliver = _window_sliver(f, x, kernel, spec)
@@ -690,7 +739,7 @@ def _log_piece_integral(f: TestFunction, piece: Piece, kernel: KernelSpec, ln_x:
 
     # the piece's ends, clipped to the truncation window |1 - sigma z| < e^r, and the boundaries between the
     # kernel ends and the outward regions (z = 1/2 and 3/2), or between the outward regions (z = 1, sigma < 0)
-    r = math.log(kernel.reach) - ln_x
+    r = kernel.ln_reach - ln_x
     s_lo, s_hi = (math.log(inner) if inner > 0.0 else -math.inf) - ln_x, math.log(outer) - ln_x
     kernel_ends, outward_regions, kinks = [], [], (None, None)
     with np.errstate(all="ignore"):  # branches np.where discards, and the ends where a region is empty

@@ -188,20 +188,24 @@ def integrate_batch(fn: Callable[[np.ndarray, np.ndarray], np.ndarray], lo: np.n
     n_rows = lo.shape[0]
     panel_rows, panel_cols = np.nonzero(hi != lo)
     a, b, rows = lo[panel_rows, panel_cols], hi[panel_rows, panel_cols], panel_rows
-    levels = []  # per depth: (value, error, bisected) of its panels
-    tol = None
-    for depth in range(MAX_DEPTH + 1):
+
+    def panels(a, b, rows):
+        """The K41 value and the |K41 - G20| error of each panel."""
         width = b - a
         f = fn(rows, a[:, None] + width[:, None] * x)
         # (f * w).sum, not f @ w: a matrix product's blocking can vary with the
         # batch, and a row's bits must not
-        coarse = (f[:, 1::2] * wg).sum(axis=1) * width
         value = (f * wk).sum(axis=1) * width
-        error = np.abs(value - coarse)
-        if tol is None:
-            first_sums = _row_sums(value, rows, n_rows)
-            tol = BATCH_REL_TOL * np.abs(first_sums)
-        bisect = error > tol[rows]
+        return value, np.abs(value - (f[:, 1::2] * wg).sum(axis=1) * width)
+
+    value, error = panels(a, b, rows)
+    first_sums = _row_sums(value, rows, n_rows)
+    tol = BATCH_REL_TOL * np.abs(first_sums)
+    bisect = error > tol[rows]
+    if not np.count_nonzero(bisect):  # no panel bisects: no level to carry back
+        return IntegralResult(first_sums, _row_sums(error, rows, n_rows))
+    levels = []  # per depth: (value, error, bisected) of its panels
+    for depth in range(MAX_DEPTH + 1):
         if depth == MAX_DEPTH or 2 * np.count_nonzero(bisect) > MAX_ROW_PANELS:
             # rows unresolved at the depth cap, or whose next level would pass the panel cap
             stop = bisect
@@ -215,12 +219,13 @@ def integrate_batch(fn: Callable[[np.ndarray, np.ndarray], np.ndarray], lo: np.n
         a, b, rows = a[bisect], b[bisect], rows[bisect]
         mid = a + (b - a) / 2.0
         a, b, rows = np.stack([a, mid], axis=1).ravel(), np.stack([mid, b], axis=1).ravel(), np.repeat(rows, 2)
+        value, error = panels(a, b, rows)
+        bisect = error > tol[rows]
     for (value, error, bisect), (child_value, child_error, _) in zip(levels[-2::-1], levels[:0:-1]):
         value[bisect] = child_value[0::2] + child_value[1::2]
         error[bisect] = child_error[0::2] + child_error[1::2]
     value, error, _ = levels[0]
-    total = first_sums if len(levels) == 1 else _row_sums(value, panel_rows, n_rows)
-    return IntegralResult(total, _row_sums(error, panel_rows, n_rows))
+    return IntegralResult(_row_sums(value, panel_rows, n_rows), _row_sums(error, panel_rows, n_rows))
 
 
 def _row_sums(values: np.ndarray, rows: np.ndarray, n_rows: int) -> np.ndarray:

@@ -148,6 +148,28 @@ def test_a_noisy_row_stops_at_the_panel_cap():
     assert (capped.value[1], capped.error[1]) == (alone.value[0], alone.error[0])
 
 
+def test_tail_cutoff_ends_the_tail_below_its_share_of_the_peak():
+    # t^m e^(-ct) at the cut T is at most BATCH_REL_TOL/10 of its peak over t >= start, at t = max(m/c, start),
+    # up to the 1e-9 T its iteration stops within (it nears T from below: about half these draws fall short by
+    # up to 5e-10 cT in the log), and cT > 2m + 2 keeps the tail bound's geometric factor below 2
+    rng = np.random.default_rng(20)
+    n = 20_000
+
+    def log_uniform(lo, hi):
+        return np.exp(rng.uniform(math.log(lo), math.log(hi), n))
+
+    cs = log_uniform(1e-8, 1e3)
+    ms = np.where(rng.random(n) < 0.25, 0.0, log_uniform(1e-3, 1e3))
+    starts = np.where(rng.random(n) < 0.25, 0.0, log_uniform(1e-3, 1e6))
+    for c, m, start in zip(cs.tolist(), ms.tolist(), starts.tolist()):
+        t = quadrature.tail_cutoff(c, m, start)
+        peak = max(m / c, start)
+        log_peak = (m * math.log(peak) if peak > 0.0 else 0.0) - c * peak
+        log_share = (m * math.log(t) if m > 0.0 else 0.0) - c * t - log_peak
+        assert log_share <= math.log(quadrature.BATCH_REL_TOL / 10.0) + 1e-9 * c * t, (c, m, start)
+        assert c * t > 2.0 * m + 2.0, (c, m, start)
+
+
 # ---------------------------------------------------------------------------
 # scaled evaluators: one value per point, whatever the batch
 # ---------------------------------------------------------------------------
@@ -188,6 +210,32 @@ def test_node_values_of_one_e1_table_call(monkeypatch):
     levels = _levels_per_call(monkeypatch)
     log_potential_far(TestFunction.h_delta(0.5, 0.0), KernelSpec.riesz(0.5), np.linspace(-150.0, 150.0, 61), 1.0)
     assert sum(map(sum, levels)) <= 13_000
+
+
+@pytest.mark.parametrize(
+    "form, kernel, x, rows, panels, nodes",
+    [
+        ("indicator:0,1", "riesz:0.5", 0.3, 6, 14, 574),  # inside the support
+        ("h_delta:0.5,1", "log_riesz:0.5,1", 4.0, 15, 33, 1353),  # the kinks x -+ 1 cut the tail piece
+        ("g_delta:1", "bessel:0.5", 4.0, 6, 14, 574),
+        ("f_delta:0.5,1", "truncated:0.5,0,1", 1.36, 3, 3, 123),  # the window edge x - 1 just inside the end 1/e
+    ],
+)
+def test_node_values_of_one_pointwise_potential(monkeypatch, form, kernel, x, rows, panels, nodes):
+    # one integrate_batch call per point, none bisecting: its rows are the sub-pieces, one more panel past each
+    # tail cut and one at each row end; the rows and node values of each case are pinned, so that a change to
+    # how a point is set up shows as a change of its work
+    levels = _levels_per_call(monkeypatch)
+    counting, shapes = potentials.integrate_batch, []
+
+    def shaped(fn, lo, hi):
+        shapes.append((lo.shape[0], np.count_nonzero(hi != lo)))
+        return counting(fn, lo, hi)
+
+    monkeypatch.setattr(potentials, "integrate_batch", shaped)
+    apply_kernel_report(parse_form_spec(form), x, potentials.parse_kernel_spec(kernel))
+    assert shapes == [(rows, panels)]
+    assert levels == [[nodes]]
 
 
 RIESZ, LOG_RIESZ, TRUNCATED = KernelSpec.riesz(0.5), KernelSpec.log_riesz(0.5, 1.0), KernelSpec.truncated(0.5, radius=1.0)

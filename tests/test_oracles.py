@@ -2,6 +2,7 @@
 
 import functools
 import math
+import sys
 
 import mpmath as mp
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from glpot import TestFunction, apply_kernel_report, log_potential_far, log_potential_near, lp_norm_report, parse_kernel_spec
-from glpot.catalog import Piece
+from glpot.catalog import E, INV_E, Piece
 from glpot.errors import ToleranceError
 from glpot.potentials import SCALED_LN_U_ERR
 from glpot.cli import parse_form_spec
@@ -56,19 +57,20 @@ def test_bessel_potential_of_indicator(x):
 
 def _segments(form: str):
     """(sign of y', range of v = ln|y'|, ln|f|(e^v), power a of |f| ~ |y'|^-a at an infinite v) of each support
-    segment, from the textbook formulas."""
+    segment, from the textbook formulas.  The ends e and 1/e are the doubles the catalog holds, E and INV_E: a point
+    a few ulps from one is that far from the support's end."""
     name, _, args = form.partition(":")
     p = [mp.mpf(v) for v in args.split(",")]
     if name == "g_delta":
-        return [(1, 1, mp.inf, lambda v: -v + p[0] * mp.log(v), 1)]
+        return [(1, mp.log(E), mp.inf, lambda v: -v + p[0] * mp.log(v), 1)]
     if name == "f_delta":
-        return [(1, -mp.inf, -1, lambda v: -p[0] * v + p[1] * mp.log(-v), p[0])]
+        return [(1, -mp.inf, mp.log(INV_E), lambda v: -p[0] * v + p[1] * mp.log(-v), p[0])]
     if name == "h_delta":
         return _segments(f"f_delta:{args}") + _segments(f"g_delta:{args.split(',')[1]}")
     if name == "big_r":  # |x|^-a |ln|x||^delta (1 + ln(1 + |ln|x||))^kappa
         kappa = p[2] if len(p) > 2 else 0
         ln_f = lambda v: -p[0] * v + p[1] * mp.log(-v) + kappa * mp.log(1 + mp.log1p(-v))
-        return [(1, -mp.inf, -1, ln_f, p[0]), (-1, -mp.inf, -1, ln_f, p[0])]
+        return [(1, -mp.inf, mp.log(INV_E), ln_f, p[0]), (-1, -mp.inf, mp.log(INV_E), ln_f, p[0])]
     if name == "example3":
         ln_f = lambda v: -p[0] * v + (p[1] - p[0]) * mp.log(v)
         return [(1, 0, mp.inf, ln_f, p[0]), (-1, 0, mp.inf, ln_f, p[0])]
@@ -102,8 +104,8 @@ def _mp_bessel_regular_part(nu, ln_d):
     return mp.exp(nu * ln_d) * mp.besselk(nu, mp.exp(ln_d))
 
 
-def _mp_log_potential(form: str, kernel, ln_x: float, side: float, dps: int = 30) -> float:
-    """ln of int f(y') K(x - y') dy' at x = side e^ln_x, 30 digits (or dps)."""
+def _mp_log_potential(form: str, kernel, ln_x, side: float, dps: int = 30) -> float:
+    """ln of int f(y') K(x - y') dy' at x = side e^ln_x (a float or an mpf), 30 digits (or dps)."""
     with mp.workdps(dps):
         L, alpha, beta = mp.mpf(ln_x), mp.mpf(kernel.alpha), mp.mpf(kernel.beta)
         kappa = kernel.slow.kappa if kernel.slow is not None else 0
@@ -150,11 +152,16 @@ def _mp_log_potential(form: str, kernel, ln_x: float, side: float, dps: int = 30
 
 
 def _scaled(form: str, kernel_text: str, region: str, side: float, depth: float) -> tuple[float, float]:
-    """(glpot's ln u, mpmath's ln u) at x = side e^depth (far) or side e^-depth (near)."""
+    """(glpot's ln u, mpmath's ln u) at x = side e^depth (far) or side e^-depth (near); mpmath's at the double
+    X = e^ln|x| the evaluator reads, where that is a normal double (at depth 1, X is E, g_delta's support end)."""
     f, kernel = parse_form_spec(form), parse_kernel_spec(kernel_text)
     evaluate = log_potential_far if region == "far" else log_potential_near
     ln_x = depth if region == "far" else -depth
-    return evaluate(f, kernel, depth, side), _mp_log_potential(form, kernel, ln_x, side)
+    with np.errstate(over="ignore"):
+        read = float(np.exp(ln_x))
+    with mp.workdps(30):
+        ln_read = mp.log(mp.mpf(read)) if sys.float_info.min <= read < math.inf else ln_x
+    return evaluate(f, kernel, depth, side), _mp_log_potential(form, kernel, ln_read, side)
 
 
 def _assert_close_in_u(got: float, want: float) -> None:
@@ -300,6 +307,18 @@ def test_a_window_sliver_at_a_piece_end(form, x):
         u = f.coefficient * mp.quad(lambda y: y**-piece.power * abs(y0 - y) ** -0.5, [a, b])
         want = float(mp.log(u))
     _assert_close_in_u(log_potential_far(f, kernel, math.log(x), 1.0), want)
+
+
+def test_a_point_one_ulp_from_a_support_end():
+    # x = e^t one ulp below E, the end of g_delta's support.  The reference took that end as e itself, 1.4e-16
+    # past E, and read u 1e-9 off (at e^t, 0.9779227567800338 where glpot reads 0.9779227577469889); it now
+    # starts the support at E and is taken at ln X, in mp, of the double X the evaluator reads
+    t, kernel = 0.9999999999999998, parse_kernel_spec(RIESZ)
+    read = float(np.exp(t))
+    assert read == math.nextafter(E, 0.0)
+    with mp.workdps(40):
+        want = _mp_log_potential("h_delta:0.5,0", kernel, mp.log(mp.mpf(read)), 1.0, dps=40)
+    assert abs(log_potential_far(parse_form_spec("h_delta:0.5,0"), kernel, t, 1.0) - want) <= 1e-12
 
 
 def _mp_log_indicator(lo: float, hi: float, x: float) -> float:
