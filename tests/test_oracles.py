@@ -104,6 +104,10 @@ def _mp_bessel_regular_part(nu, ln_d):
     return mp.exp(nu * ln_d) * mp.besselk(nu, mp.exp(ln_d))
 
 
+#: a panel end this close to the point, against the panel's other end, is next to the kernel singularity
+_NEXT_TO_POINT = 1e-6
+
+
 def _mp_log_potential(form: str, kernel, ln_x, side: float, dps: int = 30) -> float:
     """ln of int f(y') K(x - y') dy' at x = side e^ln_x (a float or an mpf), 30 digits (or dps)."""
     with mp.workdps(dps):
@@ -142,12 +146,15 @@ def _mp_log_potential(form: str, kernel, ln_x, side: float, dps: int = 30) -> fl
             # tanh-sinh stops on an absolute error estimate
             scale = max(integrand((p + q) / 2) for p, q in zip(pts[:-1], pts[1:]))
             for p, q in zip(pts[:-1], pts[1:]) if scale > 0 else ():
-                if same and 0 in (p, q):  # |w|^(alpha-1) at w = 0: w = end v^(1/alpha)
-                    end = p + q
-                    panel = lambda v: integrand(end * v ** (1 / alpha)) * v ** (1 / alpha - 1) / alpha
+                near, far = sorted((p, q), key=abs)
+                if same and abs(near) <= _NEXT_TO_POINT * abs(far):
+                    # |w|^(alpha-1) at w = 0, at or just past the near end: w = far v^(1/alpha), from v = (near/far)^alpha
+                    panel = lambda v: integrand(far * v ** (1 / alpha)) * v ** (1 / alpha - 1) / alpha
+                    v_lo, length = (near / far) ** alpha, abs(far)
                 else:
                     panel = lambda v: integrand(p + (q - p) * v)
-                total += scale * abs(q - p) * mp.quad(lambda v: panel(v) / scale, [0, 1])
+                    v_lo, length = 0, q - p
+                total += scale * length * mp.quad(lambda v: panel(v) / scale, [v_lo, 1])
         return float(mp.log(total))
 
 
@@ -310,9 +317,10 @@ def test_a_window_sliver_at_a_piece_end(form, x):
 
 
 def test_a_point_one_ulp_from_a_support_end():
-    # x = e^t one ulp below E, the end of g_delta's support.  The reference took that end as e itself, 1.4e-16
-    # past E, and read u 1e-9 off (at e^t, 0.9779227567800338 where glpot reads 0.9779227577469889); it now
-    # starts the support at E and is taken at ln X, in mp, of the double X the evaluator reads
+    # x = e^t one ulp below E, the double the catalog holds for e, where g_delta's support starts.  The reference
+    # starts the support at E, not at e 1.4e-16 past it, takes the panel from that end about the point w = 0, and
+    # is taken at ln X, in mp, of the double X the evaluator reads: 0.97792275774698885.  With the support at e
+    # and taken at e^t it read 0.9779227567800338, 1e-9 off in ln u
     t, kernel = 0.9999999999999998, parse_kernel_spec(RIESZ)
     read = float(np.exp(t))
     assert read == math.nextafter(E, 0.0)
